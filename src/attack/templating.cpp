@@ -1,10 +1,39 @@
 #include "attack/templating.hpp"
 
+#include <cstring>
 #include <vector>
 
 #include "support/check.hpp"
 
 namespace explframe::attack {
+
+void scan_flips(std::span<const std::uint8_t> data, std::uint8_t pattern,
+                vm::VirtAddr base_va, vm::VirtAddr aggressor_lo,
+                vm::VirtAddr aggressor_hi, std::vector<FlipRecord>& out) {
+  const auto scan_byte = [&](std::size_t off) {
+    const auto delta = static_cast<std::uint8_t>(data[off] ^ pattern);
+    for (std::uint8_t bit = 0; bit < 8; ++bit) {
+      if (((delta >> bit) & 1u) == 0) continue;
+      FlipRecord rec;
+      rec.page_va = base_va + (off / kPageSize) * kPageSize;
+      rec.offset = static_cast<std::uint32_t>(off % kPageSize);
+      rec.bit = bit;
+      rec.to_one = ((data[off] >> bit) & 1u) != 0;
+      rec.aggressor_lo = aggressor_lo;
+      rec.aggressor_hi = aggressor_hi;
+      out.push_back(rec);
+    }
+  };
+  const std::uint64_t pattern_word = 0x0101010101010101ULL * pattern;
+  std::size_t off = 0;
+  for (; off + 8 <= data.size(); off += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, data.data() + off, 8);
+    if (word == pattern_word) continue;
+    for (std::size_t i = 0; i < 8; ++i) scan_byte(off + i);
+  }
+  for (; off < data.size(); ++off) scan_byte(off);
+}
 
 std::uint64_t discover_row_stride(kernel::System& system, kernel::Task& task,
                                   vm::VirtAddr base, std::uint64_t limit) {
@@ -43,7 +72,10 @@ Templater::Templater(kernel::System& system, kernel::Task& attacker,
     : system_(&system),
       attacker_(&attacker),
       config_(config),
-      row_bytes_(system.dram().geometry().row_bytes) {
+      row_bytes_(system.dram().geometry().row_bytes),
+      ones_row_(row_bytes_, 0xFF),
+      zeros_row_(row_bytes_, 0x00),
+      readback_(row_bytes_) {
   EXPLFRAME_CHECK(config.buffer_bytes >= 4 * row_bytes_);
 }
 
@@ -74,38 +106,23 @@ void Templater::probe_row(vm::VirtAddr target_row_va, std::uint8_t pattern,
 
   // Fill target row with `pattern`, aggressor rows with its complement
   // (stripe patterns maximise coupling).
-  std::vector<std::uint8_t> victim_fill(row_bytes_, pattern);
-  std::vector<std::uint8_t> agg_fill(row_bytes_,
-                                     static_cast<std::uint8_t>(~pattern));
-  system_->mem_write(*attacker_, target_row_va,
-                     {victim_fill.data(), victim_fill.size()});
-  system_->mem_write(*attacker_, agg_lo, {agg_fill.data(), agg_fill.size()});
-  system_->mem_write(*attacker_, agg_hi, {agg_fill.data(), agg_fill.size()});
+  EXPLFRAME_CHECK(pattern == 0xFF || pattern == 0x00);
+  const std::vector<std::uint8_t>& victim_fill =
+      pattern == 0xFF ? ones_row_ : zeros_row_;
+  const std::vector<std::uint8_t>& agg_fill =
+      pattern == 0xFF ? zeros_row_ : ones_row_;
+  EXPLFRAME_CHECK(system_->mem_write(*attacker_, target_row_va, victim_fill));
+  EXPLFRAME_CHECK(system_->mem_write(*attacker_, agg_lo, agg_fill));
+  EXPLFRAME_CHECK(system_->mem_write(*attacker_, agg_hi, agg_fill));
 
   // Hammer on the batched-activation path (identical to per-access).
   const vm::VirtAddr aggressors[2] = {agg_lo, agg_hi};
   system_->hammer_burst(*attacker_, aggressors, config_.hammer_iterations);
 
   // Scan the target row for bits that changed.
-  std::vector<std::uint8_t> readback(row_bytes_);
-  system_->mem_read(*attacker_, target_row_va,
-                    {readback.data(), readback.size()});
-  for (std::uint32_t off = 0; off < row_bytes_; ++off) {
-    const std::uint8_t delta =
-        static_cast<std::uint8_t>(readback[off] ^ pattern);
-    if (delta == 0) continue;
-    for (std::uint8_t bit = 0; bit < 8; ++bit) {
-      if (((delta >> bit) & 1u) == 0) continue;
-      FlipRecord rec;
-      rec.page_va = target_row_va + (off / kPageSize) * kPageSize;
-      rec.offset = off % kPageSize;
-      rec.bit = bit;
-      rec.to_one = ((readback[off] >> bit) & 1u) != 0;
-      rec.aggressor_lo = agg_lo;
-      rec.aggressor_hi = agg_hi;
-      report.flips.push_back(rec);
-    }
-  }
+  EXPLFRAME_CHECK(system_->mem_read(*attacker_, target_row_va, readback_));
+  scan_flips(readback_, pattern, target_row_va, agg_lo, agg_hi,
+             report.flips);
 }
 
 TemplateReport Templater::scan() { return scan_until(nullptr); }
@@ -140,8 +157,7 @@ TemplateReport Templater::scan_random_pairs(
   for (int pass = 0; pass < passes && !done; ++pass) {
     const std::uint8_t pattern = pass == 0 ? 0xFF : 0x00;
     pattern_buf.assign(config_.buffer_bytes, pattern);
-    system_->mem_write(*attacker_, buffer_va_,
-                       {pattern_buf.data(), pattern_buf.size()});
+    EXPLFRAME_CHECK(system_->mem_write(*attacker_, buffer_va_, pattern_buf));
     for (std::uint64_t session = 0; session < budget && !done; ++session) {
       // Find a timing-verified same-bank pair of distinct rows.
       vm::VirtAddr a = 0, b = 0;
@@ -169,30 +185,25 @@ TemplateReport Templater::scan_random_pairs(
       // Full-buffer rescan: any byte differing from the pattern (outside
       // the aggressor rows themselves, which the probe loop dirtied the
       // row buffers of, not the data) is a new flip.
-      system_->mem_read(*attacker_, buffer_va_,
-                        {readback.data(), readback.size()});
-      for (std::uint64_t off = 0; off < readback.size(); ++off) {
-        const std::uint8_t delta =
-            static_cast<std::uint8_t>(readback[off] ^ pattern);
-        if (delta == 0) continue;
-        for (std::uint8_t bit = 0; bit < 8; ++bit) {
-          if (((delta >> bit) & 1u) == 0) continue;
-          FlipRecord rec;
-          rec.page_va = buffer_va_ + (off / kPageSize) * kPageSize;
-          rec.offset = static_cast<std::uint32_t>(off % kPageSize);
-          rec.bit = bit;
-          rec.to_one = ((readback[off] >> bit) & 1u) != 0;
-          rec.aggressor_lo = std::min(a, b);
-          rec.aggressor_hi = std::max(a, b);
-          report.flips.push_back(rec);
-          bool known = false;
-          for (const vm::VirtAddr pv : flip_pages) known |= pv == rec.page_va;
-          if (!known) flip_pages.push_back(rec.page_va);
-          if (good && good(rec)) done = true;
-        }
-        // Restore the pattern so the flip is not double-counted.
-        std::uint8_t fix = pattern;
-        system_->mem_write(*attacker_, buffer_va_ + off, {&fix, 1});
+      EXPLFRAME_CHECK(system_->mem_read(*attacker_, buffer_va_, readback));
+      const std::size_t before = report.flips.size();
+      scan_flips(readback, pattern, buffer_va_, std::min(a, b),
+                 std::max(a, b), report.flips);
+      for (std::size_t i = before; i < report.flips.size(); ++i) {
+        const FlipRecord& rec = report.flips[i];
+        bool known = false;
+        for (const vm::VirtAddr pv : flip_pages) known |= pv == rec.page_va;
+        if (!known) flip_pages.push_back(rec.page_va);
+        if (good && good(rec)) done = true;
+        // Restore the pattern so the flip is not double-counted (once per
+        // flipped byte, after its last bit).
+        const vm::VirtAddr byte_va = rec.page_va + rec.offset;
+        if (i + 1 < report.flips.size() &&
+            report.flips[i + 1].page_va + report.flips[i + 1].offset ==
+                byte_va)
+          continue;
+        const std::uint8_t fix = pattern;
+        EXPLFRAME_CHECK(system_->mem_write(*attacker_, byte_va, {&fix, 1}));
       }
       if (config_.stop_after != 0 && flip_pages.size() >= config_.stop_after)
         done = true;

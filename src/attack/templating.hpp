@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "kernel/system.hpp"
@@ -77,6 +78,15 @@ struct TemplateReport {
   SimTime elapsed = 0;
 };
 
+/// Append one FlipRecord to `out` for every bit of `data` that differs from
+/// `pattern`, in (offset, bit) order. `data` was read back from `base_va`;
+/// each record's page_va/offset split that address at page boundaries and
+/// carries the two aggressor VAs given. Compares eight bytes at a time and
+/// looks at single bytes only inside words that differ; any length works.
+void scan_flips(std::span<const std::uint8_t> data, std::uint8_t pattern,
+                vm::VirtAddr base_va, vm::VirtAddr aggressor_lo,
+                vm::VirtAddr aggressor_hi, std::vector<FlipRecord>& out);
+
 /// Discover the same-bank row stride of the machine purely through the
 /// row-conflict timing channel: the smallest power-of-two stride at which
 /// `base` and `base + stride` keep evicting each other's row buffer. On the
@@ -120,6 +130,7 @@ class Templater {
 
  private:
   /// Hammer the pair and check the candidate row's pages for flips.
+  /// `pattern` is 0xFF or 0x00; allocates nothing.
   void probe_row(vm::VirtAddr target_row_va, std::uint8_t pattern,
                  TemplateReport& report);
 
@@ -135,6 +146,11 @@ class Templater {
   std::uint64_t buffer_pages_ = 0;
   std::uint32_t row_bytes_ = 0;
   std::uint64_t row_stride_ = 0;
+  // probe_row's fill rows and readback buffer, one row each, reused by
+  // every probe.
+  std::vector<std::uint8_t> ones_row_;
+  std::vector<std::uint8_t> zeros_row_;
+  std::vector<std::uint8_t> readback_;
 };
 
 }  // namespace explframe::attack

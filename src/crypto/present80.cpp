@@ -83,6 +83,27 @@ Present80::RoundKeys Present80::expand_key(const Key& key) noexcept {
   return rk;
 }
 
+Present80::Key Present80::invert_key_schedule(std::uint64_t k32,
+                                             std::uint16_t low,
+                                             RoundKeys& rk) noexcept {
+  const __uint128_t mask80 = (static_cast<__uint128_t>(1) << 80) - 1;
+  __uint128_t reg = (static_cast<__uint128_t>(k32) << 16) | low;
+  rk[31] = k32;
+  // Undo expand_key's three steps in reverse order, round 31 down to 1.
+  for (std::uint32_t round = 31; round >= 1; --round) {
+    reg ^= static_cast<__uint128_t>(round) << 15;
+    const auto top = static_cast<std::uint8_t>((reg >> 76) & 0xF);
+    reg = (reg & ~(static_cast<__uint128_t>(0xF) << 76)) |
+          (static_cast<__uint128_t>(kInvSbox[top]) << 76);
+    reg = ((reg >> 61) | (reg << 19)) & mask80;
+    rk[round - 1] = static_cast<std::uint64_t>(reg >> 16);
+  }
+  Key key{};
+  for (std::size_t i = 0; i < 10; ++i)
+    key[i] = static_cast<std::uint8_t>(reg >> (8 * (9 - i)));
+  return key;
+}
+
 std::uint64_t Present80::encrypt_with_sbox(
     Block plaintext, const RoundKeys& rk,
     std::span<const std::uint8_t, 16> table) noexcept {
@@ -102,17 +123,19 @@ std::uint64_t Present80::encrypt(Block plaintext,
 
 Present80::SpTables Present80::derive_sp_tables(
     std::span<const std::uint8_t, 16> table) noexcept {
+  // pLayer is linear over disjoint bit sets, so a byte's image is the XOR
+  // (here OR: disjoint bits) of its two nibbles' images. Substitute exactly
+  // as sbox_layer does (stored entries are masked on use) and permute each
+  // of the 16 x 16 (position, value) nibbles once.
+  std::array<std::array<std::uint64_t, 16>, 16> nibble{};
+  for (std::size_t pos = 0; pos < 16; ++pos)
+    for (std::size_t x = 0; x < 16; ++x)
+      nibble[pos][x] =
+          p_layer(static_cast<std::uint64_t>(table[x] & 0xF) << (4 * pos));
   SpTables sp{};
-  for (std::size_t i = 0; i < 8; ++i) {
-    for (std::size_t b = 0; b < 256; ++b) {
-      // Substitute both nibbles of the byte exactly as sbox_layer does
-      // (stored entries are masked on use), then permute its 8 bits.
-      const std::uint64_t sub =
-          static_cast<std::uint64_t>(table[b & 0xF] & 0xF) |
-          (static_cast<std::uint64_t>(table[(b >> 4) & 0xF] & 0xF) << 4);
-      sp[i][b] = p_layer(sub << (8 * i));
-    }
-  }
+  for (std::size_t i = 0; i < 8; ++i)
+    for (std::size_t b = 0; b < 256; ++b)
+      sp[i][b] = nibble[2 * i][b & 0xF] | nibble[2 * i + 1][b >> 4];
   return sp;
 }
 

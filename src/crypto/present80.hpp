@@ -29,6 +29,14 @@ class Present80 {
 
   static RoundKeys expand_key(const Key& key) noexcept;
 
+  /// The key schedule run backwards: from the round-32 register (K32 in its
+  /// top 64 bits, `low` below), one inverse walk writes every round key it
+  /// passes into `rk` (rk[r-1] = top 64 bits of register r, so rk[31] =
+  /// `k32`) and returns the master key it ends on. `rk` then equals
+  /// expand_key() of that key — without a forward pass.
+  static Key invert_key_schedule(std::uint64_t k32, std::uint16_t low,
+                                 RoundKeys& rk) noexcept;
+
   static Block encrypt(Block plaintext, const RoundKeys& rk) noexcept;
   static Block decrypt(Block ciphertext, const RoundKeys& rk) noexcept;
 
@@ -43,7 +51,8 @@ class Present80 {
   /// plus a 64-step bit permutation. Exact by linearity of pLayer over
   /// disjoint bit sets — encrypt_with_sp is byte-identical to
   /// encrypt_with_sbox over the same table (differentially tested). Derived
-  /// once per harvest snapshot by the batched EncryptContext.
+  /// once per harvest snapshot by the batched EncryptContext and once per
+  /// residual key search by PresentPfa::recover_master_key.
   using SpTables = std::array<std::array<std::uint64_t, 256>, 8>;
   static SpTables derive_sp_tables(
       std::span<const std::uint8_t, 16> table) noexcept;

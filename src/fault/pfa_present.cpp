@@ -67,41 +67,21 @@ std::optional<std::uint64_t> PresentPfa::recover_k32(std::uint8_t v) const {
   return Present80::p_layer(l);
 }
 
-namespace {
-
-/// Invert the key-schedule register from the round-32 state back to the
-/// master key (the inverse of the three forward steps, in reverse order).
-crypto::Present80::Key invert_schedule(__uint128_t reg32) {
-  const __uint128_t mask80 = (static_cast<__uint128_t>(1) << 80) - 1;
-  const auto& inv = Present80::inv_sbox();
-  __uint128_t reg = reg32 & mask80;
-  for (std::uint32_t round = 31; round >= 1; --round) {
-    reg ^= static_cast<__uint128_t>(round) << 15;
-    const auto top = static_cast<std::uint8_t>((reg >> 76) & 0xF);
-    reg = (reg & ~(static_cast<__uint128_t>(0xF) << 76)) |
-          (static_cast<__uint128_t>(inv[top]) << 76);
-    reg = ((reg >> 61) | (reg << 19)) & mask80;
-  }
-  crypto::Present80::Key key{};
-  for (std::size_t i = 0; i < 10; ++i)
-    key[i] = static_cast<std::uint8_t>(reg >> (8 * (9 - i)));
-  return key;
-}
-
-}  // namespace
-
 std::optional<PresentPfa::MasterKeyResult> PresentPfa::recover_master_key(
     std::uint8_t v, std::uint64_t known_plaintext,
     std::uint64_t known_ciphertext,
     std::span<const std::uint8_t, 16> faulty_sbox) const {
   const auto k32 = recover_k32(v);
   if (!k32) return std::nullopt;
+  // One SP-table derivation per search; each candidate then costs one
+  // inverse schedule walk (which writes the round keys as it goes) and one
+  // table-driven encryption.
+  const Present80::SpTables sp = Present80::derive_sp_tables(faulty_sbox);
+  Present80::RoundKeys rk;
   for (std::uint32_t low = 0; low < (1u << 16); ++low) {
-    const __uint128_t reg32 =
-        (static_cast<__uint128_t>(*k32) << 16) | low;
-    const auto key = invert_schedule(reg32);
-    const auto rk = Present80::expand_key(key);
-    if (Present80::encrypt_with_sbox(known_plaintext, rk, faulty_sbox) ==
+    const auto key = Present80::invert_key_schedule(
+        *k32, static_cast<std::uint16_t>(low), rk);
+    if (Present80::encrypt_with_sp(known_plaintext, rk, sp) ==
         known_ciphertext) {
       return MasterKeyResult{key, low + 1};
     }

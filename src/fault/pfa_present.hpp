@@ -50,8 +50,9 @@ class PresentPfa {
   /// Recover the full 80-bit master key: K32 from PFA plus a 2^16 search
   /// over the undetermined low register bits, checked against one known
   /// plaintext/ciphertext pair (encrypted with the *faulty* S-box, since
-  /// the fault is persistent). Returns the key and the number of
-  /// candidates tried (the residual brute-force work).
+  /// the fault is persistent). Candidates run low = 0, 1, ... and the
+  /// first match wins; returns its key and the number of candidates tried
+  /// (low + 1, the residual brute-force work).
   struct MasterKeyResult {
     crypto::Present80::Key key{};
     std::uint32_t search_tried = 0;

@@ -9,6 +9,22 @@ namespace {
 
 using Key = Present80::Key;
 
+/// The full 80-bit round-32 register of `key`'s schedule, written straight
+/// from the PRESENT specification (expand_key keeps only its top 64 bits).
+__uint128_t round32_register(const Key& key) {
+  const __uint128_t mask80 = (static_cast<__uint128_t>(1) << 80) - 1;
+  __uint128_t reg = 0;
+  for (const std::uint8_t b : key) reg = (reg << 8) | b;
+  for (std::uint32_t round = 1; round <= 31; ++round) {
+    reg = ((reg << 61) | (reg >> 19)) & mask80;
+    const auto top = static_cast<std::size_t>((reg >> 76) & 0xF);
+    reg = (reg & ~(static_cast<__uint128_t>(0xF) << 76)) |
+          (static_cast<__uint128_t>(Present80::sbox()[top]) << 76);
+    reg ^= static_cast<__uint128_t>(round) << 15;
+  }
+  return reg;
+}
+
 // Test vectors from the PRESENT paper (Bogdanov et al., CHES 2007).
 TEST(Present80, PaperVectorAllZero) {
   const Key key{};  // 00...0
@@ -112,6 +128,45 @@ TEST(Present80, RoundKeysDiffer) {
   const auto rk = Present80::expand_key(key);
   EXPECT_NE(rk[0], rk[1]);
   EXPECT_NE(rk[30], rk[31]);
+}
+
+TEST(Present80, InverseScheduleWalkReproducesExpandKey) {
+  // From a random master key's round-32 register, the backward walk must
+  // land on that key and have written exactly expand_key's round keys.
+  Rng rng(78);
+  for (int i = 0; i < 2000; ++i) {
+    Key key;
+    rng.fill_bytes(key);
+    if (i == 0) key.fill(0x00);
+    if (i == 1) key.fill(0xFF);
+    const __uint128_t reg32 = round32_register(key);
+    const auto expanded = Present80::expand_key(key);
+    ASSERT_EQ(static_cast<std::uint64_t>(reg32 >> 16), expanded[31]);
+    Present80::RoundKeys rk{};
+    const Key walked = Present80::invert_key_schedule(
+        static_cast<std::uint64_t>(reg32 >> 16),
+        static_cast<std::uint16_t>(reg32), rk);
+    ASSERT_EQ(walked, key) << "key " << i;
+    ASSERT_EQ(rk, expanded) << "key " << i;
+  }
+}
+
+TEST(Present80, InverseScheduleWalkIsABijectionOnRegisters) {
+  // The other direction: any round-32 register walks back to a key whose
+  // forward schedule ends on that register — including both extremes of
+  // the 16 low bits the residual key search enumerates.
+  Rng rng(79);
+  for (int i = 0; i < 2000; ++i) {
+    const std::uint64_t k32 = rng.next();
+    const auto low = static_cast<std::uint16_t>(
+        i == 0 ? 0x0000 : i == 1 ? 0xFFFF : rng.uniform(1u << 16));
+    Present80::RoundKeys rk{};
+    const Key key = Present80::invert_key_schedule(k32, low, rk);
+    const __uint128_t reg32 = round32_register(key);
+    ASSERT_EQ(static_cast<std::uint64_t>(reg32 >> 16), k32);
+    ASSERT_EQ(static_cast<std::uint16_t>(reg32), low);
+    ASSERT_EQ(rk, Present80::expand_key(key));
+  }
 }
 
 TEST(Present80, SpTablesMatchSboxPathOnCanonicalAndFaultyTables) {
