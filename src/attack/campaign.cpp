@@ -148,11 +148,13 @@ TemplatedCampaign::TemplatedCampaign(kernel::System& system,
                        int(partial_.chosen.bit), " -> ", cipher.name(),
                        " table index ", partial_.table_index);
   }
-  template_time_ = system.now() - start_;
-  template_wall_ = std::chrono::duration<double>(
-                       // determinism: allow(steady-clock) template_wall_seconds diagnostic, never emitted
-                       std::chrono::steady_clock::now() - wall_start)
-                       .count();
+  partial_.template_time = system.now() - start_;
+  partial_.total_time = partial_.template_time;
+  partial_.template_wall_seconds =
+      std::chrono::duration<double>(
+          // determinism: allow(steady-clock) template_wall_seconds diagnostic, never emitted
+          std::chrono::steady_clock::now() - wall_start)
+          .count();
   // A failed templating run has no post-template phases to fork into; the
   // machine is left untouched by run_fork then, so no snapshot is needed.
   if (take_snapshot && partial_.template_found)
@@ -168,133 +170,110 @@ CampaignReport TemplatedCampaign::run_fork(const CampaignConfig& config) {
       "run_fork config diverges from the templated base on a "
       "template-shaping field");
 
-  // Rewind the machine to the instant templating finished. The first fork
-  // after construction is a state-wise no-op (nothing ran in between), so
-  // a single-shot campaign pays only the epoch bump — which read paths
-  // never observe.
+  // Rewind the machine to the instant templating finished, so every fork
+  // starts from the same state.
   if (post_template_) system_->restore(*post_template_);
 
-  const crypto::TableCipher& cipher = *cipher_;
   CampaignReport report = partial_;
-  report.template_time = template_time_;
-  report.template_wall_seconds = template_wall_;
-  report.forked_from_template = post_template_ != nullptr;
-  if (!report.template_found) {
-    report.total_time = system_->now() - start_;
-    return report;
+  if (report.template_found) {
+    plant(report);
+    if (config.noise_ops > 0) noise(config);
+    steer(report);
+    hammer(report);
+    harvest(config, report);
   }
-  kernel::Task& attacker = *attacker_;
-  VictimCipherService& victim = *victim_;
+  report.total_time = system_->now() - start_;
+  return report;
+}
 
-  // -------------------------------------------------------------- 2 PLANT
-  report.planted_pfn = system_->translate(attacker, report.chosen.page_va);
+void TemplatedCampaign::plant(CampaignReport& report) {
+  report.planted_pfn = system_->translate(*attacker_, report.chosen.page_va);
   EXPLFRAME_CHECK(report.planted_pfn != mm::kInvalidPfn);
-  system_->sys_munmap(attacker, report.chosen.page_va, kPageSize);
+  system_->sys_munmap(*attacker_, report.chosen.page_va, kPageSize);
+}
 
-  // Optional contention window between plant and victim allocation.
-  if (config.noise_ops > 0) {
-    kernel::Task& noisy = system_->spawn("noise", config.noise_cpu);
-    kernel::NoiseWorkload noise(*system_, noisy, {}, noise_seed_);
-    if (config.attacker_sleeps)
-      attacker.set_state(kernel::TaskState::kSleeping);
-    noise.run(config.noise_ops);
-    if (config.attacker_sleeps)
-      attacker.set_state(kernel::TaskState::kRunnable);
-  }
+void TemplatedCampaign::noise(const CampaignConfig& config) {
+  kernel::Task& noisy = system_->spawn("noise", config.noise_cpu);
+  kernel::NoiseWorkload workload(*system_, noisy, {}, noise_seed_);
+  if (config.attacker_sleeps) attacker_->set_state(kernel::TaskState::kSleeping);
+  workload.run(config.noise_ops);
+  if (config.attacker_sleeps) attacker_->set_state(kernel::TaskState::kRunnable);
+}
 
-  // -------------------------------------------------------------- 3 STEER
-  victim.install_tables();
+void TemplatedCampaign::steer(CampaignReport& report) {
+  victim_->install_tables();
   report.victim_table_pfn =
-      system_->translate(victim.task(), victim.table_page_va());
+      system_->translate(victim_->task(), victim_->table_page_va());
   report.steered = report.victim_table_pfn == report.planted_pfn;
+}
 
-  // ------------------------------------------------------------- 4 HAMMER
+void TemplatedCampaign::hammer(CampaignReport& report) {
   templater_->hammer_aggressors(report.chosen);
-  report.fault_injected = victim.table_corrupted();
-  if (report.fault_injected) {
-    const auto table = victim.read_table();
-    const auto canonical = cipher.canonical_table();
-    std::uint32_t live_diffs = 0;
-    for (std::size_t i = 0; i < table.size(); ++i) {
-      const std::uint8_t live = cipher.live_bits(i);
-      if ((table[i] & live) != (canonical[i] & live)) ++live_diffs;
-    }
-    report.fault_as_predicted =
-        live_diffs == 1 &&
-        (table[report.table_index] &
-         cipher.live_bits(report.table_index)) == fault_model_.v_new;
+  report.fault_injected = victim_->table_corrupted();
+  if (!report.fault_injected) return;
+  const crypto::TableCipher& cipher = *cipher_;
+  const auto table = victim_->read_table();
+  const auto canonical = cipher.canonical_table();
+  std::uint32_t live_diffs = 0;
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    const std::uint8_t live = cipher.live_bits(i);
+    if ((table[i] & live) != (canonical[i] & live)) ++live_diffs;
   }
-  if (!report.steered || !report.fault_injected) {
-    report.total_time = system_->now() - start_;
-    return report;
-  }
+  report.fault_as_predicted =
+      live_diffs == 1 &&
+      (table[report.table_index] & cipher.live_bits(report.table_index)) ==
+          fault_model_.v_new;
+}
 
-  // ---------------------------------------------- 5 + 6 HARVEST + ANALYSE
+void TemplatedCampaign::harvest(const CampaignConfig& config,
+                                CampaignReport& report) {
+  if (!report.steered || !report.fault_injected) return;
   // The engine knows v and v' from the template alone (index + bit) —
   // ExplFrame never observes the victim's memory.
+  const crypto::TableCipher& cipher = *cipher_;
   auto analysis = fault::make_analysis(config.analysis, cipher, fault_model_);
   Rng rng(plaintext_seed_);
   const std::size_t block = cipher.block_size();
-  const std::size_t table_size = cipher.table_size();
-  std::vector<std::uint8_t> pt(block);
-  std::vector<std::uint8_t> ct(block);
 
   if (analysis->wants_known_pair()) {
     // One known plaintext/ciphertext pair (the PFA model's usual
     // known-plaintext variant) for PRESENT's residual key-schedule search.
+    std::vector<std::uint8_t> pt(block);
+    std::vector<std::uint8_t> ct(block);
     rng.fill_bytes(pt);
-    victim.encrypt(pt, ct);
+    victim_->encrypt(pt, ct);
     analysis->set_known_pair(pt, ct);
   }
 
   std::uint32_t check_interval = config.analysis_check_interval;
-  if (check_interval == 0) check_interval = table_size >= 256 ? 256 : 25;
+  if (check_interval == 0)
+    check_interval = cipher.table_size() >= 256 ? 256 : 25;
 
-  if (config.batched_harvest) {
-    // Chunked fill/encrypt/absorb with the same check cadence as the
-    // per-call loop below: chunks end exactly at the check_interval
-    // multiples (and at the budget), the plaintext RNG stream is identical
-    // (block sizes are multiples of fill_bytes' 8-byte words, so one flat
-    // fill equals that many per-block fills), and the key checks fire at
-    // the same ciphertext counts — so reports are byte-identical.
-    const std::uint32_t chunk_cap =
-        std::min(check_interval, config.ciphertext_budget);
-    std::vector<std::uint8_t> pts(static_cast<std::size_t>(chunk_cap) * block);
-    std::vector<std::uint8_t> cts(static_cast<std::size_t>(chunk_cap) * block);
-    std::uint32_t done = 0;
-    while (done < config.ciphertext_budget) {
-      const std::uint32_t n =
-          std::min(check_interval, config.ciphertext_budget - done);
-      const std::span<std::uint8_t> pt_span(pts.data(), n * block);
-      const std::span<std::uint8_t> ct_span(cts.data(), n * block);
-      rng.fill_bytes(pt_span);
-      victim.encrypt_batch(pt_span, ct_span);
-      analysis->add_ciphertext_batch(ct_span, block);
-      done += n;
-      if (auto key = analysis->recover_key()) {
-        report.key_recovered = true;
-        report.recovered_key = std::move(*key);
-        report.residual_search = analysis->residual_search();
-        report.ciphertexts_used = done;
-        break;
-      }
-    }
-  } else {
-    for (std::uint32_t i = 0; i < config.ciphertext_budget; ++i) {
-      rng.fill_bytes(pt);
-      victim.encrypt(pt, ct);
-      analysis->add_ciphertext(ct);
-      // Periodically test whether the key is already pinned down.
-      if ((i + 1) % check_interval == 0 ||
-          i + 1 == config.ciphertext_budget) {
-        if (auto key = analysis->recover_key()) {
-          report.key_recovered = true;
-          report.recovered_key = std::move(*key);
-          report.residual_search = analysis->residual_search();
-          report.ciphertexts_used = i + 1;
-          break;
-        }
-      }
+  // Chunked fill/encrypt/absorb: chunks end exactly at the check_interval
+  // multiples (and at the budget), so the key checks fire at the same
+  // ciphertext counts as a per-call loop that checks every check_interval
+  // blocks — and the plaintext stream is the same too, since block sizes
+  // are multiples of fill_bytes' 8-byte words.
+  const std::uint32_t chunk_cap =
+      std::min(check_interval, config.ciphertext_budget);
+  std::vector<std::uint8_t> pts(static_cast<std::size_t>(chunk_cap) * block);
+  std::vector<std::uint8_t> cts(static_cast<std::size_t>(chunk_cap) * block);
+  std::uint32_t done = 0;
+  while (done < config.ciphertext_budget) {
+    const std::uint32_t n =
+        std::min(check_interval, config.ciphertext_budget - done);
+    const std::span<std::uint8_t> pt_span(pts.data(), n * block);
+    const std::span<std::uint8_t> ct_span(cts.data(), n * block);
+    rng.fill_bytes(pt_span);
+    victim_->encrypt_batch(pt_span, ct_span);
+    analysis->add_ciphertext_batch(ct_span, block);
+    done += n;
+    if (auto key = analysis->recover_key()) {
+      report.key_recovered = true;
+      report.recovered_key = std::move(*key);
+      report.residual_search = analysis->residual_search();
+      report.ciphertexts_used = done;
+      break;
     }
   }
   if (!report.key_recovered)
@@ -302,8 +281,6 @@ CampaignReport TemplatedCampaign::run_fork(const CampaignConfig& config) {
 
   report.success =
       report.key_recovered && report.recovered_key == report.victim_key;
-  report.total_time = system_->now() - start_;
-  return report;
 }
 
 ExplFrameCampaign::ExplFrameCampaign(kernel::System& system,
@@ -313,7 +290,7 @@ ExplFrameCampaign::ExplFrameCampaign(kernel::System& system,
 }
 
 CampaignReport ExplFrameCampaign::run() const {
-  TemplatedCampaign base(*system_, config_, config_.fork_from_snapshot);
+  TemplatedCampaign base(*system_, config_, /*take_snapshot=*/false);
   return base.run_fork(config_);
 }
 

@@ -51,17 +51,6 @@ struct CampaignConfig {
   /// Harvested ciphertexts between key-recovery attempts (0 = a cadence
   /// matched to the cipher's table alphabet: 256 for AES, 25 for PRESENT).
   std::uint32_t analysis_check_interval = 0;
-  /// Harvest through the batched fast path (snapshot-validated
-  /// VictimCipherService::encrypt_batch + Analysis::add_ciphertext_batch,
-  /// chunked at the check cadence). Byte-identical reports either way —
-  /// false exists only as the differential-testing escape hatch.
-  bool batched_harvest = true;
-  /// Run the post-templating phases off a machine snapshot captured right
-  /// after templating (TemplatedCampaign). Byte-identical reports either
-  /// way — false exists only as the differential-testing escape hatch;
-  /// true additionally lets campaign groups sharing a templated base fork
-  /// trials instead of re-templating (the sweep amortization).
-  bool fork_from_snapshot = true;
   /// Background noise operations between plant and victim allocation
   /// (models other activity racing for the planted frame). CPU of the
   /// noise task and whether it shares the attack CPU are configurable.
@@ -121,10 +110,6 @@ struct CampaignReport {
   /// Host wall-clock seconds spent templating. NOT byte-stable — excluded
   /// from every golden-checked emitter; stdout/bench diagnostics only.
   double template_wall_seconds = 0.0;
-  /// True if this report was produced by forking from a post-templating
-  /// snapshot (its templating phase was shared, not re-run). Diagnostic
-  /// only; every other field is byte-identical either way.
-  bool forked_from_template = false;
 
   /// First pipeline phase that failed ("none" on success).
   std::string failure_stage() const;
@@ -134,10 +119,10 @@ struct CampaignReport {
 /// the templating phase's outcome — geometry/timings/weak cells/defences,
 /// the full templating config, the victim allocation shape, the CPU —
 /// and nothing that only matters after templating (analysis kind, budgets,
-/// noise, harvest/fork flags, the campaign master seed). Two configs with
-/// equal keys and equal master seeds template identically, so their trials
-/// may fork from one shared post-templating snapshot (SweepRunner groups
-/// grid points by this key).
+/// noise, the campaign master seed). Two configs with equal keys and equal
+/// master seeds template identically, so their trials may fork from one
+/// shared post-templating snapshot (SweepRunner groups grid points by this
+/// key).
 std::string template_key(const kernel::SystemConfig& system,
                          const CampaignConfig& campaign);
 
@@ -145,10 +130,13 @@ std::string template_key(const kernel::SystemConfig& system,
 /// templating (phase 1) exactly as ExplFrameCampaign::run() would, then —
 /// when `take_snapshot` — captures a machine snapshot; run_fork() restores
 /// that snapshot and runs the post-template phases (2-6), so N variants
-/// sharing a templated base cost one templating plus N cheap forks. With
-/// take_snapshot = false there is no snapshot machinery at all and a
-/// single run_fork() is exactly the legacy single-shot campaign (the
-/// differential-testing escape hatch mirrors batched_harvest's).
+/// sharing a templated base cost one templating plus N cheap forks. A
+/// single fork needs no snapshot: without one, run_fork() runs straight
+/// on the templated machine and at most one call is meaningful.
+///
+/// Phases 2-6 are public steps (plant, noise, steer, hammer, harvest) that
+/// run_fork() calls in order; scenario::DebugSession steps the same
+/// methods one event at a time, so there is one copy of the attack.
 ///
 /// Reports are byte-identical to fresh single-shot runs because (a) the
 /// machine restore is exact (snap::Restorable contract; the mmap cursor
@@ -169,10 +157,33 @@ class TemplatedCampaign {
   /// independent; without one, at most a single call is meaningful.
   CampaignReport run_fork(const CampaignConfig& config);
 
+  // ---- Phase steps (run_fork's body; the debugger's events) -------------
+  // Each step advances the machine and fills in its slice of `report`,
+  // which starts as template_result(). They require a found template and
+  // must run in this order; none stamps total_time.
+  /// 2 PLANT: munmap the templated page so its frame heads the per-CPU
+  /// page frame cache.
+  void plant(CampaignReport& report);
+  /// Contention between plant and steer (callers skip it when
+  /// config.noise_ops == 0): config.noise_ops operations of a noise task
+  /// on config.noise_cpu, with the attacker asleep if configured.
+  void noise(const CampaignConfig& config);
+  /// 3 STEER: the victim installs its tables; records whether its table
+  /// page received the planted frame.
+  void steer(CampaignReport& report);
+  /// 4 HAMMER: re-hammer the templated aggressors; records whether (and
+  /// exactly as predicted) the victim table was corrupted.
+  void hammer(CampaignReport& report);
+  /// 5 + 6 HARVEST + ANALYSE: batched ciphertext harvest under `config`'s
+  /// analysis, budget and check cadence until the key is recovered. A
+  /// no-op when steering or fault injection failed.
+  void harvest(const CampaignConfig& config, CampaignReport& report);
+
   // ---- Introspection (debugger + tests) ---------------------------------
   /// The templated base configuration.
   const CampaignConfig& config() const noexcept { return config_; }
-  /// Phase-1 outcome fields (template_found, chosen flip, victim key, ...).
+  /// The report as of the end of phase 1: template_found, chosen flip,
+  /// victim key, template_time, and total_time == template_time.
   const CampaignReport& template_result() const noexcept { return partial_; }
   /// The fault model derived from the chosen flip (valid iff
   /// template_result().template_found).
@@ -199,8 +210,6 @@ class TemplatedCampaign {
   std::uint64_t noise_seed_ = 0;
   std::uint64_t plaintext_seed_ = 0;
   SimTime start_ = 0;
-  SimTime template_time_ = 0;
-  double template_wall_ = 0.0;
   std::unique_ptr<snap::Snapshot> post_template_;
 };
 
@@ -211,9 +220,7 @@ class TemplatedCampaign {
 /// for bit-identical repeats, rebuild the System too.
 ///
 /// run() is a thin wrapper over TemplatedCampaign: template once, fork
-/// once. config().fork_from_snapshot selects whether the fork really goes
-/// through a snapshot restore (exercising the CoW machinery on every
-/// campaign) or runs straight through (the legacy path).
+/// once, with no snapshot (a single fork has nothing to rewind).
 class ExplFrameCampaign {
  public:
   ExplFrameCampaign(kernel::System& system, const CampaignConfig& config);

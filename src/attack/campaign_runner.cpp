@@ -42,15 +42,7 @@ std::pair<std::uint64_t, std::uint64_t> CampaignRunner::trial_seeds(
 
 CampaignReport CampaignRunner::run_trial(const RunnerConfig& config,
                                          std::uint32_t trial) {
-  const auto [system_seed, campaign_seed] =
-      trial_seeds(config.seed, trial);
-  kernel::SystemConfig sys_cfg = config.system;
-  sys_cfg.seed = system_seed;
-  kernel::System sys(sys_cfg);
-  CampaignConfig campaign_cfg = config.campaign;
-  campaign_cfg.seed = campaign_seed;
-  ExplFrameCampaign campaign(sys, campaign_cfg);
-  return campaign.run();
+  return run_trial_group(config, {config.campaign}, trial).front();
 }
 
 std::vector<CampaignReport> CampaignRunner::run_trial_group(
@@ -63,9 +55,11 @@ std::vector<CampaignReport> CampaignRunner::run_trial_group(
   kernel::System sys(sys_cfg);
   CampaignConfig first = variants.front();
   first.seed = campaign_seed;
-  // Template once; every variant forks from the shared snapshot (run_fork
-  // CHECKs that each variant matches the base's template_key).
-  TemplatedCampaign templated(sys, first, /*take_snapshot=*/true);
+  // Template once; with more than one variant, every variant forks from
+  // the shared snapshot (run_fork CHECKs that each variant matches the
+  // base's template_key). A lone variant has nothing to rewind.
+  TemplatedCampaign templated(sys, first,
+                              /*take_snapshot=*/variants.size() > 1);
   std::vector<CampaignReport> reports;
   reports.reserve(variants.size());
   for (const CampaignConfig& variant : variants) {

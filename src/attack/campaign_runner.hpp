@@ -84,16 +84,18 @@ class CampaignRunner {
   static std::pair<std::uint64_t, std::uint64_t> trial_seeds(
       std::uint64_t master_seed, std::uint32_t trial) noexcept;
 
-  /// Run exactly one trial (the runner's unit of work) synchronously.
+  /// Run exactly one trial (the runner's unit of work) synchronously: a
+  /// one-variant run_trial_group.
   static CampaignReport run_trial(const RunnerConfig& config,
                                   std::uint32_t trial);
 
   /// Run one trial of several campaign variants that agree on every
   /// template-shaping field (attack::template_key; CHECKed) over ONE
-  /// machine: template once, snapshot, fork each variant from the shared
-  /// post-templating state. Element i corresponds to variants[i] and is
-  /// byte-identical to run_trial with that campaign config — this is the
-  /// sweep amortization (SweepRunner groups grid points by template_key).
+  /// machine: template once, then fork each variant from a snapshot of
+  /// the post-templating state (taken only when there are several).
+  /// Element i corresponds to variants[i] and is byte-identical to
+  /// run_trial with that campaign config — this is the sweep amortization
+  /// (SweepRunner groups grid points by template_key).
   static std::vector<CampaignReport> run_trial_group(
       const RunnerConfig& base, const std::vector<CampaignConfig>& variants,
       std::uint32_t trial);

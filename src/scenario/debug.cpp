@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
-#include "kernel/noise.hpp"
 #include "support/check.hpp"
-#include "support/rng.hpp"
 #include "support/units.hpp"
 
 namespace explframe::scenario {
@@ -60,122 +58,33 @@ std::optional<std::size_t> DebugSession::layer_of(
   return std::nullopt;
 }
 
-void DebugSession::do_plant(attack::CampaignReport& report) {
-  kernel::Task& attacker = campaign_->attacker();
-  report.planted_pfn = system_->translate(attacker, report.chosen.page_va);
-  EXPLFRAME_CHECK(report.planted_pfn != mm::kInvalidPfn);
-  system_->sys_munmap(attacker, report.chosen.page_va, kPageSize);
-}
-
-void DebugSession::do_noise(attack::CampaignReport& report) {
-  (void)report;
-  kernel::Task& attacker = campaign_->attacker();
-  kernel::Task& noisy = system_->spawn("noise", campaign_cfg_.noise_cpu);
-  kernel::NoiseWorkload noise(*system_, noisy, {}, campaign_->noise_seed());
-  if (campaign_cfg_.attacker_sleeps)
-    attacker.set_state(kernel::TaskState::kSleeping);
-  noise.run(campaign_cfg_.noise_ops);
-  if (campaign_cfg_.attacker_sleeps)
-    attacker.set_state(kernel::TaskState::kRunnable);
-}
-
-void DebugSession::do_steer(attack::CampaignReport& report) {
-  attack::VictimCipherService& victim = campaign_->victim();
-  victim.install_tables();
-  report.victim_table_pfn =
-      system_->translate(victim.task(), victim.table_page_va());
-  report.steered = report.victim_table_pfn == report.planted_pfn;
-}
-
-void DebugSession::do_hammer(attack::CampaignReport& report) {
-  const crypto::TableCipher& cipher = campaign_->cipher();
-  campaign_->templater().hammer_aggressors(report.chosen);
-  report.fault_injected = campaign_->victim().table_corrupted();
-  if (report.fault_injected) {
-    const auto table = campaign_->victim().read_table();
-    const auto canonical = cipher.canonical_table();
-    std::uint32_t live_diffs = 0;
-    for (std::size_t i = 0; i < table.size(); ++i) {
-      const std::uint8_t live = cipher.live_bits(i);
-      if ((table[i] & live) != (canonical[i] & live)) ++live_diffs;
-    }
-    report.fault_as_predicted =
-        live_diffs == 1 &&
-        (table[report.table_index] & cipher.live_bits(report.table_index)) ==
-            campaign_->fault_model().v_new;
-  }
-}
-
-void DebugSession::do_harvest(attack::CampaignReport& report) {
-  // Mirrors run_fork's early return: a failed steer or injection leaves
-  // nothing to harvest.
-  if (!report.steered || !report.fault_injected) return;
-  const crypto::TableCipher& cipher = campaign_->cipher();
-  attack::VictimCipherService& victim = campaign_->victim();
-  auto analysis = fault::make_analysis(campaign_cfg_.analysis, cipher,
-                                       campaign_->fault_model());
-  Rng rng(campaign_->plaintext_seed());
-  const std::size_t block = cipher.block_size();
-  const std::size_t table_size = cipher.table_size();
-  std::vector<std::uint8_t> pt(block);
-  std::vector<std::uint8_t> ct(block);
-  if (analysis->wants_known_pair()) {
-    rng.fill_bytes(pt);
-    victim.encrypt(pt, ct);
-    analysis->set_known_pair(pt, ct);
-  }
-  std::uint32_t check_interval = campaign_cfg_.analysis_check_interval;
-  if (check_interval == 0) check_interval = table_size >= 256 ? 256 : 25;
-  // The per-call harvest loop (byte-identical to the batched fast path;
-  // single stepping has no batching to amortize).
-  for (std::uint32_t i = 0; i < campaign_cfg_.ciphertext_budget; ++i) {
-    rng.fill_bytes(pt);
-    victim.encrypt(pt, ct);
-    analysis->add_ciphertext(ct);
-    if ((i + 1) % check_interval == 0 ||
-        i + 1 == campaign_cfg_.ciphertext_budget) {
-      if (auto key = analysis->recover_key()) {
-        report.key_recovered = true;
-        report.recovered_key = std::move(*key);
-        report.residual_search = analysis->residual_search();
-        report.ciphertexts_used = i + 1;
-        break;
-      }
-    }
-  }
-  if (!report.key_recovered)
-    report.ciphertexts_used = campaign_cfg_.ciphertext_budget;
-  report.success =
-      report.key_recovered && report.recovered_key == report.victim_key;
-}
-
 std::string DebugSession::step() {
   EXPLFRAME_CHECK_MSG(!done(), "debug session has no events left to step");
   const std::string name = events_[position_];
   attack::CampaignReport report = reports_[position_];
   std::ostringstream out;
   if (name == "plant") {
-    do_plant(report);
+    campaign_->plant(report);
     out << "plant: munmapped attacker page, frame pfn=" << report.planted_pfn
         << " now heads the per-cpu cache";
   } else if (name == "noise") {
-    do_noise(report);
+    campaign_->noise(campaign_cfg_);
     out << "noise: ran " << campaign_cfg_.noise_ops
         << " contention ops (attacker "
         << (campaign_cfg_.attacker_sleeps ? "sleeping" : "active") << ")";
   } else if (name == "steer") {
-    do_steer(report);
+    campaign_->steer(report);
     out << "steer: victim table landed on pfn=" << report.victim_table_pfn
         << " (planted pfn=" << report.planted_pfn
         << ") -> steered=" << yes_no(report.steered);
   } else if (name == "hammer") {
-    do_hammer(report);
+    campaign_->hammer(report);
     out << "hammer: re-hammered aggressors for "
         << campaign_cfg_.templating.hammer_iterations
         << " iterations -> fault_injected=" << yes_no(report.fault_injected)
         << ", as_predicted=" << yes_no(report.fault_as_predicted);
   } else {
-    do_harvest(report);
+    campaign_->harvest(campaign_cfg_, report);
     if (!report.steered || !report.fault_injected)
       out << "harvest: skipped (steering or fault injection already failed)";
     else

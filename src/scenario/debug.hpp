@@ -4,10 +4,11 @@
 // scenario (the same per-trial seed derivation CampaignRunner uses) and
 // then executes the post-templating attack one *event* at a time — plant,
 // noise (when configured), steer, hammer, harvest — capturing a machine
-// snapshot after every step onto a snap::Timeline. Because restores are
-// exact, the session can rewind to any earlier event and replay, and every
-// replay is bit-identical: the debugger observes the same attack the
-// campaign runner reports, never a perturbed one.
+// snapshot after every step onto a snap::Timeline. Each event is one of
+// attack::TemplatedCampaign's own phase steps, the ones run_fork chains.
+// Because restores are exact, the session can rewind to any earlier event
+// and replay, and every replay is bit-identical: the debugger observes the
+// same attack the campaign runner reports, never a perturbed one.
 //
 // The headline query is bisect_flip(byte): restore the post-steer layer
 // and binary-search the hammer iteration count for the first iteration at
@@ -74,14 +75,6 @@ class DebugSession {
   }
 
  private:
-  // Per-event executors; each mutates `report` exactly as the matching
-  // slice of TemplatedCampaign::run_fork would.
-  void do_plant(attack::CampaignReport& report);
-  void do_noise(attack::CampaignReport& report);
-  void do_steer(attack::CampaignReport& report);
-  void do_hammer(attack::CampaignReport& report);
-  void do_harvest(attack::CampaignReport& report);
-
   /// Timeline index of the layer captured after event `name` (layer 0 is
   /// "post-template"); nullopt when that event has not executed.
   std::optional<std::size_t> layer_of(const std::string& name) const;

@@ -170,17 +170,29 @@ std::optional<SubmitOutcome> Service::submit(const JobRequest& request,
   // Identical concurrent submissions write identical bytes, and the
   // rename makes the last writer win harmlessly. Transient failures are
   // retried inside durable_write; a permanent one degrades the service.
-  const io::Status spooled =
-      io::durable_write(fs(), queue_path(*id), request.serialize() + "\n");
-  if (!spooled.ok()) {
-    if (spooled.permanent()) enter_degraded(spooled.message());
-    if (why) *why = SubmitError::kUnavailable;
-    fail_with(error, "cannot spool request into '" + queue_path(*id) +
-                         "': " + spooled.message());
-    return std::nullopt;
-  }
-  fs().crash_point("service.submit.spooled");
+  const auto spool = [&]() -> bool {
+    const io::Status spooled =
+        io::durable_write(fs(), queue_path(*id), request.serialize() + "\n");
+    if (!spooled.ok()) {
+      if (spooled.permanent()) enter_degraded(spooled.message());
+      if (why) *why = SubmitError::kUnavailable;
+      fail_with(error, "cannot spool request into '" + queue_path(*id) +
+                           "': " + spooled.message());
+      return false;
+    }
+    fs().crash_point("service.submit.spooled");
+    return true;
+  };
+  // A queued or running job's .req is already durable. Rewriting it could
+  // resurrect the file finish() has just retired (between its remove and
+  // queue_.complete), leaving a stale .req behind a completed job.
+  const bool pending = tracked && (tracked->state == JobState::kQueued ||
+                                   tracked->state == JobState::kRunning);
+  if (!pending && !spool()) return std::nullopt;
   const JobQueue::Submitted submitted = queue_.submit(*id, request);
+  // The job failed (and record_failure retired its .req) between the
+  // lookup above and submit(), so this is a retry that needs its .req.
+  if (pending && submitted.enqueued && !spool()) return std::nullopt;
   outcome.accepted = submitted.enqueued;
   outcome.deduped = submitted.deduped;
   return outcome;

@@ -9,7 +9,6 @@
 #include <thread>
 
 #include "attack/campaign_runner.hpp"
-#include "scenario/report.hpp"
 #include "support/check.hpp"
 
 namespace explframe::sweep {
@@ -445,24 +444,17 @@ std::optional<SweepResult> run_sweep(const SweepSpec& spec,
     // Group points that share a templated base: same template-shaping
     // fields (attack::template_key), same master seed, same trial count.
     // A group templates once per trial and forks every member from the
-    // snapshot; sharing never changes a reported byte, only wall clock.
-    // With sharing off every point is its own group (the bench baseline).
+    // snapshot; grouping never changes a reported byte, only wall clock.
     std::vector<std::vector<std::size_t>> groups;
-    if (options.share_templates) {
-      std::map<std::string, std::size_t> group_index;
-      for (const std::size_t index : pending) {
-        const attack::RunnerConfig rc =
-            (*points)[index].scenario.runner_config();
-        const std::string key =
-            attack::template_key(rc.system, rc.campaign) +
-            "|seed=" + std::to_string(rc.seed) +
-            "|trials=" + std::to_string(rc.trials);
-        const auto [it, inserted] = group_index.emplace(key, groups.size());
-        if (inserted) groups.emplace_back();
-        groups[it->second].push_back(index);
-      }
-    } else {
-      for (const std::size_t index : pending) groups.push_back({index});
+    std::map<std::string, std::size_t> group_index;
+    for (const std::size_t index : pending) {
+      const attack::RunnerConfig rc = (*points)[index].scenario.runner_config();
+      const std::string key = attack::template_key(rc.system, rc.campaign) +
+                              "|seed=" + std::to_string(rc.seed) +
+                              "|trials=" + std::to_string(rc.trials);
+      const auto [it, inserted] = group_index.emplace(key, groups.size());
+      if (inserted) groups.emplace_back();
+      groups[it->second].push_back(index);
     }
 
     std::uint32_t threads = options.threads;
@@ -494,31 +486,20 @@ std::optional<SweepResult> run_sweep(const SweepSpec& spec,
           done[i].index = group[i];
           done[i].id = (*points)[group[i]].id;
         }
-        if (group.size() == 1) {
-          // One thread per point: the sweep parallelises across groups, so
-          // the inner CampaignRunner runs its trials serially.
-          const scenario::ScenarioResult result = scenario::run_scenario(
-              (*points)[group[0]].scenario, /*threads_override=*/1);
-          for (const attack::CampaignReport& report :
-               result.aggregate.reports)
-            done[0].trials.push_back(TrialRow::from_report(report));
-        } else {
-          // Shared-template group: one machine per trial, one templating
-          // pass, one snapshot fork per member point.
-          const attack::RunnerConfig base =
-              (*points)[group[0]].scenario.runner_config();
-          std::vector<attack::CampaignConfig> variants;
-          variants.reserve(group.size());
-          for (const std::size_t index : group)
-            variants.push_back(
-                (*points)[index].scenario.runner_config().campaign);
-          for (std::uint32_t trial = 0; trial < base.trials; ++trial) {
-            const std::vector<attack::CampaignReport> reports =
-                attack::CampaignRunner::run_trial_group(base, variants,
-                                                        trial);
-            for (std::size_t i = 0; i < group.size(); ++i)
-              done[i].trials.push_back(TrialRow::from_report(reports[i]));
-          }
+        // One machine per trial, one templating pass, one fork per member
+        // point. The sweep parallelises across groups, so a group's trials
+        // run serially on this worker.
+        const attack::RunnerConfig base =
+            (*points)[group[0]].scenario.runner_config();
+        std::vector<attack::CampaignConfig> variants;
+        variants.reserve(group.size());
+        for (const std::size_t index : group)
+          variants.push_back((*points)[index].scenario.runner_config().campaign);
+        for (std::uint32_t trial = 0; trial < base.trials; ++trial) {
+          const std::vector<attack::CampaignReport> reports =
+              attack::CampaignRunner::run_trial_group(base, variants, trial);
+          for (std::size_t i = 0; i < group.size(); ++i)
+            done[i].trials.push_back(TrialRow::from_report(reports[i]));
         }
 
         const std::lock_guard<std::mutex> lock(mutex);

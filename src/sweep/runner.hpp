@@ -5,8 +5,8 @@
 // *groups* — points whose (attack::template_key, master seed, trial
 // count) coincide share one templated machine state, so each trial of a
 // group templates once and every member forks from the snapshot
-// (CampaignRunner::run_trial_group). Points that share with nobody run
-// through scenario::run_scenario exactly as before. Each worker thread
+// (CampaignRunner::run_trial_group); a point that shares with nobody is a
+// one-member group with no snapshot at all. Each worker thread
 // steals the next unfinished group and runs it single-threaded. Results
 // are keyed by point index, so the aggregate is bit-identical regardless
 // of thread count, grouping or completion order — sharing and parallelism
@@ -131,12 +131,6 @@ struct SweepRunOptions {
   /// Delete the checkpoint after the last point completes (a finished
   /// sweep has nothing left to resume).
   bool remove_checkpoint_on_success = true;
-  /// Group grid points that agree on every template-shaping field plus
-  /// master seed and trial count, templating once per (group, trial) and
-  /// forking each member from the snapshot. Byte-identical either way
-  /// (forked reports equal fresh ones); false is the differential escape
-  /// hatch and the bench baseline.
-  bool share_templates = true;
   /// This process's shard (0-based) out of `shard_count`. With the default
   /// 1-way sharding the run owns every point; otherwise it owns the
   /// round-robin subset i % shard_count == shard_index, requires a

@@ -1,17 +1,19 @@
 // The snapshot/fork acceptance tests:
 //
 //  * fork ≡ fresh at campaign level — for EVERY registered scenario
-//    (including all four defence configurations), trial reports produced
-//    by forking from the post-templating snapshot must equal the straight
-//    single-shot path field for field, template_time included;
+//    (including all four defence configurations), both forks of a
+//    two-variant run_trial_group equal the single-shot run_trial field for
+//    field, template_time included; the second fork only matches if the
+//    snapshot restore rewound the first one exactly;
 //  * run_trial_group ≡ run_trial — a variant family sharing one
 //    template_key, executed off one shared templated machine, reports
 //    exactly what independent fresh trials report;
 //  * thread counts stay invisible — the full CampaignRunner aggregate is
-//    identical at 1 and 3 workers with forking on;
-//  * SweepRunner template-sharing groups emit byte-identical records with
-//    sharing on and off (a shared-seed grid over a post-template axis is
-//    what actually forms a multi-point group).
+//    identical at 1 and 3 workers;
+//  * SweepRunner's template-sharing groups emit the records every point
+//    reports when run on its own through scenario::run_scenario (a
+//    shared-seed grid over a post-template axis is what actually forms a
+//    multi-point group).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,53 +21,30 @@
 #include <vector>
 
 #include "attack/campaign_runner.hpp"
+#include "report_equal.hpp"
 #include "scenario/registry.hpp"
+#include "scenario/report.hpp"
 #include "sweep/runner.hpp"
 #include "sweep/spec.hpp"
 
 namespace explframe::attack {
 namespace {
 
-#define EXPECT_REPORTS_EQUAL(a, b, label)                                   \
-  do {                                                                      \
-    EXPECT_EQ((a).cipher, (b).cipher) << (label);                           \
-    EXPECT_EQ((a).template_found, (b).template_found) << (label);           \
-    EXPECT_EQ((a).rows_scanned, (b).rows_scanned) << (label);               \
-    EXPECT_EQ((a).flips_found, (b).flips_found) << (label);                 \
-    EXPECT_EQ((a).table_index, (b).table_index) << (label);                 \
-    EXPECT_EQ((a).fault_mask, (b).fault_mask) << (label);                   \
-    EXPECT_EQ((a).steered, (b).steered) << (label);                         \
-    EXPECT_EQ((a).planted_pfn, (b).planted_pfn) << (label);                 \
-    EXPECT_EQ((a).victim_table_pfn, (b).victim_table_pfn) << (label);       \
-    EXPECT_EQ((a).fault_injected, (b).fault_injected) << (label);           \
-    EXPECT_EQ((a).fault_as_predicted, (b).fault_as_predicted) << (label);   \
-    EXPECT_EQ((a).ciphertexts_used, (b).ciphertexts_used) << (label);       \
-    EXPECT_EQ((a).residual_search, (b).residual_search) << (label);         \
-    EXPECT_EQ((a).key_recovered, (b).key_recovered) << (label);             \
-    EXPECT_EQ((a).recovered_key, (b).recovered_key) << (label);             \
-    EXPECT_EQ((a).victim_key, (b).victim_key) << (label);                   \
-    EXPECT_EQ((a).success, (b).success) << (label);                         \
-    EXPECT_EQ((a).total_time, (b).total_time) << (label);                   \
-    EXPECT_EQ((a).template_time, (b).template_time) << (label);             \
-  } while (0)
-
 TEST(ForkDifferential, ForkedAndFreshReportsIdenticalForEveryScenario) {
   for (const scenario::Scenario& s : scenario::Registry::builtin().all()) {
-    RunnerConfig cfg = s.runner_config();
+    const RunnerConfig cfg = s.runner_config();
     // Two trials per scenario keep the sweep fast while still covering
-    // distinct seeds/machines; the fork flag is the ONLY difference.
+    // distinct seeds/machines.
     const std::uint32_t trials = std::min(cfg.trials, 2u);
     for (std::uint32_t trial = 0; trial < trials; ++trial) {
-      RunnerConfig forked = cfg;
-      forked.campaign.fork_from_snapshot = true;
-      RunnerConfig straight = cfg;
-      straight.campaign.fork_from_snapshot = false;
-      const CampaignReport a = CampaignRunner::run_trial(forked, trial);
-      const CampaignReport b = CampaignRunner::run_trial(straight, trial);
+      const std::vector<CampaignReport> forks =
+          CampaignRunner::run_trial_group(cfg, {cfg.campaign, cfg.campaign},
+                                          trial);
+      const CampaignReport fresh = CampaignRunner::run_trial(cfg, trial);
       const std::string label = s.name + " trial " + std::to_string(trial);
-      EXPECT_REPORTS_EQUAL(a, b, label);
-      EXPECT_TRUE(a.forked_from_template || !a.template_found) << label;
-      EXPECT_FALSE(b.forked_from_template) << label;
+      ASSERT_EQ(forks.size(), 2u) << label;
+      EXPECT_REPORTS_EQUAL(forks[0], fresh, label + " fork 0");
+      EXPECT_REPORTS_EQUAL(forks[1], fresh, label + " fork 1");
     }
   }
 }
@@ -101,12 +80,11 @@ TEST(ForkDifferential, TrialGroupMatchesIndependentTrials) {
   }
 }
 
-TEST(ForkDifferential, ThreadCountInvisibleWithForkingOn) {
+TEST(ForkDifferential, ThreadCountInvisible) {
   const scenario::Scenario& s =
       scenario::builtin_scenario("present-single-flip");
   RunnerConfig cfg = s.runner_config();
   cfg.trials = 3;
-  cfg.campaign.fork_from_snapshot = true;
 
   RunnerConfig one = cfg;
   one.threads = 1;
@@ -120,9 +98,9 @@ TEST(ForkDifferential, ThreadCountInvisibleWithForkingOn) {
                          "trial " + std::to_string(i));
 }
 
-TEST(ForkDifferential, SweepTemplateSharingEmitsIdenticalRecords) {
+TEST(ForkDifferential, SweepGroupsMatchStandalonePoints) {
   // A shared-seed grid over a post-template axis: every point shares one
-  // template_key + master seed, so sharing forms ONE multi-point group.
+  // template_key + master seed, so the sweep forms ONE multi-point group.
   sweep::SweepSpec spec;
   spec.name = "fork-test-grid";
   spec.title = "ciphertext-budget curve off one templated base";
@@ -131,20 +109,22 @@ TEST(ForkDifferential, SweepTemplateSharingEmitsIdenticalRecords) {
   spec.axes.push_back(
       sweep::Axis{"ciphertext_budget", {"1500", "4000", "8000"}});
 
-  const auto run_with = [&](bool share) {
-    sweep::SweepRunOptions options;
-    options.threads = 1;
-    options.share_templates = share;
-    std::string error;
-    const auto result = sweep::run_sweep(spec, scenario::Registry::builtin(),
-                                         options, &error);
-    EXPECT_TRUE(result.has_value()) << error;
-    return result->records;
-  };
-  const std::vector<sweep::PointRecord> shared = run_with(true);
-  const std::vector<sweep::PointRecord> fresh = run_with(false);
-  ASSERT_EQ(shared.size(), 3u);
-  EXPECT_EQ(shared, fresh);
+  sweep::SweepRunOptions options;
+  options.threads = 1;
+  std::string error;
+  const auto result =
+      sweep::run_sweep(spec, scenario::Registry::builtin(), options, &error);
+  ASSERT_TRUE(result.has_value()) << error;
+  ASSERT_EQ(result->records.size(), 3u);
+  for (const sweep::PointRecord& record : result->records) {
+    const sweep::SweepPoint& point = result->points[record.index];
+    EXPECT_EQ(record.id, point.id);
+    std::vector<sweep::TrialRow> standalone;
+    for (const CampaignReport& report :
+         scenario::run_scenario(point.scenario, 1).aggregate.reports)
+      standalone.push_back(sweep::TrialRow::from_report(report));
+    EXPECT_EQ(record.trials, standalone) << point.id;
+  }
 }
 
 }  // namespace

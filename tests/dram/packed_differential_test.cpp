@@ -348,8 +348,12 @@ TEST_P(PackedDifferential, StormMatchesReferenceAcrossDefences) {
   // The storm must exercise the path it certifies: undefended (and
   // ECC-only) configs flip bits; TRR configs intervene; ECC configs
   // filter at least the two colliding injected flips.
-  if (!params.trr.enabled) EXPECT_GT(pair.dev().total_flips(), 0u);
-  if (params.trr.enabled) EXPECT_GT(pair.dev().trr_interventions(), 0u);
+  if (!params.trr.enabled) {
+    EXPECT_GT(pair.dev().total_flips(), 0u);
+  }
+  if (params.trr.enabled) {
+    EXPECT_GT(pair.dev().trr_interventions(), 0u);
+  }
   if (params.ecc.enabled) {
     EXPECT_GT(pair.dev().ecc_corrected_bits() +
                   pair.dev().ecc_uncorrectable_words(),

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "scenario/registry.hpp"
+#include "scenario/report.hpp"
 #include "support/check.hpp"
 #include "sweep/report.hpp"
 #include "sweep/runner.hpp"
@@ -74,19 +75,22 @@ TEST(SweepRunnerRace, RecordsAndReportBytesInvariantAcrossThreadCounts) {
   }
 }
 
-TEST(SweepRunnerRace, SharedTemplatesMatchUnsharedAtFullWidth) {
+TEST(SweepRunnerRace, GroupedRecordsMatchStandalonePointsAtFullWidth) {
   const SweepSpec spec = grouped_spec();
-  SweepRunOptions shared;
-  shared.threads = hardware_threads();
-  shared.share_templates = true;
-  SweepRunOptions unshared;
-  unshared.threads = hardware_threads();
-  unshared.share_templates = false;
-  const auto a = run_sweep(spec, scenarios(), shared);
-  const auto b = run_sweep(spec, scenarios(), unshared);
-  ASSERT_TRUE(a.has_value());
-  ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(a->records, b->records);
+  SweepRunOptions options;
+  options.threads = hardware_threads();
+  const auto result = run_sweep(spec, scenarios(), options);
+  ASSERT_TRUE(result.has_value());
+  ASSERT_TRUE(result->complete());
+  // Every record must equal what its point reports when run on its own.
+  for (const PointRecord& record : result->records) {
+    const SweepPoint& point = result->points[record.index];
+    std::vector<TrialRow> standalone;
+    for (const attack::CampaignReport& report :
+         scenario::run_scenario(point.scenario, 1).aggregate.reports)
+      standalone.push_back(TrialRow::from_report(report));
+    EXPECT_EQ(record.trials, standalone) << point.id;
+  }
 }
 
 TEST(SweepRunnerRace, ConcurrentCheckpointedSweepsStayIsolated) {

@@ -3,8 +3,8 @@
 // reports are served from the cache byte-identically, a crashed worker
 // requeues exactly once before the retry cap files the job under
 // failed/, a cancel shutdown mid-sweep leaves a resumable checkpoint the
-// next daemon finishes byte-identically, and spooled .req files survive
-// restarts. Runs under ASan and TSan in CI — the worker pool and queue
+// next daemon finishes byte-identically, spooled .req files survive
+// restarts, and a resubmission racing a finishing job leaves no stale .req. Runs under ASan and TSan in CI — the worker pool and queue
 // must be clean at any interleaving.
 #include "service/service.hpp"
 
@@ -12,8 +12,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -322,6 +325,107 @@ TEST(Service, StartupRescanPicksUpSpooledRequests) {
   EXPECT_EQ(job->state, JobState::kDone);
   EXPECT_EQ(service.executions(), 1u);
   ASSERT_TRUE(service.report(*id, "md").has_value());
+}
+
+/// Passes every call through to io::real(), except that removing `gated`
+/// removes it and then blocks until release(): it holds a worker inside
+/// Service::finish, after the .req retirement and before the job is marked
+/// done, for as long as the test needs.
+class GatedRemoveFs : public io::FileSystem {
+ public:
+  explicit GatedRemoveFs(std::string gated) : gated_(std::move(gated)) {}
+
+  io::Status open(const std::string& path, io::OpenMode mode,
+                  std::unique_ptr<io::File>* out) override {
+    return io::real().open(path, mode, out);
+  }
+  io::Status read_file(const std::string& path, std::string* out) override {
+    return io::real().read_file(path, out);
+  }
+  io::Status rename(const std::string& from, const std::string& to) override {
+    return io::real().rename(from, to);
+  }
+  io::Status remove(const std::string& path) override {
+    const io::Status removed = io::real().remove(path);
+    if (path == gated_) {
+      std::unique_lock<std::mutex> lock(mutex_);
+      removed_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [&] { return released_; });
+    }
+    return removed;
+  }
+  io::Status list(const std::string& dir,
+                  std::vector<std::string>* names) override {
+    return io::real().list(dir, names);
+  }
+  io::Status truncate(const std::string& path, std::uint64_t size) override {
+    return io::real().truncate(path, size);
+  }
+  io::Status create_directories(const std::string& path) override {
+    return io::real().create_directories(path);
+  }
+  bool exists(const std::string& path) const override {
+    return io::real().exists(path);
+  }
+
+  /// Wait (bounded) until the gated file has been removed.
+  bool wait_removed() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return cv_.wait_for(lock, std::chrono::minutes(2),
+                        [&] { return removed_; });
+  }
+  /// Let the blocked remove() return (and never block again).
+  void release() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  const std::string gated_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool removed_ = false;
+  bool released_ = false;
+};
+
+TEST(Service, ResubmittingAFinishingJobLeavesNoStaleRequest) {
+  // Regression: a resubmission landing between finish()'s .req removal
+  // and the queue marking the job done used to re-spool queue/<id>.req,
+  // leaving a stale request behind a completed job.
+  const std::string spool = fresh_spool("svc-stale-req");
+  const JobRequest request = scenario_request();
+  std::string error;
+  const auto id = job_id(request, scenarios(), sweeps(), &error);
+  ASSERT_TRUE(id.has_value()) << error;
+  const std::string req = spool + "/queue/" + *id + ".req";
+  GatedRemoveFs fs(req);
+
+  ServiceOptions options;
+  options.spool_dir = spool;
+  options.workers = 1;
+  options.fs = &fs;
+  Service service(std::move(options), scenarios(), sweeps());
+  ASSERT_TRUE(service.start(&error)) << error;
+  const auto first = service.submit(request, &error);
+  ASSERT_TRUE(first.has_value()) << error;
+  EXPECT_TRUE(first->accepted);
+
+  const bool removed = fs.wait_removed();
+  std::optional<SubmitOutcome> again;
+  if (removed) again = service.submit(request, &error);
+  fs.release();
+  service.drain();
+  service.shutdown(Service::Shutdown::kDrain);
+
+  ASSERT_TRUE(removed) << "the worker never retired the .req";
+  ASSERT_TRUE(again.has_value()) << error;
+  EXPECT_TRUE(again->deduped);
+  EXPECT_EQ(service.executions(), 1u);
+  EXPECT_TRUE(service.report(*id, "md").has_value());
+  EXPECT_FALSE(std::filesystem::exists(req))
+      << "stale .req after completion";
 }
 
 TEST(Service, CorruptSpooledRequestFailsStartupLoudly) {
