@@ -13,7 +13,6 @@
 #include "common.hpp"
 #include "kernel/noise.hpp"
 #include "support/rng.hpp"
-#include "support/stats.hpp"
 #include "support/table.hpp"
 
 using namespace explframe;
@@ -57,11 +56,7 @@ bool steer_once(kernel::SystemConfig sys_cfg, std::uint64_t seed,
   return sys.translate(victim.task(), victim.table_page_va()) == planted;
 }
 
-std::string rate(std::size_t hits) {
-  const auto ci = wilson_interval(hits, kTrials);
-  return Table::percent(ci.p) + "  [" + Table::percent(ci.lo) + ", " +
-         Table::percent(ci.hi) + "]";
-}
+std::string rate(std::size_t hits) { return rate_cell_wide(hits, kTrials); }
 
 void ablate_lifo() {
   std::cout << "\n(a) pcp list policy (the exploit's core assumption):\n";

@@ -1,66 +1,32 @@
-// EXP-T4 — End-to-end ExplFrame vs the spray baseline (the headline
-// experiment of the DATE'20 paper), driven through the Campaign API.
+// EXP-T4 — the spray baseline the headline experiment of the DATE'20 paper
+// contrasts ExplFrame against: blind unprivileged hammering with no frame
+// steering, on the same machine and hammer budget. The ExplFrame side —
+// template -> plant (munmap) -> steer -> re-hammer -> harvest ciphertexts
+// -> PFA key recovery, per phase, with trials/sec — is the registered
+// scenario: `explsim run aes-single-flip`.
 //
-// ExplFrame: template -> plant (munmap) -> steer -> re-hammer -> harvest
-// ciphertexts -> PFA key recovery, one CampaignRunner sweep across a worker
-// pool (one simulated machine per trial). Baseline: blind unprivileged
-// hammering with no frame steering. Reported per phase, with the
-// victim-corruption probability contrast and the AES-128 key recovery
-// outcome.
-//
-//   $ ./bench_explframe [--format=ascii|markdown|csv] [--threads=N]
-#include <cstdlib>
+//   $ ./bench_explframe [--format=ascii|markdown|csv]
 #include <cstring>
 #include <iostream>
 #include <string>
 
-#include "attack/campaign_runner.hpp"
 #include "attack/spray.hpp"
-#include "common.hpp"
 #include "scenario/registry.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
 
 using namespace explframe;
-using namespace explframe::bench;
 using namespace explframe::attack;
 
 namespace {
 
-// The configuration lives in the scenario registry (`explsim run
-// aes-single-flip` reproduces exactly this sweep); the bench only adds the
-// spray-baseline contrast and the throughput line.
-const scenario::Scenario& headline() {
-  return scenario::builtin_scenario("aes-single-flip");
-}
-
 TableFormat g_format = TableFormat::kAscii;
 
-void run_explframe(std::uint32_t threads) {
-  const scenario::Scenario& s = headline();
-  RunnerConfig cfg = s.runner_config();
-  cfg.threads = threads;
-  std::cout << "\nExplFrame end-to-end (scenario `" << s.name << "`), "
-            << cfg.trials
-            << " independent machines (64 MiB, vulnerable DDR3 module), "
-            << threads << " worker threads:\n";
-  CampaignRunner runner(cfg);
-  const CampaignAggregate agg = runner.run();
-
-  agg.phase_table().print(std::cout, g_format);
-  std::cout << "mean rows templated: " << agg.rows_scanned.mean()
-            << "; mean ciphertexts to unique key: "
-            << agg.ciphertexts_used.mean()
-            << "; mean simulated attack time: " << agg.sim_seconds.mean()
-            << " s\n";
-  std::cout << "sweep throughput: " << agg.trials << " trials in "
-            << agg.wall_seconds << " s wall = " << agg.trials_per_second()
-            << " trials/sec\n";
-}
-
 void run_spray_baseline() {
-  const scenario::Scenario& s = headline();
-  const RunnerConfig runner = s.runner_config();  // same machine as the sweep
+  // The registered scenario's machine: the baseline hammers exactly what
+  // `explsim run aes-single-flip` attacks.
+  const scenario::Scenario& s = scenario::builtin_scenario("aes-single-flip");
+  const RunnerConfig runner = s.runner_config();
   const std::uint32_t trials = s.trials;
   std::cout << "\nSpray baseline (blind unprivileged Rowhammer, same hammer "
                "budget, no steering), "
@@ -82,10 +48,7 @@ void run_spray_baseline() {
     flips.add(static_cast<double>(r.flips_anywhere));
   }
   Table t({"metric", "value"});
-  const auto ci = wilson_interval(corrupted, trials);
-  t.row("P(victim S-box corrupted)",
-        Table::percent(ci.p) + "  [" + Table::percent(ci.lo) + ", " +
-            Table::percent(ci.hi) + "]");
+  t.row("P(victim S-box corrupted)", rate_cell_wide(corrupted, trials));
   t.row("mean flips induced anywhere", flips.mean());
   t.print(std::cout, g_format);
   std::cout << "\npaper claim: ExplFrame turns an untargeted fault primitive "
@@ -96,40 +59,28 @@ void run_spray_baseline() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::uint32_t threads = 2;
   const auto usage = [&] {
-    std::cerr << "usage: " << argv[0]
-              << " [--format=ascii|markdown|csv] [--threads=N]\n";
+    std::cerr << "usage: " << argv[0] << " [--format=ascii|markdown|csv]\n";
     return 2;
   };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--format=", 0) == 0) {
-      const std::string value = arg.substr(std::strlen("--format="));
-      const auto format = try_parse_table_format(value);
-      if (!format) {
-        std::cerr << "unknown table format '" << value << "'\n";
-        return usage();
-      }
-      g_format = *format;
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      const std::string value = arg.substr(std::strlen("--threads="));
-      char* end = nullptr;
-      const unsigned long parsed = std::strtoul(value.c_str(), &end, 10);
-      if (value.empty() || *end != '\0' || parsed > 256) {
-        std::cerr << "bad --threads value '" << value << "' (want 1..256)\n";
-        return usage();
-      }
-      threads = static_cast<std::uint32_t>(parsed);
-    } else {
+    if (arg.rfind("--format=", 0) != 0) {
       std::cerr << "unknown option " << arg << "\n";
       return usage();
     }
+    const std::string value = arg.substr(std::strlen("--format="));
+    const auto format = try_parse_table_format(value);
+    if (!format) {
+      std::cerr << "unknown table format '" << value << "'\n";
+      return usage();
+    }
+    g_format = *format;
   }
-  if (threads == 0) threads = 1;  // the runner clamps; keep the banner honest
   print_banner(std::cout,
                "EXP-T4: end-to-end ExplFrame vs spray baseline (SV+SVI)");
-  run_explframe(threads);
+  std::cout << "\nExplFrame end-to-end: run `explsim run aes-single-flip` "
+               "(same scenario; phase table, means and trials/sec).\n";
   run_spray_baseline();
   return 0;
 }

@@ -16,8 +16,6 @@
 //   * >= 8x the seed's maximum simulated capacity (--bar-capacity=X)
 //   * <  2x the seed's resident bytes per simulated GiB (--bar-memory=X)
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -25,6 +23,7 @@
 #include "../tests/dram/reference_dram.hpp"
 #include "dram/dram_device.hpp"
 #include "dram/geometry.hpp"
+#include "harness.hpp"
 #include "support/table.hpp"
 #include "support/units.hpp"
 
@@ -79,17 +78,11 @@ std::uint64_t measure_seed_layout(const dram::Geometry& g) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path = "BENCH_geometry.json";
-  double bar_capacity = 8.0;
-  double bar_memory = 2.0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--json=", 0) == 0) json_path = arg.substr(7);
-    if (arg.rfind("--bar-capacity=", 0) == 0)
-      bar_capacity = std::atof(arg.c_str() + 15);
-    if (arg.rfind("--bar-memory=", 0) == 0)
-      bar_memory = std::atof(arg.c_str() + 13);
-  }
+  const bench::Flags flags = bench::parse_flags_or_exit(
+      argc, argv,
+      {"BENCH_geometry.json", {{"bar-capacity", 8.0}, {"bar-memory", 2.0}}});
+  const double bar_capacity = flags.bars.at("bar-capacity");
+  const double bar_memory = flags.bars.at("bar-memory");
 
   print_banner(std::cout, "PERF: packed DRAM state vs seed layout");
 
@@ -125,9 +118,17 @@ int main(int argc, char** argv) {
   }
 
   Table t({"geometry", "ranks", "ch", "seed B/GiB", "packed B/GiB"});
+  std::vector<bench::Json> points;
   double seed_bpg = 0.0;    // at the largest seed-measured point
   double packed_bpg = 0.0;  // at the largest packed point
   for (const Point& p : curve) {
+    points.push_back(bench::Json()
+                         .add("geometry", p.label)
+                         .add("capacity_bytes", p.capacity)
+                         .add("ranks", p.ranks)
+                         .add("channels", p.channels)
+                         .add("seed_state_bytes", p.seed_bytes)
+                         .add("packed_state_bytes", p.packed_bytes));
     const double sb = p.seed_bytes ? per_gib(p.seed_bytes, p.capacity) : 0.0;
     const double pb = per_gib(p.packed_bytes, p.capacity);
     if (p.seed_bytes) seed_bpg = sb;
@@ -151,45 +152,24 @@ int main(int argc, char** argv) {
             << packed_max_gib << " GiB (" << capacity_ratio
             << "x capacity, " << memory_ratio << "x memory per GiB)\n";
 
-  const bool pass =
-      capacity_ratio >= bar_capacity && memory_ratio < bar_memory;
-  std::ofstream json(json_path);
-  json << "{\n"
-       << "  \"bench\": \"geometry\",\n"
-       << "  \"cells_per_mib\": " << bench_params().weak_cells.cells_per_mib
-       << ",\n"
-       << "  \"state_budget_bytes\": " << kStateBudget << ",\n"
-       << "  \"curve\": [\n";
-  for (std::size_t i = 0; i < curve.size(); ++i) {
-    const Point& p = curve[i];
-    json << "    {\"geometry\": \"" << p.label << "\", \"capacity_bytes\": "
-         << p.capacity << ", \"ranks\": " << p.ranks << ", \"channels\": "
-         << p.channels << ", \"seed_state_bytes\": " << p.seed_bytes
-         << ", \"packed_state_bytes\": " << p.packed_bytes << "}"
-         << (i + 1 < curve.size() ? "," : "") << "\n";
-  }
-  json << "  ],\n"
-       << "  \"seed_bytes_per_gib\": " << seed_bpg << ",\n"
-       << "  \"packed_bytes_per_gib\": " << packed_bpg << ",\n"
-       << "  \"seed_max_gib\": " << seed_max_gib << ",\n"
-       << "  \"packed_max_gib\": " << packed_max_gib << ",\n"
-       << "  \"capacity_ratio\": " << capacity_ratio << ",\n"
-       << "  \"memory_ratio\": " << memory_ratio << ",\n"
-       << "  \"bar_capacity\": " << bar_capacity << ",\n"
-       << "  \"bar_memory\": " << bar_memory << ",\n"
-       << "  \"pass\": " << (pass ? "true" : "false") << "\n"
-       << "}\n";
-  std::cout << "\nwrote " << json_path << "\n";
-
-  if (capacity_ratio < bar_capacity) {
-    std::cerr << "FAIL: capacity headroom " << capacity_ratio << "x below "
-              << bar_capacity << "x\n";
-    return 1;
-  }
-  if (memory_ratio >= bar_memory) {
-    std::cerr << "FAIL: memory per simulated GiB " << memory_ratio
-              << "x not below " << bar_memory << "x\n";
-    return 1;
-  }
-  return 0;
+  bench::Verdict verdict;
+  verdict.require(capacity_ratio >= bar_capacity, "capacity headroom ",
+                  capacity_ratio, "x below ", bar_capacity, "x");
+  verdict.require(memory_ratio < bar_memory, "memory per simulated GiB ",
+                  memory_ratio, "x not below ", bar_memory, "x");
+  bench::Json json;
+  json.add("bench", "geometry")
+      .add("cells_per_mib", bench_params().weak_cells.cells_per_mib)
+      .add("state_budget_bytes", kStateBudget)
+      .add("curve", points)
+      .add("seed_bytes_per_gib", seed_bpg)
+      .add("packed_bytes_per_gib", packed_bpg)
+      .add("seed_max_gib", seed_max_gib)
+      .add("packed_max_gib", packed_max_gib)
+      .add("capacity_ratio", capacity_ratio)
+      .add("memory_ratio", memory_ratio)
+      .add("bar_capacity", bar_capacity)
+      .add("bar_memory", bar_memory)
+      .add("pass", verdict.pass());
+  return bench::finish(json, flags.json, verdict);
 }

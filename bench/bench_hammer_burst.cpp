@@ -1,33 +1,21 @@
-// PERF — batched-activation hammer path.
-//
-//   (a) activations/sec: per-access loop vs DramDevice::hammer_burst, with
-//       and without TRR (the burst must win by >= 10x on the bare device);
-//   (b) campaign throughput the fast path unlocks (trials/sec through
-//       CampaignRunner, whose templating loop rides the burst).
+// PERF — batched-activation hammer path: activations/sec of the per-access
+// loop vs DramDevice::hammer_burst, with and without TRR (the burst must
+// win by >= 10x on the bare device). Campaign trial throughput is
+// perfbench's `ops_per_s` (workloads `aes-defences`, `present-pfa`).
 //
 // Writes the headline numbers to BENCH_hammer.json (override with
 // --json=PATH) so CI can archive the perf trajectory per PR.
-#include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
-#include <string>
 
-#include "attack/campaign_runner.hpp"
-#include "common.hpp"
 #include "dram/hammer.hpp"
+#include "harness.hpp"
 #include "support/table.hpp"
 
 using namespace explframe;
 using namespace explframe::dram;
 
 namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  const std::chrono::duration<double> d =
-      std::chrono::steady_clock::now() - start;
-  return d.count();
-}
 
 DeviceParams device_params(bool trr) {
   DeviceParams p;
@@ -36,69 +24,32 @@ DeviceParams device_params(bool trr) {
   return p;
 }
 
-struct HammerRate {
-  double acts_per_sec = 0.0;
-  std::uint64_t flips = 0;
-};
-
-/// Hammers a double-sided pair for `iterations` rounds and returns the host
-/// throughput in DRAM activations per second.
-template <typename RunFn>
-HammerRate measure(bool trr, std::uint64_t iterations, RunFn run) {
+/// Hammers a double-sided pair for `iterations` rounds, through
+/// hammer_burst or the per-access loop, and returns the host throughput in
+/// DRAM activations per second.
+double acts_per_sec(bool trr, bool burst, std::uint64_t iterations) {
   const auto g = Geometry::with_capacity(64 * kMiB);
   DramDevice dev(g, device_params(trr), 99);
   dev.fill(0, 0xFF, 4 * kMiB);
   AddressMapping map(g, MappingScheme::kRowMajor);
   const PhysAddr pair[2] = {map.encode({0, 0, 0, 19, 0}),
                             map.encode({0, 0, 0, 21, 0})};
-  const auto start = std::chrono::steady_clock::now();
-  run(dev, pair, iterations);
-  const double secs = seconds_since(start);
-  HammerRate r;
-  r.acts_per_sec =
-      secs > 0.0 ? static_cast<double>(dev.total_activations()) / secs : 0.0;
-  r.flips = dev.total_flips();
-  return r;
-}
-
-HammerRate per_access_rate(bool trr, std::uint64_t iterations) {
-  return measure(trr, iterations,
-                 [](DramDevice& dev, const PhysAddr (&pair)[2],
-                    std::uint64_t iters) {
-                   for (std::uint64_t i = 0; i < iters; ++i) {
-                     dev.access(pair[0]);
-                     dev.access(pair[1]);
-                   }
-                 });
-}
-
-HammerRate burst_rate(bool trr, std::uint64_t iterations) {
-  return measure(trr, iterations,
-                 [](DramDevice& dev, const PhysAddr (&pair)[2],
-                    std::uint64_t iters) { dev.hammer_burst(pair, iters); });
-}
-
-double campaign_trials_per_sec() {
-  attack::RunnerConfig cfg;
-  cfg.trials = 8;
-  cfg.threads = 2;
-  cfg.system = bench::vulnerable_system(42);
-  cfg.campaign.templating.buffer_bytes = 4 * kMiB;
-  cfg.campaign.templating.hammer_iterations = 100'000;
-  cfg.campaign.ciphertext_budget = 8000;
-  cfg.seed = 42;
-  const attack::CampaignAggregate agg = attack::CampaignRunner(cfg).run();
-  return agg.trials_per_second();
+  const double secs = bench::time_seconds([&] {
+    if (burst) return dev.hammer_burst(pair, iterations);
+    for (std::uint64_t i = 0; i < iterations; ++i) {
+      dev.access(pair[0]);
+      dev.access(pair[1]);
+    }
+  });
+  return secs > 0.0 ? static_cast<double>(dev.total_activations()) / secs
+                    : 0.0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path = "BENCH_hammer.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--json=", 0) == 0) json_path = arg.substr(7);
-  }
+  const bench::Flags flags =
+      bench::parse_flags_or_exit(argc, argv, {"BENCH_hammer.json", {}});
 
   print_banner(std::cout, "PERF: batched-activation hammer path");
 
@@ -108,51 +59,32 @@ int main(int argc, char** argv) {
   constexpr std::uint64_t kSlowIters = 2'000'000;
   constexpr std::uint64_t kBurstIters = 50'000'000;
 
-  const HammerRate slow = per_access_rate(false, kSlowIters);
-  const HammerRate fast = burst_rate(false, kBurstIters);
-  const HammerRate slow_trr = per_access_rate(true, kSlowIters);
-  const HammerRate fast_trr = burst_rate(true, kBurstIters);
-  const double speedup =
-      slow.acts_per_sec > 0.0 ? fast.acts_per_sec / slow.acts_per_sec : 0.0;
-  const double speedup_trr = slow_trr.acts_per_sec > 0.0
-                                 ? fast_trr.acts_per_sec / slow_trr.acts_per_sec
-                                 : 0.0;
+  const double slow = acts_per_sec(false, false, kSlowIters);
+  const double fast = acts_per_sec(false, true, kBurstIters);
+  const double slow_trr = acts_per_sec(true, false, kSlowIters);
+  const double fast_trr = acts_per_sec(true, true, kBurstIters);
+  const double speedup = slow > 0.0 ? fast / slow : 0.0;
+  const double speedup_trr = slow_trr > 0.0 ? fast_trr / slow_trr : 0.0;
 
   std::cout << "\n(a) double-sided hammer throughput (host wall clock):\n";
   Table t({"defences", "path", "activations/sec", "speedup"});
-  t.row("none", "per-access", slow.acts_per_sec, 1.0);
-  t.row("none", "burst", fast.acts_per_sec, speedup);
-  t.row("TRR", "per-access", slow_trr.acts_per_sec, 1.0);
-  t.row("TRR", "burst", fast_trr.acts_per_sec, speedup_trr);
+  t.row("none", "per-access", slow, 1.0);
+  t.row("none", "burst", fast, speedup);
+  t.row("TRR", "per-access", slow_trr, 1.0);
+  t.row("TRR", "burst", fast_trr, speedup_trr);
   t.print(std::cout);
-
-  std::cout << "\n(b) campaign sweep throughput (templating on the burst "
-               "path, 8 trials x 2 threads):\n";
-  const auto start = std::chrono::steady_clock::now();
-  const double trials_per_sec = campaign_trials_per_sec();
-  Table c({"trials/sec", "bench wall s"});
-  c.row(trials_per_sec, seconds_since(start));
-  c.print(std::cout);
-
-  std::ofstream json(json_path);
-  json << "{\n"
-       << "  \"bench\": \"hammer_burst\",\n"
-       << "  \"per_access_acts_per_sec\": " << slow.acts_per_sec << ",\n"
-       << "  \"burst_acts_per_sec\": " << fast.acts_per_sec << ",\n"
-       << "  \"speedup\": " << speedup << ",\n"
-       << "  \"per_access_acts_per_sec_trr\": " << slow_trr.acts_per_sec
-       << ",\n"
-       << "  \"burst_acts_per_sec_trr\": " << fast_trr.acts_per_sec << ",\n"
-       << "  \"speedup_trr\": " << speedup_trr << ",\n"
-       << "  \"campaign_trials_per_sec\": " << trials_per_sec << "\n"
-       << "}\n";
-  std::cout << "\nwrote " << json_path << "\n";
 
   // The acceptance bar: the burst path must be at least 10x the per-access
   // loop on the undefended device.
-  if (speedup < 10.0) {
-    std::cerr << "FAIL: burst speedup " << speedup << " < 10x\n";
-    return 1;
-  }
-  return 0;
+  bench::Verdict verdict;
+  verdict.require(speedup >= 10.0, "burst speedup ", speedup, " < 10x");
+  bench::Json json;
+  json.add("bench", "hammer_burst")
+      .add("per_access_acts_per_sec", slow)
+      .add("burst_acts_per_sec", fast)
+      .add("speedup", speedup)
+      .add("per_access_acts_per_sec_trr", slow_trr)
+      .add("burst_acts_per_sec_trr", fast_trr)
+      .add("speedup_trr", speedup_trr);
+  return bench::finish(json, flags.json, verdict);
 }

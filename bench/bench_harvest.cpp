@@ -16,16 +16,13 @@
 // --json=PATH) so CI can archive the perf trajectory per PR. Exits
 // non-zero if the batch path fails its speedup bar (>= 10x for AES-128,
 // >= 1x for every cipher) — the CI smoke check.
-#include <chrono>
 #include <cstdint>
-#include <cstring>
-#include <fstream>
 #include <iostream>
-#include <string>
 #include <vector>
 
 #include "attack/victim.hpp"
 #include "common.hpp"
+#include "harness.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
 
@@ -34,22 +31,11 @@ using namespace explframe::attack;
 
 namespace {
 
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  const std::chrono::duration<double> d =
-      std::chrono::steady_clock::now() - start;
-  return d.count();
-}
-
-struct HarvestRate {
-  double cts_per_sec = 0.0;
-  std::uint64_t blocks = 0;
-};
-
 struct VictimHarness {
   kernel::System system;
   VictimCipherService victim;
 
-  VictimHarness(crypto::CipherKind kind, const crypto::TableCipher& cipher)
+  explicit VictimHarness(const crypto::TableCipher& cipher)
       : system(bench::quiet_system(7, 64)),
         victim(system, 0, cipher,
                [&] {
@@ -57,46 +43,45 @@ struct VictimHarness {
                  vc.key = crypto::random_key(cipher, 99);
                  return vc;
                }()) {
-    (void)kind;
     victim.start();
     victim.install_tables();
   }
 };
 
-HarvestRate per_call_rate(crypto::CipherKind kind, std::uint64_t blocks) {
+double per_call_rate(crypto::CipherKind kind, std::uint64_t blocks) {
   const crypto::TableCipher& cipher = crypto::cipher_for(kind);
-  VictimHarness h(kind, cipher);
+  VictimHarness h(cipher);
   const std::size_t block = cipher.block_size();
   std::vector<std::uint8_t> pt(block);
   std::vector<std::uint8_t> ct(block);
   Rng rng(1234);
-  const auto start = std::chrono::steady_clock::now();
-  for (std::uint64_t i = 0; i < blocks; ++i) {
-    rng.fill_bytes(pt);
-    h.victim.encrypt(pt, ct);
-  }
-  const double secs = seconds_since(start);
-  return {secs > 0.0 ? static_cast<double>(blocks) / secs : 0.0, blocks};
+  const double secs = bench::time_seconds([&] {
+    for (std::uint64_t i = 0; i < blocks; ++i) {
+      rng.fill_bytes(pt);
+      h.victim.encrypt(pt, ct);
+    }
+  });
+  return secs > 0.0 ? static_cast<double>(blocks) / secs : 0.0;
 }
 
-HarvestRate batch_rate(crypto::CipherKind kind, std::uint64_t blocks,
+double batch_rate(crypto::CipherKind kind, std::uint64_t blocks,
                        std::uint32_t chunk) {
   const crypto::TableCipher& cipher = crypto::cipher_for(kind);
-  VictimHarness h(kind, cipher);
+  VictimHarness h(cipher);
   const std::size_t block = cipher.block_size();
   std::vector<std::uint8_t> pts(chunk * block);
   std::vector<std::uint8_t> cts(chunk * block);
   Rng rng(1234);
-  const auto start = std::chrono::steady_clock::now();
-  for (std::uint64_t done = 0; done < blocks;) {
-    const std::uint64_t n = std::min<std::uint64_t>(chunk, blocks - done);
-    const std::span<std::uint8_t> pt_span(pts.data(), n * block);
-    rng.fill_bytes(pt_span);
-    h.victim.encrypt_batch(pt_span, {cts.data(), n * block});
-    done += n;
-  }
-  const double secs = seconds_since(start);
-  return {secs > 0.0 ? static_cast<double>(blocks) / secs : 0.0, blocks};
+  const double secs = bench::time_seconds([&] {
+    for (std::uint64_t done = 0; done < blocks;) {
+      const std::uint64_t n = std::min<std::uint64_t>(chunk, blocks - done);
+      const std::span<std::uint8_t> pt_span(pts.data(), n * block);
+      rng.fill_bytes(pt_span);
+      h.victim.encrypt_batch(pt_span, {cts.data(), n * block});
+      done += n;
+    }
+  });
+  return secs > 0.0 ? static_cast<double>(blocks) / secs : 0.0;
 }
 
 /// Sanity: the two paths emit identical ciphertext bytes for the same
@@ -105,8 +90,8 @@ HarvestRate batch_rate(crypto::CipherKind kind, std::uint64_t blocks,
 bool streams_identical(crypto::CipherKind kind, std::uint32_t blocks) {
   const crypto::TableCipher& cipher = crypto::cipher_for(kind);
   const std::size_t block = cipher.block_size();
-  VictimHarness a(kind, cipher);
-  VictimHarness b(kind, cipher);
+  VictimHarness a(cipher);
+  VictimHarness b(cipher);
   std::vector<std::uint8_t> pts(blocks * block);
   Rng rng(5678);
   rng.fill_bytes(pts);
@@ -122,22 +107,18 @@ bool streams_identical(crypto::CipherKind kind, std::uint32_t blocks) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path = "BENCH_harvest.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--json=", 0) == 0) json_path = arg.substr(7);
-  }
+  const bench::Flags flags =
+      bench::parse_flags_or_exit(argc, argv, {"BENCH_harvest.json", {}});
 
   print_banner(std::cout, "PERF: batched harvest pipeline");
 
+  bench::Verdict verdict;
   for (const auto kind :
-       {crypto::CipherKind::kAes128, crypto::CipherKind::kPresent80}) {
-    if (!streams_identical(kind, 512)) {
-      std::cerr << "FAIL: batch and per-call ciphertext streams differ for "
-                << crypto::to_string(kind) << "\n";
-      return 1;
-    }
-  }
+       {crypto::CipherKind::kAes128, crypto::CipherKind::kPresent80})
+    verdict.require(streams_identical(kind, 512),
+                    "batch and per-call ciphertext streams differ for ",
+                    crypto::to_string(kind));
+  if (!verdict.pass()) return 1;
 
   // The per-call path pays its overhead per block; keep its budget moderate
   // so the bench stays quick. The batch path gets a larger budget so its
@@ -147,56 +128,40 @@ int main(int argc, char** argv) {
   constexpr std::uint64_t kFastBlocks = 2'000'000;
   constexpr std::uint32_t kChunk = 256;
 
-  const HarvestRate aes_slow =
+  const double aes_slow =
       per_call_rate(crypto::CipherKind::kAes128, kSlowBlocks);
-  const HarvestRate aes_fast =
+  const double aes_fast =
       batch_rate(crypto::CipherKind::kAes128, kFastBlocks, kChunk);
-  const HarvestRate present_slow =
+  const double present_slow =
       per_call_rate(crypto::CipherKind::kPresent80, kSlowBlocks);
-  const HarvestRate present_fast =
+  const double present_fast =
       batch_rate(crypto::CipherKind::kPresent80, kFastBlocks, kChunk);
 
-  const double aes_speedup = aes_slow.cts_per_sec > 0.0
-                                 ? aes_fast.cts_per_sec / aes_slow.cts_per_sec
-                                 : 0.0;
+  const double aes_speedup = aes_slow > 0.0 ? aes_fast / aes_slow : 0.0;
   const double present_speedup =
-      present_slow.cts_per_sec > 0.0
-          ? present_fast.cts_per_sec / present_slow.cts_per_sec
-          : 0.0;
+      present_slow > 0.0 ? present_fast / present_slow : 0.0;
 
   std::cout << "\nharvest throughput (host wall clock):\n";
   Table t({"cipher", "path", "ciphertexts/sec", "speedup"});
-  t.row("aes128", "per-call", aes_slow.cts_per_sec, 1.0);
-  t.row("aes128", "batch", aes_fast.cts_per_sec, aes_speedup);
-  t.row("present80", "per-call", present_slow.cts_per_sec, 1.0);
-  t.row("present80", "batch", present_fast.cts_per_sec, present_speedup);
+  t.row("aes128", "per-call", aes_slow, 1.0);
+  t.row("aes128", "batch", aes_fast, aes_speedup);
+  t.row("present80", "per-call", present_slow, 1.0);
+  t.row("present80", "batch", present_fast, present_speedup);
   t.print(std::cout);
-
-  std::ofstream json(json_path);
-  json << "{\n"
-       << "  \"bench\": \"harvest\",\n"
-       << "  \"aes128_per_call_cts_per_sec\": " << aes_slow.cts_per_sec
-       << ",\n"
-       << "  \"aes128_batch_cts_per_sec\": " << aes_fast.cts_per_sec << ",\n"
-       << "  \"aes128_speedup\": " << aes_speedup << ",\n"
-       << "  \"present80_per_call_cts_per_sec\": " << present_slow.cts_per_sec
-       << ",\n"
-       << "  \"present80_batch_cts_per_sec\": " << present_fast.cts_per_sec
-       << ",\n"
-       << "  \"present80_speedup\": " << present_speedup << "\n"
-       << "}\n";
-  std::cout << "\nwrote " << json_path << "\n";
 
   // The acceptance bars: >= 10x for the AES harvest (the paper's headline
   // cipher), and the batch path must never lose to per-call.
-  if (aes_speedup < 10.0) {
-    std::cerr << "FAIL: aes128 batch speedup " << aes_speedup << " < 10x\n";
-    return 1;
-  }
-  if (present_speedup < 1.0) {
-    std::cerr << "FAIL: present80 batch speedup " << present_speedup
-              << " < 1x\n";
-    return 1;
-  }
-  return 0;
+  verdict.require(aes_speedup >= 10.0, "aes128 batch speedup ", aes_speedup,
+                  " < 10x");
+  verdict.require(present_speedup >= 1.0, "present80 batch speedup ",
+                  present_speedup, " < 1x");
+  bench::Json json;
+  json.add("bench", "harvest")
+      .add("aes128_per_call_cts_per_sec", aes_slow)
+      .add("aes128_batch_cts_per_sec", aes_fast)
+      .add("aes128_speedup", aes_speedup)
+      .add("present80_per_call_cts_per_sec", present_slow)
+      .add("present80_batch_cts_per_sec", present_fast)
+      .add("present80_speedup", present_speedup);
+  return bench::finish(json, flags.json, verdict);
 }

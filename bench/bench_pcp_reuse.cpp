@@ -12,7 +12,6 @@
 
 #include "common.hpp"
 #include "kernel/noise.hpp"
-#include "support/stats.hpp"
 #include "support/table.hpp"
 
 using namespace explframe;
@@ -81,13 +80,8 @@ void sweep_request_size() {
       received += r.received;
       first += r.first;
     }
-    const auto ci_r = wilson_interval(received, kTrials);
-    const auto ci_f = wilson_interval(first, kTrials);
-    t.row(pages,
-          Table::percent(ci_r.p) + "  [" + Table::percent(ci_r.lo) + ", " +
-              Table::percent(ci_r.hi) + "]",
-          Table::percent(ci_f.p) + "  [" + Table::percent(ci_f.lo) + ", " +
-              Table::percent(ci_f.hi) + "]");
+    t.row(pages, rate_cell_wide(received, kTrials),
+          rate_cell_wide(first, kTrials));
   }
   t.print(std::cout);
 }
@@ -102,10 +96,8 @@ void sweep_noise() {
       std::size_t received = 0;
       for (std::uint32_t i = 0; i < kTrials; ++i)
         received += run_trial(2000 + i, 4, ops, noise_cpu, 0).received;
-      const auto ci = wilson_interval(received, kTrials);
       t.row(ops, noise_cpu == 0 ? "same" : "other",
-            Table::percent(ci.p) + "  [" + Table::percent(ci.lo) + ", " +
-                Table::percent(ci.hi) + "]");
+            rate_cell_wide(received, kTrials));
     }
   }
   t.print(std::cout);
@@ -119,10 +111,8 @@ void same_vs_cross_cpu() {
     std::size_t received = 0;
     for (std::uint32_t i = 0; i < kTrials; ++i)
       received += run_trial(3000 + i, 4, 0, 1, cpu).received;
-    const auto ci = wilson_interval(received, kTrials);
     t.row(cpu == 0 ? "same (cpu 0)" : "other (cpu 1)",
-          Table::percent(ci.p) + "  [" + Table::percent(ci.lo) + ", " +
-              Table::percent(ci.hi) + "]");
+          rate_cell_wide(received, kTrials));
   }
   t.print(std::cout);
 }

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "dram/hammer.hpp"
-#include "support/stats.hpp"
 #include "support/table.hpp"
 #include "support/units.hpp"
 
@@ -152,10 +151,8 @@ void reproducibility() {
   }
   Table t({"templated cells", "re-hammer attempts", "reproduced",
            "reproducibility"});
-  const auto ci = wilson_interval(reproduced, attempts);
   t.row(found.size(), attempts, reproduced,
-        Table::percent(ci.p) + "  [" + Table::percent(ci.lo) + ", " +
-            Table::percent(ci.hi) + "]");
+        rate_cell_wide(reproduced, attempts));
   t.print(std::cout);
 }
 

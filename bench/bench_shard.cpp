@@ -20,16 +20,14 @@
 // bar is enforced only when the host has at least 3 cores: concurrency
 // cannot beat sequential on fewer, and a scaling bench that fails on a
 // laptop's power-saver profile would just get deleted.
-#include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "harness.hpp"
 #include "scenario/registry.hpp"
 #include "support/check.hpp"
 #include "support/table.hpp"
@@ -41,12 +39,6 @@ using namespace explframe;
 namespace {
 
 constexpr std::uint32_t kShards = 3;
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  const std::chrono::duration<double> d =
-      std::chrono::steady_clock::now() - start;
-  return d.count();
-}
 
 std::string shard_checkpoint(std::uint32_t index) {
   return (std::filesystem::temp_directory_path() /
@@ -66,32 +58,12 @@ void run_one_shard(const sweep::SweepSpec& spec, std::uint32_t index) {
   EXPLFRAME_CHECK_MSG(result.has_value(), "bench shard run must succeed");
 }
 
-double sequential_seconds(const sweep::SweepSpec& spec) {
-  const auto start = std::chrono::steady_clock::now();
-  for (std::uint32_t index = 0; index < kShards; ++index)
-    run_one_shard(spec, index);
-  return seconds_since(start);
-}
-
-double sharded_seconds(const sweep::SweepSpec& spec) {
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<std::thread> shards;
-  for (std::uint32_t index = 0; index < kShards; ++index)
-    shards.emplace_back([&spec, index] { run_one_shard(spec, index); });
-  for (std::thread& shard : shards) shard.join();
-  return seconds_since(start);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path = "BENCH_shard.json";
-  double bar = 2.0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--json=", 0) == 0) json_path = arg.substr(7);
-    if (arg.rfind("--bar=", 0) == 0) bar = std::atof(arg.c_str() + 6);
-  }
+  const bench::Flags flags = bench::parse_flags_or_exit(
+      argc, argv, {"BENCH_shard.json", {{"bar", 2.0}}});
+  const double bar = flags.bars.at("bar");
 
   print_banner(std::cout, "PERF: shard scaling (templating-frontier)");
 
@@ -100,17 +72,17 @@ int main(int argc, char** argv) {
   const auto points = spec.expand(scenario::Registry::builtin(), &error);
   EXPLFRAME_CHECK_MSG(points.has_value(), "builtin sweep must expand");
 
-  // Warm-up, then interleaved best-of-3: minima cancel scheduler noise,
-  // interleaving keeps thermal drift from taxing one side only.
-  (void)sequential_seconds(spec);
-  double sequential = 0.0;
-  double sharded = 0.0;
-  for (int rep = 0; rep < 3; ++rep) {
-    const double seq = sequential_seconds(spec);
-    const double par = sharded_seconds(spec);
-    if (rep == 0 || seq < sequential) sequential = seq;
-    if (rep == 0 || par < sharded) sharded = par;
-  }
+  const auto [sequential, sharded] = bench::best_of(
+      [&] {
+        for (std::uint32_t index = 0; index < kShards; ++index)
+          run_one_shard(spec, index);
+      },
+      [&] {
+        std::vector<std::thread> shards;
+        for (std::uint32_t index = 0; index < kShards; ++index)
+          shards.emplace_back([&spec, index] { run_one_shard(spec, index); });
+        for (std::thread& shard : shards) shard.join();
+      });
   const double speedup = sharded > 0.0 ? sequential / sharded : 0.0;
 
   // The speedup must not have cost correctness: the last sharded run's
@@ -133,31 +105,24 @@ int main(int argc, char** argv) {
   std::cout << spec.name << ": " << points->size() << " points, "
             << kShards << " shards, 1 worker thread per shard\n";
 
-  const unsigned cores = std::thread::hardware_concurrency();
-  std::ofstream json(json_path);
-  json << "{\n"
-       << "  \"bench\": \"shard\",\n"
-       << "  \"sweep\": \"" << spec.name << "\",\n"
-       << "  \"points\": " << points->size() << ",\n"
-       << "  \"shards\": " << kShards << ",\n"
-       << "  \"cores\": " << cores << ",\n"
-       << "  \"sequential_seconds\": " << sequential << ",\n"
-       << "  \"sharded_seconds\": " << sharded << ",\n"
-       << "  \"speedup\": " << speedup << "\n"
-       << "}\n";
-  std::cout << "\nwrote " << json_path << "\n";
-
   // The acceptance bar: three concurrent shards must buy at least `bar`x
   // (default 2x) over running the same shards back to back.
-  if (cores < kShards) {
+  const unsigned cores = std::thread::hardware_concurrency();
+  bench::Verdict verdict;
+  if (cores < kShards)
     std::cout << "SKIP: " << cores << " core(s) < " << kShards
               << " shards — speedup bar not enforced on this host\n";
-    return 0;
-  }
-  if (speedup < bar) {
-    std::cerr << "FAIL: shard speedup " << speedup << "x is under " << bar
-              << "x\n";
-    return 1;
-  }
-  return 0;
+  else
+    verdict.require(speedup >= bar, "shard speedup ", speedup, "x is under ",
+                    bar, "x");
+  bench::Json json;
+  json.add("bench", "shard")
+      .add("sweep", spec.name)
+      .add("points", points->size())
+      .add("shards", kShards)
+      .add("cores", cores)
+      .add("sequential_seconds", sequential)
+      .add("sharded_seconds", sharded)
+      .add("speedup", speedup);
+  return bench::finish(json, flags.json, verdict);
 }

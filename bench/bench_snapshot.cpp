@@ -19,16 +19,14 @@
 // Writes BENCH_snapshot.json (override with --json=PATH) and exits
 // non-zero below the end-to-end speedup bar (default 5x, --bar=X) or on
 // any report mismatch.
-#include <chrono>
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "attack/campaign_runner.hpp"
+#include "harness.hpp"
 #include "scenario/registry.hpp"
 #include "support/table.hpp"
 
@@ -37,12 +35,6 @@ using namespace explframe;
 namespace {
 
 constexpr std::uint32_t kTrials = 2;
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  const std::chrono::duration<double> d =
-      std::chrono::steady_clock::now() - start;
-  return d.count();
-}
 
 std::string speedup_label(double speedup) {
   std::ostringstream out;
@@ -80,51 +72,12 @@ std::vector<attack::CampaignReport> run_fresh(
   return reports;
 }
 
-double fresh_seconds(const attack::RunnerConfig& base,
-                     const std::vector<attack::CampaignConfig>& variants) {
-  const auto start = std::chrono::steady_clock::now();
-  for (std::uint32_t trial = 0; trial < kTrials; ++trial)
-    (void)run_fresh(base, variants, trial);
-  return seconds_since(start);
-}
-
-double forked_seconds(const attack::RunnerConfig& base,
-                      const std::vector<attack::CampaignConfig>& variants) {
-  const auto start = std::chrono::steady_clock::now();
-  for (std::uint32_t trial = 0; trial < kTrials; ++trial)
-    (void)attack::CampaignRunner::run_trial_group(base, variants, trial);
-  return seconds_since(start);
-}
-
-/// Every field the handbook emitters publish, plus the ground truth.
-bool reports_equal(const attack::CampaignReport& a,
-                   const attack::CampaignReport& b) {
-  return a.template_found == b.template_found &&
-         a.rows_scanned == b.rows_scanned && a.flips_found == b.flips_found &&
-         a.chosen == b.chosen && a.table_index == b.table_index &&
-         a.fault_mask == b.fault_mask && a.steered == b.steered &&
-         a.planted_pfn == b.planted_pfn &&
-         a.victim_table_pfn == b.victim_table_pfn &&
-         a.fault_injected == b.fault_injected &&
-         a.fault_as_predicted == b.fault_as_predicted &&
-         a.ciphertexts_used == b.ciphertexts_used &&
-         a.residual_search == b.residual_search &&
-         a.key_recovered == b.key_recovered &&
-         a.recovered_key == b.recovered_key && a.victim_key == b.victim_key &&
-         a.success == b.success && a.total_time == b.total_time &&
-         a.template_time == b.template_time;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path = "BENCH_snapshot.json";
-  double bar = 5.0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--json=", 0) == 0) json_path = arg.substr(7);
-    if (arg.rfind("--bar=", 0) == 0) bar = std::atof(arg.c_str() + 6);
-  }
+  const bench::Flags flags = bench::parse_flags_or_exit(
+      argc, argv, {"BENCH_snapshot.json", {{"bar", 5.0}}});
+  const double bar = flags.bars.at("bar");
 
   print_banner(std::cout, "PERF: snapshot/fork amortized templating");
 
@@ -135,32 +88,28 @@ int main(int argc, char** argv) {
   const std::vector<attack::CampaignConfig> variants = make_variants(base);
 
   // Correctness gate first: the forked reports must BE the fresh reports.
+  bench::Verdict verdict;
   bool identical = true;
   for (std::uint32_t trial = 0; trial < kTrials && identical; ++trial) {
     const auto fresh = run_fresh(base, variants, trial);
     const auto forked =
         attack::CampaignRunner::run_trial_group(base, variants, trial);
-    for (std::size_t i = 0; i < variants.size(); ++i) {
-      if (!reports_equal(fresh[i], forked[i])) {
-        std::cerr << "FAIL: forked report diverges from fresh (trial "
-                  << trial << ", variant " << i << ")\n";
-        identical = false;
-        break;
-      }
+    for (std::size_t i = 0; i < variants.size() && identical; ++i) {
+      identical = fresh[i].same_outcome(forked[i]);
+      verdict.require(identical, "forked report diverges from fresh (trial ",
+                      trial, ", variant ", i, ")");
     }
   }
 
-  // Interleaved best-of-3 after the verification pass warmed both paths:
-  // the minimum cancels frequency/scheduler noise, interleaving keeps a
-  // mid-bench thermal drift from taxing one side only.
-  double fresh = 0.0;
-  double forked = 0.0;
-  for (int rep = 0; rep < 3; ++rep) {
-    const double f = fresh_seconds(base, variants);
-    const double g = forked_seconds(base, variants);
-    if (rep == 0 || f < fresh) fresh = f;
-    if (rep == 0 || g < forked) forked = g;
-  }
+  const auto [fresh, forked] = bench::best_of(
+      [&] {
+        for (std::uint32_t trial = 0; trial < kTrials; ++trial)
+          (void)run_fresh(base, variants, trial);
+      },
+      [&] {
+        for (std::uint32_t trial = 0; trial < kTrials; ++trial)
+          (void)attack::CampaignRunner::run_trial_group(base, variants, trial);
+      });
   const double speedup = forked > 0.0 ? fresh / forked : 0.0;
 
   Table t({"path", "seconds", "speedup"});
@@ -171,25 +120,16 @@ int main(int argc, char** argv) {
             << " trials, single-threaded; reports "
             << (identical ? "byte-identical" : "DIVERGED") << "\n";
 
-  const bool pass = identical && speedup >= bar;
-  std::ofstream json(json_path);
-  json << "{\n"
-       << "  \"bench\": \"snapshot\",\n"
-       << "  \"points\": " << variants.size() << ",\n"
-       << "  \"trials\": " << kTrials << ",\n"
-       << "  \"base_seconds\": " << fresh << ",\n"
-       << "  \"forked_seconds\": " << forked << ",\n"
-       << "  \"speedup\": " << speedup << ",\n"
-       << "  \"bar\": " << bar << ",\n"
-       << "  \"pass\": " << (pass ? "true" : "false") << "\n"
-       << "}\n";
-  std::cout << "\nwrote " << json_path << "\n";
-
-  if (!identical) return 1;
-  if (speedup < bar) {
-    std::cerr << "FAIL: end-to-end speedup " << speedup << "x below " << bar
-              << "x\n";
-    return 1;
-  }
-  return 0;
+  verdict.require(speedup >= bar, "end-to-end speedup ", speedup, "x below ",
+                  bar, "x");
+  bench::Json json;
+  json.add("bench", "snapshot")
+      .add("points", variants.size())
+      .add("trials", kTrials)
+      .add("base_seconds", fresh)
+      .add("forked_seconds", forked)
+      .add("speedup", speedup)
+      .add("bar", bar)
+      .add("pass", verdict.pass());
+  return bench::finish(json, flags.json, verdict);
 }

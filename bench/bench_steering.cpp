@@ -14,7 +14,6 @@
 #include "common.hpp"
 #include "kernel/noise.hpp"
 #include "support/rng.hpp"
-#include "support/stats.hpp"
 #include "support/table.hpp"
 
 using namespace explframe;
@@ -80,9 +79,7 @@ std::string measure(const SteerSpec& spec, std::uint32_t base_seed) {
   std::size_t hits = 0;
   for (std::uint32_t i = 0; i < kTrials; ++i)
     hits += run_trial(base_seed + i, spec) ? 1 : 0;
-  const auto ci = wilson_interval(hits, kTrials);
-  return Table::percent(ci.p) + "  [" + Table::percent(ci.lo) + ", " +
-         Table::percent(ci.hi) + "]";
+  return rate_cell_wide(hits, kTrials);
 }
 
 }  // namespace

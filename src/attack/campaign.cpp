@@ -20,6 +20,23 @@ std::string CampaignReport::failure_stage() const {
   return "key-mismatch";
 }
 
+bool CampaignReport::same_outcome(const CampaignReport& o) const {
+  return cipher == o.cipher && template_found == o.template_found &&
+         rows_scanned == o.rows_scanned && flips_found == o.flips_found &&
+         chosen == o.chosen && table_index == o.table_index &&
+         fault_mask == o.fault_mask && steered == o.steered &&
+         planted_pfn == o.planted_pfn &&
+         victim_table_pfn == o.victim_table_pfn &&
+         fault_injected == o.fault_injected &&
+         fault_as_predicted == o.fault_as_predicted &&
+         ciphertexts_used == o.ciphertexts_used &&
+         residual_search == o.residual_search &&
+         key_recovered == o.key_recovered &&
+         recovered_key == o.recovered_key && victim_key == o.victim_key &&
+         success == o.success && total_time == o.total_time &&
+         template_time == o.template_time;
+}
+
 namespace {
 
 /// Both campaign drivers reject the same invalid (cipher, analysis)

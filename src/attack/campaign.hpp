@@ -113,6 +113,10 @@ struct CampaignReport {
 
   /// First pipeline phase that failed ("none" on success).
   std::string failure_stage() const;
+
+  /// True when `other` reports the same outcome: every field equal except
+  /// template_wall_seconds (host wall clock, never deterministic).
+  bool same_outcome(const CampaignReport& other) const;
 };
 
 /// Canonical serialization of every (system, campaign) field that shapes

@@ -12,11 +12,7 @@ namespace explframe::attack {
 
 Table CampaignAggregate::phase_table() const {
   Table t({"phase", "success", "rate"});
-  const auto pct = [&](std::uint32_t n) {
-    const auto ci = wilson_interval(n, trials);
-    return Table::percent(ci.p) + "  [" + Table::percent(ci.lo) + ", " +
-           Table::percent(ci.hi) + "]";
-  };
+  const auto pct = [&](std::uint32_t n) { return rate_cell_wide(n, trials); };
   t.row("1 template (usable flip found)", templated, pct(templated));
   t.row("3 steer (victim got planted frame)", steered, pct(steered));
   t.row("4 fault injected into table", fault_injected, pct(fault_injected));

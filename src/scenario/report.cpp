@@ -1,26 +1,9 @@
 #include "scenario/report.hpp"
 
-#include "support/stats.hpp"
 #include "support/table.hpp"
 #include "support/units.hpp"
 
 namespace explframe::scenario {
-
-namespace {
-
-std::string rate_cell(std::uint32_t hits, std::uint32_t trials) {
-  const auto ci = wilson_interval(hits, trials);
-  return Table::percent(ci.p) + " [" + Table::percent(ci.lo) + ", " +
-         Table::percent(ci.hi) + "]";
-}
-
-std::string samples_cell(const Samples& s) {
-  if (s.empty()) return "-";
-  return Table::to_cell(s.mean()) + " (min " + Table::to_cell(s.min()) +
-         ", max " + Table::to_cell(s.max()) + ")";
-}
-
-}  // namespace
 
 ScenarioResult run_scenario(const Scenario& s,
                             std::uint32_t threads_override) {

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "support/check.hpp"
+#include "support/stats.hpp"
 
 namespace explframe {
 
@@ -53,6 +54,31 @@ std::string Table::percent(double p, int precision) {
   std::ostringstream os;
   os << std::fixed << std::setprecision(precision) << p * 100.0 << "%";
   return os.str();
+}
+
+namespace {
+
+std::string wilson_cell(std::size_t hits, std::size_t trials,
+                        const char* gap) {
+  const ProportionCi ci = wilson_interval(hits, trials);
+  return Table::percent(ci.p) + gap + "[" + Table::percent(ci.lo) + ", " +
+         Table::percent(ci.hi) + "]";
+}
+
+}  // namespace
+
+std::string rate_cell(std::size_t hits, std::size_t trials) {
+  return wilson_cell(hits, trials, " ");
+}
+
+std::string rate_cell_wide(std::size_t hits, std::size_t trials) {
+  return wilson_cell(hits, trials, "  ");
+}
+
+std::string samples_cell(const Samples& s) {
+  if (s.empty()) return "-";
+  return Table::to_cell(s.mean()) + " (min " + Table::to_cell(s.min()) +
+         ", max " + Table::to_cell(s.max()) + ")";
 }
 
 std::optional<TableFormat> try_parse_table_format(const std::string& name) {

@@ -59,7 +59,7 @@ class Table {
   static std::string to_cell(unsigned long long v);
   static std::string to_cell(bool v);
 
-  /// "p [lo, hi]" rendering for success-rate cells.
+  /// "12.3%" rendering of a proportion p in [0, 1].
   static std::string percent(double p, int precision = 1);
 
  private:
@@ -69,6 +69,19 @@ class Table {
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;
 };
+
+class Samples;
+
+/// Success-rate cell with its 95% Wilson interval, "p [lo, hi]" — the
+/// spelling of the generated handbook's aggregate and marginal tables.
+std::string rate_cell(std::size_t hits, std::size_t trials);
+
+/// The same cell as "p  [lo, hi]" (two spaces) — the spelling of the phase
+/// table and the bench console tables.
+std::string rate_cell_wide(std::size_t hits, std::size_t trials);
+
+/// "mean (min lo, max hi)", or "-" when there are no samples.
+std::string samples_cell(const Samples& s);
 
 /// Print a section banner used to delimit experiments in bench output.
 void print_banner(std::ostream& os, const std::string& title);

@@ -12,18 +12,6 @@ namespace explframe::sweep {
 
 namespace {
 
-std::string rate_cell(std::uint32_t hits, std::uint32_t trials) {
-  const auto ci = wilson_interval(hits, trials);
-  return Table::percent(ci.p) + " [" + Table::percent(ci.lo) + ", " +
-         Table::percent(ci.hi) + "]";
-}
-
-std::string samples_cell(const Samples& s) {
-  if (s.empty()) return "-";
-  return Table::to_cell(s.mean()) + " (min " + Table::to_cell(s.min()) +
-         ", max " + Table::to_cell(s.max()) + ")";
-}
-
 double sim_seconds(const TrialRow& trial) {
   return static_cast<double>(trial.total_time) / kSecond;
 }

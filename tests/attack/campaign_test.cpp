@@ -39,21 +39,6 @@ RunnerConfig runner_cfg(crypto::CipherKind cipher, std::uint32_t trials,
   return cfg;
 }
 
-bool reports_equal(const CampaignReport& a, const CampaignReport& b) {
-  return a.cipher == b.cipher && a.template_found == b.template_found &&
-         a.rows_scanned == b.rows_scanned && a.flips_found == b.flips_found &&
-         a.table_index == b.table_index && a.fault_mask == b.fault_mask &&
-         a.steered == b.steered && a.planted_pfn == b.planted_pfn &&
-         a.victim_table_pfn == b.victim_table_pfn &&
-         a.fault_injected == b.fault_injected &&
-         a.ciphertexts_used == b.ciphertexts_used &&
-         a.residual_search == b.residual_search &&
-         a.key_recovered == b.key_recovered &&
-         a.recovered_key == b.recovered_key &&
-         a.victim_key == b.victim_key && a.success == b.success &&
-         a.total_time == b.total_time;
-}
-
 TEST(CampaignRunner, TrialSeedsAreDeterministicAndDistinct) {
   const auto a = CampaignRunner::trial_seeds(7, 0);
   const auto b = CampaignRunner::trial_seeds(7, 0);
@@ -92,9 +77,9 @@ TEST(CampaignRunner, AesSweepAcrossTwoThreadsIsDeterministic) {
   ASSERT_EQ(second.reports.size(), 8u);
   ASSERT_EQ(serial.reports.size(), 8u);
   for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_TRUE(reports_equal(first.reports[i], second.reports[i]))
+    EXPECT_TRUE(first.reports[i].same_outcome(second.reports[i]))
         << "trial " << i << " differs between identical runs";
-    EXPECT_TRUE(reports_equal(first.reports[i], serial.reports[i]))
+    EXPECT_TRUE(first.reports[i].same_outcome(serial.reports[i]))
         << "trial " << i << " depends on thread count";
   }
   // The sweep must actually attack: at least one trial recovers the key on
@@ -112,7 +97,7 @@ TEST(CampaignRunner, AggregateMatchesSingleTrialRuns) {
                 succeeded = 0;
   for (std::uint32_t i = 0; i < cfg.trials; ++i) {
     const CampaignReport r = CampaignRunner::run_trial(cfg, i);
-    EXPECT_TRUE(reports_equal(r, agg.reports[i])) << "trial " << i;
+    EXPECT_TRUE(r.same_outcome(agg.reports[i])) << "trial " << i;
     templated += r.template_found;
     steered += r.steered;
     faulted += r.fault_injected;
@@ -163,7 +148,7 @@ TEST(CampaignRunner, ZeroThreadsClampsToOne) {
   const CampaignAggregate one = CampaignRunner(cfg).run();
   ASSERT_EQ(zero.reports.size(), 2u);
   for (std::size_t i = 0; i < zero.reports.size(); ++i)
-    EXPECT_TRUE(reports_equal(zero.reports[i], one.reports[i]))
+    EXPECT_TRUE(zero.reports[i].same_outcome(one.reports[i]))
         << "trial " << i;
 }
 
@@ -175,7 +160,7 @@ TEST(CampaignRunner, MoreThreadsThanTrialsClampsToTrials) {
   const CampaignAggregate serial = CampaignRunner(cfg).run();
   ASSERT_EQ(wide.reports.size(), 2u);
   for (std::size_t i = 0; i < wide.reports.size(); ++i)
-    EXPECT_TRUE(reports_equal(wide.reports[i], serial.reports[i]))
+    EXPECT_TRUE(wide.reports[i].same_outcome(serial.reports[i]))
         << "trial " << i;
 }
 
@@ -187,7 +172,7 @@ TEST(CampaignRunner, DistinctMasterSeedsDecorrelateTrials) {
   const CampaignAggregate b = CampaignRunner(cfg_b).run();
   std::size_t identical = 0;
   for (std::size_t i = 0; i < a.reports.size(); ++i)
-    identical += reports_equal(a.reports[i], b.reports[i]) ? 1 : 0;
+    identical += a.reports[i].same_outcome(b.reports[i]) ? 1 : 0;
   EXPECT_LT(identical, a.reports.size());
   // Victim keys must differ: each trial's key derives from its own seed.
   EXPECT_NE(a.reports[0].victim_key, b.reports[0].victim_key);

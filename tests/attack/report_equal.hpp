@@ -12,6 +12,7 @@
     EXPECT_EQ((a).template_found, (b).template_found) << (label);           \
     EXPECT_EQ((a).rows_scanned, (b).rows_scanned) << (label);               \
     EXPECT_EQ((a).flips_found, (b).flips_found) << (label);                 \
+    EXPECT_EQ((a).chosen, (b).chosen) << (label);                           \
     EXPECT_EQ((a).table_index, (b).table_index) << (label);                 \
     EXPECT_EQ((a).fault_mask, (b).fault_mask) << (label);                   \
     EXPECT_EQ((a).steered, (b).steered) << (label);                         \
