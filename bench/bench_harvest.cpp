@@ -3,12 +3,15 @@
 // The online phase of the attack is 10^4..10^6 faulty ciphertexts per
 // trial; with the hammer phase collapsed to near-zero by the burst path,
 // harvest throughput is what bounds every sweep. This bench measures
-// ciphertexts/sec through VictimCipherService for each cipher:
+// ciphertexts/sec through a victim for each cipher:
 //
-//   per-call — encrypt(): two simulated page-table walks + round-key
-//              decode + one virtual dispatch per block;
-//   batch    — encrypt_batch(): one snapshot + decoded EncryptContext per
-//              memory epoch, blocks looped inside one dispatch.
+//   per-call — the test-side reload oracle (reference::reload_encrypt in
+//              tests/attack/reference_campaign.hpp): two simulated
+//              page-table walks + round-key decode + the reference
+//              primitive per block, the victim's pre-batch data path;
+//   batch    — VictimCipherService::encrypt_batch(): one snapshot +
+//              decoded EncryptContext per memory epoch, blocks looped
+//              inside one dispatch.
 //
 // Both paths produce byte-identical ciphertext streams (asserted here on a
 // sample, and by tests/attack/harvest_differential_test.cpp in depth).
@@ -20,6 +23,7 @@
 #include <iostream>
 #include <vector>
 
+#include "../tests/attack/reference_campaign.hpp"
 #include "attack/victim.hpp"
 #include "common.hpp"
 #include "harness.hpp"
@@ -58,7 +62,7 @@ double per_call_rate(crypto::CipherKind kind, std::uint64_t blocks) {
   const double secs = bench::time_seconds([&] {
     for (std::uint64_t i = 0; i < blocks; ++i) {
       rng.fill_bytes(pt);
-      h.victim.encrypt(pt, ct);
+      reference::reload_encrypt(h.system, h.victim, pt, ct);
     }
   });
   return secs > 0.0 ? static_cast<double>(blocks) / secs : 0.0;
@@ -97,8 +101,9 @@ bool streams_identical(crypto::CipherKind kind, std::uint32_t blocks) {
   rng.fill_bytes(pts);
   std::vector<std::uint8_t> scalar(blocks * block);
   for (std::uint32_t i = 0; i < blocks; ++i)
-    a.victim.encrypt({pts.data() + i * block, block},
-                     {scalar.data() + i * block, block});
+    reference::reload_encrypt(a.system, a.victim,
+                              {pts.data() + i * block, block},
+                              {scalar.data() + i * block, block});
   std::vector<std::uint8_t> batched(blocks * block);
   b.victim.encrypt_batch(pts, batched);
   return scalar == batched;

@@ -39,11 +39,8 @@ SprayReport SprayBaseline::run() {
     // A double-sided pair around a random row of the buffer.
     const std::uint64_t r = rng.uniform(rows);
     const vm::VirtAddr lo = buf + r * row_bytes;
-    const vm::VirtAddr hi = lo + 2 * stride;
-    for (std::uint64_t it = 0; it < config_.hammer_iterations; ++it) {
-      system_->uncached_access(attacker, lo);
-      system_->uncached_access(attacker, hi);
-    }
+    const vm::VirtAddr aggressors[2] = {lo, lo + 2 * stride};
+    system_->hammer_burst(attacker, aggressors, config_.hammer_iterations);
   }
   report.flips_anywhere = system_->dram().drain_flips().size();
   report.victim_corrupted = victim.table_corrupted();

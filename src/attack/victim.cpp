@@ -72,23 +72,9 @@ bool VictimCipherService::table_corrupted() {
 
 void VictimCipherService::encrypt(std::span<const std::uint8_t> plaintext,
                                   std::span<std::uint8_t> ciphertext) {
-  EXPLFRAME_CHECK_MSG(table_va_ != 0, "install_tables() first");
   EXPLFRAME_CHECK(plaintext.size() == cipher_->block_size());
   EXPLFRAME_CHECK(ciphertext.size() == cipher_->block_size());
-  EXPLFRAME_CHECK(system_->mem_read(
-      *task_, table_va_ + config_.sbox_offset,
-      {table_scratch_.data(), table_scratch_.size()}));
-  EXPLFRAME_CHECK(system_->mem_read(
-      *task_, keys_va_, {rk_scratch_.data(), rk_scratch_.size()}));
-  cipher_->encrypt(plaintext, rk_scratch_, table_scratch_, ciphertext);
-  ++encryptions_;
-}
-
-std::vector<std::uint8_t> VictimCipherService::encrypt(
-    std::span<const std::uint8_t> plaintext) {
-  std::vector<std::uint8_t> ct(cipher_->block_size());
-  encrypt(plaintext, ct);
-  return ct;
+  encrypt_batch(plaintext, ciphertext);
 }
 
 void VictimCipherService::encrypt_batch(
@@ -98,12 +84,12 @@ void VictimCipherService::encrypt_batch(
   const std::size_t block = cipher_->block_size();
   EXPLFRAME_CHECK(plaintexts.size() == ciphertexts.size());
   EXPLFRAME_CHECK(plaintexts.size() % block == 0);
-  // Per-call encrypt() re-reads table + round keys before every block; the
-  // memory epoch certifies that those reads would all return the same bytes
-  // while it is unchanged, so one snapshot pair of mem_reads per epoch is
-  // observationally identical. Nothing inside the batch mutates simulated
-  // memory (reads do not advance the device clock, and the victim's pages
-  // are already faulted in), so one check per batch suffices.
+  // Re-reading table + round keys before every block would return the same
+  // bytes while the memory epoch is unchanged, so one snapshot pair of
+  // mem_reads per epoch is observationally identical. Nothing inside the
+  // batch mutates simulated memory (reads do not advance the device clock,
+  // and the victim's pages are already faulted in), so one check per batch
+  // suffices.
   if (!batch_ctx_ || batch_epoch_ != system_->memory_epoch()) {
     EXPLFRAME_CHECK(system_->mem_read(
         *task_, table_va_ + config_.sbox_offset,

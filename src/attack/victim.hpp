@@ -5,11 +5,13 @@
 // The service is cipher-agnostic: everything cipher-specific (table size,
 // live bits, key schedule, block shape) comes through crypto::TableCipher,
 // so the same installation and reload-from-memory data path serves AES-128,
-// PRESENT-80 and any future table cipher. The service reloads its tables
-// from (simulated) memory on every encryption, as a table-based
-// implementation whose cache lines the attacker keeps evicting would; a
-// persistent flip in the table page is therefore visible in every
-// subsequent ciphertext.
+// PRESENT-80 and any future table cipher. The service behaves as if it
+// reloaded its tables from (simulated) memory on every encryption, as a
+// table-based implementation whose cache lines the attacker keeps evicting
+// would: it reloads once per memory epoch (kernel::System::memory_epoch(),
+// which moves on every mutation of simulated memory), which is
+// observationally the same as reloading per block. A persistent flip in the
+// table page is therefore visible in every subsequent ciphertext.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +41,7 @@ struct VictimConfig {
 };
 
 /// The victim process: installs its table + round keys into demand-faulted
-/// pages and encrypts through them (reloading from memory every time).
+/// pages and encrypts through them (reloading from memory per epoch).
 class VictimCipherService {
  public:
   VictimCipherService(kernel::System& system, std::uint32_t cpu,
@@ -55,25 +57,22 @@ class VictimCipherService {
   /// frame is meant to satisfy.
   void install_tables();
 
-  /// Encrypt one block (cipher block_size() bytes), reloading the table and
-  /// round keys from memory. The span overload writes into caller storage
-  /// and does not allocate — the harvest loop's hot path.
+  /// Encrypt one block (cipher block_size() bytes, checked exactly): a
+  /// one-block encrypt_batch.
   void encrypt(std::span<const std::uint8_t> plaintext,
                std::span<std::uint8_t> ciphertext);
-  std::vector<std::uint8_t> encrypt(std::span<const std::uint8_t> plaintext);
 
-  /// Batched harvest fast path: encrypt plaintexts.size() / block_size()
-  /// concatenated blocks, byte-identical to that many encrypt() calls.
-  /// The table + round keys are snapshotted through ONE pair of mem_reads
-  /// and decoded into a cached crypto::EncryptContext; the cache is
-  /// revalidated against kernel::System::memory_epoch(), so any mutation of
-  /// simulated memory between batches (a hammer flip, a defence
-  /// intervention, another task's write) invalidates the snapshot and the
-  /// next batch falls back to re-reading exactly like the per-call path.
+  /// Encrypt plaintexts.size() / block_size() concatenated blocks. The
+  /// table + round keys are snapshotted through ONE pair of mem_reads and
+  /// decoded into a cached crypto::EncryptContext; the cache is revalidated
+  /// against kernel::System::memory_epoch(), so any mutation of simulated
+  /// memory between batches (a hammer flip, a defence intervention, another
+  /// task's write) invalidates the snapshot and the next batch re-reads.
+  /// The ciphertexts are byte-identical to reloading both before every
+  /// block (the test-side reload oracle, tests/attack/reference_campaign.hpp).
   /// Note: DRAM read-side diagnostics (e.g. the ECC corrected-bit counter)
-  /// scale with reads actually performed, so the batched path — doing one
-  /// read pair per epoch instead of per block — accrues proportionally
-  /// fewer; ciphertexts and reports are unaffected.
+  /// scale with reads actually performed — one read pair per epoch, not per
+  /// block; ciphertexts and reports are unaffected.
   void encrypt_batch(std::span<const std::uint8_t> plaintexts,
                      std::span<std::uint8_t> ciphertexts);
 
@@ -82,6 +81,8 @@ class VictimCipherService {
   // ---- Ground truth for the harness --------------------------------------
   kernel::Task& task() noexcept { return *task_; }
   vm::VirtAddr table_page_va() const noexcept { return table_va_; }
+  /// Page holding the serialized round keys (from offset 0).
+  vm::VirtAddr keys_page_va() const noexcept { return keys_va_; }
   const VictimConfig& config() const noexcept { return config_; }
   const crypto::TableCipher& cipher() const noexcept { return *cipher_; }
   /// Current stored table bytes (may contain the fault; dead bits raw).
@@ -100,7 +101,8 @@ class VictimCipherService {
   vm::VirtAddr table_va_ = 0;  ///< Page holding the S-box table.
   vm::VirtAddr keys_va_ = 0;   ///< Page holding the round keys.
   std::uint64_t encryptions_ = 0;
-  // Reload scratch (sized once per cipher) so encrypt() does not allocate.
+  // Reload scratch (sized once per cipher) so a re-snapshot does not
+  // allocate.
   std::vector<std::uint8_t> table_scratch_;
   std::vector<std::uint8_t> rk_scratch_;
   // Batched-path snapshot cache: decoded (round keys, table) plus the

@@ -125,23 +125,6 @@ class Aes128TableCipher final : public TableCipher {
       for (std::size_t i = 0; i < 16; ++i) round_keys[16 * r + i] = rk[r][i];
   }
 
-  void encrypt(std::span<const std::uint8_t> plaintext,
-               std::span<const std::uint8_t> round_keys,
-               std::span<const std::uint8_t> table,
-               std::span<std::uint8_t> ciphertext) const override {
-    EXPLFRAME_CHECK(plaintext.size() == 16 && ciphertext.size() == 16);
-    EXPLFRAME_CHECK(round_keys.size() == round_key_size());
-    EXPLFRAME_CHECK(table.size() == 256);
-    Aes128::Block pt;
-    std::copy(plaintext.begin(), plaintext.end(), pt.begin());
-    Aes128::RoundKeys rk{};
-    for (std::size_t r = 0; r < 11; ++r)
-      for (std::size_t i = 0; i < 16; ++i) rk[r][i] = round_keys[16 * r + i];
-    const Aes128::Block ct = Aes128::encrypt_with_sbox(
-        pt, rk, std::span<const std::uint8_t, 256>(table.data(), 256));
-    std::copy(ct.begin(), ct.end(), ciphertext.begin());
-  }
-
   std::unique_ptr<EncryptContext> make_context(
       std::span<const std::uint8_t> round_keys,
       std::span<const std::uint8_t> table) const override {
@@ -199,26 +182,6 @@ class Present80TableCipher final : public TableCipher {
     const auto rk = Present80::expand_key(k);
     for (std::size_t r = 0; r < 32; ++r)
       u64_to_le_bytes(rk[r], round_keys.subspan(8 * r, 8));
-  }
-
-  void encrypt(std::span<const std::uint8_t> plaintext,
-               std::span<const std::uint8_t> round_keys,
-               std::span<const std::uint8_t> table,
-               std::span<std::uint8_t> ciphertext) const override {
-    EXPLFRAME_CHECK(plaintext.size() == 8 && ciphertext.size() == 8);
-    EXPLFRAME_CHECK(round_keys.size() == round_key_size());
-    EXPLFRAME_CHECK(table.size() == 16);
-    const std::uint64_t pt = le_bytes_to_u64(plaintext);
-    Present80::RoundKeys rk{};
-    for (std::size_t r = 0; r < 32; ++r)
-      rk[r] = le_bytes_to_u64(round_keys.subspan(8 * r, 8));
-    // Only the low nibble of each stored byte is live.
-    std::array<std::uint8_t, 16> nibbles{};
-    for (std::size_t i = 0; i < 16; ++i)
-      nibbles[i] = static_cast<std::uint8_t>(table[i] & 0xF);
-    const std::uint64_t ct = Present80::encrypt_with_sbox(
-        pt, rk, std::span<const std::uint8_t, 16>(nibbles));
-    u64_to_le_bytes(ct, ciphertext);
   }
 
   std::unique_ptr<EncryptContext> make_context(

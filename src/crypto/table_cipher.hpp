@@ -5,9 +5,9 @@
 //     target window, with per-entry live bits);
 //   * its key schedule can be expanded once and serialized into the pages
 //     the victim installs;
-//   * it can encrypt a block through a caller-supplied (possibly faulty)
-//     table, so a persistent flip in the stored table yields genuinely
-//     faulty ciphertexts.
+//   * it can encrypt blocks through a caller-supplied (possibly faulty)
+//     stored table, decoded once into an EncryptContext, so a persistent
+//     flip in the stored table yields genuinely faulty ciphertexts.
 //
 // Everything else — templating's "usable flip" test, the victim service's
 // table installation, the campaign driver — is written against this
@@ -88,28 +88,21 @@ class TableCipher {
   virtual void expand_key(std::span<const std::uint8_t> key,
                           std::span<std::uint8_t> round_keys) const = 0;
 
-  /// Encrypt one block, reading SubBytes from the caller-supplied stored
-  /// table (table_size() bytes, possibly faulty) and the serialized round
-  /// keys — the victim's reload-from-memory data path.
-  virtual void encrypt(std::span<const std::uint8_t> plaintext,
-                       std::span<const std::uint8_t> round_keys,
-                       std::span<const std::uint8_t> table,
-                       std::span<std::uint8_t> ciphertext) const = 0;
-
-  // ---- Batched harvest fast path ------------------------------------------
-  /// Decode (round_keys, table) — both in the stored byte layout encrypt()
-  /// consumes — into a reusable EncryptContext. The context encrypts
-  /// bit-identically to encrypt() over the same inputs; callers own cache
-  /// invalidation (the victim service revalidates against the memory
-  /// mutation epoch).
+  // ---- Encryption through a stored table ----------------------------------
+  /// Decode (round_keys, table) — the serialized round-key blob
+  /// (round_key_size() bytes) and the stored S-box table (table_size()
+  /// bytes, possibly faulty, dead bits raw) as the victim keeps them in its
+  /// pages — into a reusable EncryptContext. Callers own cache invalidation
+  /// (the victim service revalidates against the memory mutation epoch).
   virtual std::unique_ptr<EncryptContext> make_context(
       std::span<const std::uint8_t> round_keys,
       std::span<const std::uint8_t> table) const = 0;
 
   /// Encrypt plaintexts.size() / block_size() concatenated blocks through
-  /// `ctx` in one virtual dispatch. Ciphertext stream is byte-identical to
-  /// block_size()-sized encrypt() calls with the snapshot `ctx` was built
-  /// from. `ctx` must come from this cipher's make_context.
+  /// `ctx` in one virtual dispatch. Each block is bit-identical to
+  /// Aes128::encrypt_with_sbox / Present80::encrypt_with_sbox over the
+  /// stored bytes `ctx` was built from (PRESENT reading only the live low
+  /// nibbles). `ctx` must come from this cipher's make_context.
   virtual void encrypt_batch(const EncryptContext& ctx,
                              std::span<const std::uint8_t> plaintexts,
                              std::span<std::uint8_t> ciphertexts) const = 0;

@@ -44,13 +44,6 @@ bool Analysis::add_pair(std::span<const std::uint8_t> /*correct*/,
   return false;
 }
 
-void Analysis::add_ciphertext_batch(std::span<const std::uint8_t> ciphertexts,
-                                    std::size_t block_size) {
-  EXPLFRAME_CHECK(block_size > 0 && ciphertexts.size() % block_size == 0);
-  for (std::size_t off = 0; off < ciphertexts.size(); off += block_size)
-    add_ciphertext(ciphertexts.subspan(off, block_size));
-}
-
 namespace {
 
 crypto::Aes128::Block to_aes_block(std::span<const std::uint8_t> bytes) {
@@ -77,9 +70,6 @@ class AesPfaAnalysis final : public Analysis {
   }
   const char* name() const noexcept override { return "PFA/AES-128"; }
 
-  void add_ciphertext(std::span<const std::uint8_t> ct) override {
-    pfa_.add_ciphertext(to_aes_block(ct));
-  }
   void add_ciphertext_batch(std::span<const std::uint8_t> cts,
                             std::size_t block_size) override {
     EXPLFRAME_CHECK(block_size == 16 && cts.size() % 16 == 0);
@@ -128,9 +118,6 @@ class PresentPfaAnalysis final : public Analysis {
     have_pair_ = true;
   }
 
-  void add_ciphertext(std::span<const std::uint8_t> ct) override {
-    pfa_.add_ciphertext(to_present_block(ct));
-  }
   void add_ciphertext_batch(std::span<const std::uint8_t> cts,
                             std::size_t block_size) override {
     EXPLFRAME_CHECK(block_size == 8 && cts.size() % 8 == 0);
@@ -175,7 +162,8 @@ class AesDfaAnalysis final : public Analysis {
   const char* name() const noexcept override { return "DFA/AES-128"; }
   bool wants_pairs() const noexcept override { return true; }
 
-  void add_ciphertext(std::span<const std::uint8_t> /*ct*/) override {
+  void add_ciphertext_batch(std::span<const std::uint8_t> /*cts*/,
+                            std::size_t /*block_size*/) override {
     EXPLFRAME_CHECK_MSG(false, "DFA consumes (correct, faulty) pairs");
   }
   bool add_pair(std::span<const std::uint8_t> correct,

@@ -66,15 +66,15 @@ class Analysis {
   virtual void set_known_pair(std::span<const std::uint8_t> plaintext,
                               std::span<const std::uint8_t> ciphertext);
 
-  /// Feed one faulty ciphertext (block_size() bytes). Invalid on
-  /// wants_pairs() engines.
-  virtual void add_ciphertext(std::span<const std::uint8_t> ciphertext) = 0;
   /// Feed ciphertexts.size() / block_size concatenated faulty ciphertexts
-  /// in one call — the batched harvest loop's entry point. Equivalent to
-  /// that many add_ciphertext() calls (the default does exactly that; PFA
-  /// engines forward to their batched absorbers).
+  /// in one call — the only absorb engines implement. Invalid on
+  /// wants_pairs() engines.
   virtual void add_ciphertext_batch(std::span<const std::uint8_t> ciphertexts,
-                                    std::size_t block_size);
+                                    std::size_t block_size) = 0;
+  /// Feed one faulty ciphertext: a one-block add_ciphertext_batch.
+  void add_ciphertext(std::span<const std::uint8_t> ciphertext) {
+    add_ciphertext_batch(ciphertext, ciphertext.size());
+  }
   /// Feed one (correct, faulty) pair. Returns false if the pair is
   /// inconsistent with the engine's fault model. Default: unsupported.
   virtual bool add_pair(std::span<const std::uint8_t> correct,

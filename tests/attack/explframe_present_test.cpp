@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 
 #include "attack/campaign.hpp"
 #include "attack/victim.hpp"
@@ -58,7 +59,9 @@ Present80::Key to_present_key(const std::vector<std::uint8_t>& bytes) {
 }
 
 std::uint64_t encrypt_u64(VictimCipherService& victim, std::uint64_t pt) {
-  return le_bytes_to_u64(victim.encrypt(u64_to_le_bytes(pt)));
+  std::array<std::uint8_t, 8> ct{};
+  victim.encrypt(u64_to_le_bytes(pt), ct);
+  return le_bytes_to_u64(ct);
 }
 
 TEST(VictimPresentService, EncryptsCorrectly) {

@@ -1,5 +1,6 @@
 // fault::Analysis — the engine adapters behind the unified interface: key
-// recovery through the interface for all three engines, capability flags,
+// recovery through the interface for all three engines, the one-block
+// add_ciphertext forwarder against add_ciphertext_batch, capability flags,
 // and factory guard rails.
 #include "fault/analysis.hpp"
 
@@ -136,6 +137,92 @@ TEST(Analysis, DfaConsumesPairsThroughInterface) {
   ASSERT_TRUE(recovered.has_value());
   EXPECT_TRUE(std::equal(recovered->begin(), recovered->end(), key.begin(),
                          key.end()));
+}
+
+TEST(Analysis, PerBlockForwarderMatchesBatchOverRandomSplits) {
+  // add_ciphertext is a one-block add_ciphertext_batch: feeding one engine
+  // block by block and a twin in random-sized batches must leave both with
+  // the same key space after every batch and the same recovered key.
+  struct Case {
+    AnalysisKind kind;
+    CipherKind cipher;
+    std::size_t blocks;
+  };
+  for (const Case c : {Case{AnalysisKind::kPfaMissingValue,
+                            CipherKind::kAes128, 4000},
+                       Case{AnalysisKind::kPfaMaxLikelihood,
+                            CipherKind::kAes128, 8000},
+                       Case{AnalysisKind::kPfaMissingValue,
+                            CipherKind::kPresent80, 1500}}) {
+    const bool aes = c.cipher == CipherKind::kAes128;
+    const std::size_t block = aes ? 16 : 8;
+    Rng rng(aes ? 104 : 105);
+    const SboxByteFault fault{0x5, 0x2};
+    std::vector<std::uint8_t> cts(c.blocks * block);
+    std::vector<std::uint8_t> known_pt(block);
+    std::vector<std::uint8_t> known_ct(block);
+    FaultModel model;
+    if (aes) {
+      Aes128::Key key;
+      rng.fill_bytes(key);
+      const auto rk = Aes128::expand_key(key);
+      auto table = Aes128::sbox();
+      const auto [v, v_new] = apply_fault(table, fault);
+      model = FaultModel{fault.index, fault.mask, v, v_new};
+      for (std::size_t off = 0; off < cts.size(); off += 16) {
+        Aes128::Block pt;
+        rng.fill_bytes(pt);
+        const auto ct = Aes128::encrypt_with_sbox(pt, rk, table);
+        std::copy(ct.begin(), ct.end(), cts.begin() + off);
+      }
+    } else {
+      Present80::Key key;
+      rng.fill_bytes(key);
+      const auto rk = Present80::expand_key(key);
+      auto table = Present80::sbox();
+      const auto [v, v_new] = apply_fault(table, fault);
+      model = FaultModel{fault.index, fault.mask, v, v_new};
+      for (std::size_t off = 0; off < cts.size(); off += 8)
+        u64_to_le_bytes(Present80::encrypt_with_sbox(rng.next(), rk, table),
+                        std::span(cts).subspan(off, 8));
+      const std::uint64_t pt = rng.next();
+      u64_to_le_bytes(pt, known_pt);
+      u64_to_le_bytes(Present80::encrypt_with_sbox(pt, rk, table), known_ct);
+    }
+
+    const auto& cipher = cipher_for(c.cipher);
+    const auto per_block = make_analysis(c.kind, cipher, model);
+    const auto batched = make_analysis(c.kind, cipher, model);
+    per_block->set_known_pair(known_pt, known_ct);
+    batched->set_known_pair(known_pt, known_ct);
+
+    std::size_t fed = 0;
+    while (fed < c.blocks) {
+      const std::size_t n =
+          std::min<std::size_t>(1 + rng.uniform(300), c.blocks - fed);
+      batched->add_ciphertext_batch(
+          std::span(cts).subspan(fed * block, n * block), block);
+      for (std::size_t i = fed; i < fed + n; ++i)
+        per_block->add_ciphertext(std::span(cts).subspan(i * block, block));
+      fed += n;
+      ASSERT_EQ(per_block->ciphertext_count(), batched->ciphertext_count());
+      ASSERT_EQ(per_block->remaining_keyspace_log2(),
+                batched->remaining_keyspace_log2())
+          << to_string(c.kind) << " after " << fed;
+    }
+    const auto key = batched->recover_key();
+    ASSERT_TRUE(key.has_value()) << to_string(c.kind);
+    EXPECT_EQ(per_block->recover_key(), key);
+    EXPECT_EQ(per_block->residual_search(), batched->residual_search());
+  }
+}
+
+TEST(Analysis, DfaRejectsBareCiphertexts) {
+  const auto analysis = make_analysis(AnalysisKind::kDfa,
+                                      cipher_for(CipherKind::kAes128), {});
+  const std::vector<std::uint8_t> ct(16, 0x3c);
+  EXPECT_DEATH(analysis->add_ciphertext(ct), "DFA consumes");
+  EXPECT_DEATH(analysis->add_ciphertext_batch(ct, 16), "DFA consumes");
 }
 
 TEST(Analysis, FactoryRejectsUnsupportedCombinations) {

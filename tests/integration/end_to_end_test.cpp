@@ -114,6 +114,39 @@ TEST(Integration, SprayStillFlipsSomewhere) {
   EXPECT_GT(report.flips_anywhere, 0u);
 }
 
+TEST(Integration, SprayReportIsPinned) {
+  // The spray baseline hammers on System::hammer_burst. Its exact report
+  // and the DRAM counters behind it are pinned to the values the former
+  // per-access uncached_access loop produced, with TRR off and on.
+  struct Pin {
+    std::uint64_t seed;
+    bool trr;
+    std::uint64_t flips;
+    SimTime total_time;
+    std::uint64_t activations;
+    std::uint64_t trr_interventions;
+  };
+  for (const Pin& pin : {Pin{20, false, 20, 280'012'200, 3'000'065, 0},
+                         Pin{11, true, 3, 280'012'160, 3'000'064, 141}}) {
+    kernel::SystemConfig sc = integration_cfg(pin.seed);
+    sc.dram.trr.enabled = pin.trr;
+    kernel::System sys(sc);
+    attack::SprayConfig cfg;
+    cfg.buffer_bytes = 4 * kMiB;
+    cfg.hammer_iterations = 100'000;
+    cfg.pairs = 16;
+    cfg.seed = pin.seed;
+    const auto report = attack::SprayBaseline(sys, cfg).run();
+    EXPECT_FALSE(report.victim_corrupted) << pin.seed;
+    EXPECT_EQ(report.flips_anywhere, pin.flips) << pin.seed;
+    EXPECT_EQ(report.total_time, pin.total_time) << pin.seed;
+    EXPECT_EQ(sys.dram().total_activations(), pin.activations) << pin.seed;
+    EXPECT_EQ(sys.dram().trr_interventions(), pin.trr_interventions)
+        << pin.seed;
+    EXPECT_EQ(sys.dram().refresh_count(), 4u) << pin.seed;
+  }
+}
+
 TEST(Integration, RefreshPreventsFlipsAtLowRate) {
   // Hammering spread over many refresh windows never accumulates enough
   // disturbance — the defence DRAM vendors rely on.

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "../attack/reference_campaign.hpp"
 #include "attack/victim.hpp"
 #include "crypto/table_cipher.hpp"
 #include "kernel/system.hpp"
@@ -54,12 +55,12 @@ TEST(EpochRegression, RestoreInvalidatesBatchedEncryptCache) {
   const std::size_t block = cipher.block_size();
   std::vector<std::uint8_t> pt(4 * block, 0xa5);
   std::vector<std::uint8_t> batch(4 * block);
-  std::vector<std::uint8_t> per_call(4 * block);
+  std::vector<std::uint8_t> reloaded(4 * block);
   const auto harvest_both = [&] {
     victim.encrypt_batch(pt, batch);
     for (std::size_t i = 0; i < 4; ++i)
-      victim.encrypt({pt.data() + i * block, block},
-                     {per_call.data() + i * block, block});
+      reference::reload_encrypt(sys, victim, {pt.data() + i * block, block},
+                                {reloaded.data() + i * block, block});
   };
 
   const auto snap = sys.snapshot();
@@ -68,7 +69,7 @@ TEST(EpochRegression, RestoreInvalidatesBatchedEncryptCache) {
   // Corrupt, harvest: the batch cache now holds the corrupted table.
   corrupt_table(sys, victim, 0x02);
   harvest_both();
-  EXPECT_EQ(batch, per_call);
+  EXPECT_EQ(batch, reloaded);
   const std::vector<std::uint8_t> corrupted_cts = batch;
 
   // Roll back. The epoch must strictly advance — never revert — so the
@@ -77,14 +78,14 @@ TEST(EpochRegression, RestoreInvalidatesBatchedEncryptCache) {
   EXPECT_GT(sys.memory_epoch(), epoch0);
   ASSERT_FALSE(victim.table_corrupted());
   harvest_both();
-  EXPECT_EQ(batch, per_call);
+  EXPECT_EQ(batch, reloaded);
   EXPECT_NE(batch, corrupted_cts) << "stale cache survived the restore";
 
   // Corrupt DIFFERENTLY after the rollback and re-harvest: the batch path
   // must see the new fault, not any remembered one.
   corrupt_table(sys, victim, 0x08);
   harvest_both();
-  EXPECT_EQ(batch, per_call);
+  EXPECT_EQ(batch, reloaded);
   EXPECT_NE(batch, corrupted_cts);
 
   // Every further restore keeps advancing the epoch.

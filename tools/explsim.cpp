@@ -16,7 +16,9 @@
 // `run` accepts either a registered name or a path (anything containing
 // '/' or ending in ".scn"/".sweep" is treated as a path), so a registered
 // experiment can be exported with `describe --scn`/`--sweep`, edited and
-// re-run without recompiling.
+// re-run without recompiling. Each command takes only the options usage
+// lists for it; any other option, or a number that is not plain decimal
+// digits, is a usage error (exit 2) before any work.
 //
 // `all` regenerates the reproduction handbook (docs/results/ for
 // scenarios, docs/results/sweeps/ for grids): markdown + CSV per entry
@@ -44,12 +46,14 @@
 #include <iostream>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "io/fs.hpp"
 #include "scenario/debug.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/report.hpp"
+#include "support/config.hpp"
 #include "support/table.hpp"
 #include "sweep/registry.hpp"
 #include "sweep/report.hpp"
@@ -605,6 +609,28 @@ int cmd_sweep_all(const std::string& out_dir, bool check,
   return 0;
 }
 
+/// The flags `command` passes on to its cmd_* function (value flags by
+/// name, without "=VALUE"). Any other flag on its command line is a usage
+/// error, reported before any work.
+std::vector<std::string_view> flags_taken(bool is_sweep,
+                                          const std::string& command) {
+  if (is_sweep) {
+    if (command == "describe") return {"--sweep"};
+    if (command == "run")
+      return {"--threads", "--out", "--checkpoint", "--resume", "--shard"};
+    if (command == "merge") return {"--out"};
+    if (command == "all")
+      return {"--out",    "--check", "--threads",
+              "--resume", "--shard", "--merge-from"};
+    return {};
+  }
+  if (command == "describe") return {"--scn"};
+  if (command == "run") return {"--threads", "--out"};
+  if (command == "debug") return {"--trial"};
+  if (command == "all") return {"--out", "--check", "--threads"};
+  return {};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -629,8 +655,22 @@ int main(int argc, char** argv) {
   std::string checkpoint;
   std::string merge_from;
   ShardArg shard;
+  const std::vector<std::string_view> taken = flags_taken(is_sweep, command);
   for (int i = first_option; i < argc; ++i) {
     const std::string arg = argv[i];
+    if (arg.rfind("--", 0) != 0) {
+      operands.push_back(arg);
+      continue;
+    }
+    const std::size_t eq = arg.find('=');
+    const std::string flag = arg.substr(0, eq);
+    const std::string value =
+        eq == std::string::npos ? std::string() : arg.substr(eq + 1);
+    if (std::find(taken.begin(), taken.end(), flag) == taken.end()) {
+      std::cerr << "explsim: '" << (is_sweep ? "sweep " : "") << command
+                << "' does not take option '" << arg << "'\n";
+      return usage(std::cerr, 2);
+    }
     if (arg == "--scn") {
       scn_only = true;
     } else if (arg == "--sweep") {
@@ -639,61 +679,50 @@ int main(int argc, char** argv) {
       check = true;
     } else if (arg == "--resume") {
       resume = true;
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      const std::string value = arg.substr(std::strlen("--threads="));
-      char* end = nullptr;
-      const unsigned long parsed = std::strtoul(value.c_str(), &end, 10);
-      if (value.empty() || *end != '\0' || parsed == 0 || parsed > 256) {
+    } else if (eq == std::string::npos) {
+      // A value flag without its "=VALUE".
+      std::cerr << "explsim: malformed option '" << arg << "'\n";
+      return usage(std::cerr, 2);
+    } else if (flag == "--threads") {
+      const auto parsed = parse_u64(value);
+      if (!parsed || *parsed == 0 || *parsed > 256) {
         std::cerr << "explsim: bad --threads value '" << value
                   << "' (want 1..256)\n";
         return 2;
       }
-      threads = static_cast<std::uint32_t>(parsed);
-    } else if (arg.rfind("--trial=", 0) == 0) {
-      const std::string value = arg.substr(std::strlen("--trial="));
-      char* end = nullptr;
-      const unsigned long parsed = std::strtoul(value.c_str(), &end, 10);
-      if (value.empty() || *end != '\0' || parsed > 1'000'000) {
+      threads = static_cast<std::uint32_t>(*parsed);
+    } else if (flag == "--trial") {
+      const auto parsed = parse_u64(value);
+      if (!parsed || *parsed > 1'000'000) {
         std::cerr << "explsim: bad --trial value '" << value << "'\n";
         return 2;
       }
-      trial = static_cast<std::uint32_t>(parsed);
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out_dir = arg.substr(std::strlen("--out="));
-    } else if (arg.rfind("--checkpoint=", 0) == 0) {
-      checkpoint = arg.substr(std::strlen("--checkpoint="));
-    } else if (arg.rfind("--merge-from=", 0) == 0) {
-      merge_from = arg.substr(std::strlen("--merge-from="));
-    } else if (arg.rfind("--shard=", 0) == 0) {
+      trial = static_cast<std::uint32_t>(*parsed);
+    } else if (flag == "--out") {
+      out_dir = value;
+    } else if (flag == "--checkpoint") {
+      checkpoint = value;
+    } else if (flag == "--merge-from") {
+      merge_from = value;
+    } else if (flag == "--shard") {
       // --shard=I/N, 1-based: shard I of N round-robin shards.
-      const std::string value = arg.substr(std::strlen("--shard="));
       const std::size_t slash = value.find('/');
-      bool ok = slash != std::string::npos;
-      unsigned long index = 0;
-      unsigned long count = 0;
-      if (ok) {
-        char* end = nullptr;
-        const std::string i_text = value.substr(0, slash);
-        const std::string n_text = value.substr(slash + 1);
-        index = std::strtoul(i_text.c_str(), &end, 10);
-        ok = !i_text.empty() && *end == '\0';
-        if (ok) {
-          count = std::strtoul(n_text.c_str(), &end, 10);
-          ok = !n_text.empty() && *end == '\0';
-        }
-      }
-      if (!ok || count == 0 || count > 1024 || index == 0 || index > count) {
+      const auto index = parse_u64(value.substr(0, slash));
+      const auto count = slash == std::string::npos
+                             ? std::nullopt
+                             : parse_u64(value.substr(slash + 1));
+      if (!index || !count || *count > 1024 || *index == 0 ||
+          *index > *count) {
         std::cerr << "explsim: bad --shard value '" << value
                   << "' (want I/N with 1 <= I <= N <= 1024)\n";
         return 2;
       }
-      shard.index = static_cast<std::uint32_t>(index);
-      shard.count = static_cast<std::uint32_t>(count);
-    } else if (arg.rfind("--", 0) == 0) {
-      std::cerr << "explsim: unknown option '" << arg << "'\n";
-      return usage(std::cerr, 2);
+      shard.index = static_cast<std::uint32_t>(*index);
+      shard.count = static_cast<std::uint32_t>(*count);
     } else {
-      operands.push_back(arg);
+      // A boolean flag given a value ("--check=1").
+      std::cerr << "explsim: malformed option '" << arg << "'\n";
+      return usage(std::cerr, 2);
     }
   }
 

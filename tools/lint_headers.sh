@@ -12,6 +12,12 @@
 #       comment or a '// ----' section banner (checked loosely: a public:
 #       section must contain at least one comment line).
 #
+# And for every source file under src/, tools/ and examples/:
+#
+#   (d) no #include of a path under tests/ — test oracles such as
+#       tests/attack/reference_campaign.hpp and tests/dram/reference_dram.hpp
+#       stay test-only (bench/ may include them to time against them).
+#
 # Exit status is non-zero on any violation, with file:line diagnostics.
 set -u
 
@@ -50,6 +56,17 @@ for f in src/attack/*.hpp src/io/*.hpp src/scenario/*.hpp \
     END { exit bad }
   ' "$f" || status=1
 done
+
+# (d) Oracles stay in tests/.
+oracle_includes=$(grep -rnE \
+    '^[[:space:]]*#[[:space:]]*include[[:space:]]*[<"](\.\./)*tests/' \
+    --include='*.cpp' --include='*.hpp' --include='*.h' \
+    src tools examples)
+if [ -n "$oracle_includes" ]; then
+  printf '%s\n' "$oracle_includes" |
+    sed 's/^\([^:]*:[0-9]*\):[[:space:]]*\(.*\)$/\1: error: test-only include: \2/'
+  status=1
+fi
 
 if [ "$status" -ne 0 ]; then
   echo "header-doc lint failed (see errors above)" >&2
