@@ -25,8 +25,8 @@
 
 #include "../tests/attack/reference_campaign.hpp"
 #include "attack/victim.hpp"
-#include "common.hpp"
 #include "harness.hpp"
+#include "scenario/scenario.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
 
@@ -35,12 +35,22 @@ using namespace explframe::attack;
 
 namespace {
 
+/// 64 MiB, two CPUs, no weak cells: the harvest path never sees a flip.
+kernel::SystemConfig quiet_system() {
+  kernel::SystemConfig c;
+  c.memory_bytes = 64 * kMiB;
+  c.num_cpus = 2;
+  c.seed = 7;
+  scenario::apply_weak_cell_profile(scenario::WeakCellProfile::kQuiet, c);
+  return c;
+}
+
 struct VictimHarness {
   kernel::System system;
   VictimCipherService victim;
 
   explicit VictimHarness(const crypto::TableCipher& cipher)
-      : system(bench::quiet_system(7, 64)),
+      : system(quiet_system()),
         victim(system, 0, cipher,
                [&] {
                  VictimConfig vc;

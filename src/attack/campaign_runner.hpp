@@ -67,7 +67,7 @@ struct CampaignAggregate {
     return trials > 0 ? static_cast<double>(succeeded) / trials : 0.0;
   }
 
-  /// Per-phase success table (the EXP-T4-style bench output).
+  /// Per-phase success table (the console summary of `explsim run`).
   Table phase_table() const;
 };
 

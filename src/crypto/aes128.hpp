@@ -52,7 +52,7 @@ class Aes128 {
   /// `byte_index` (state layout: row + 4*col) at the entry of `round`
   /// (1-based, before that round's SubBytes). This is the classic DFA
   /// fault model (Piret-Quisquater), implemented as the comparison point
-  /// for persistent faults in EXP-T6.
+  /// for persistent faults in the `fault-techniques` experiment.
   static Block encrypt_with_transient_fault(const Block& plaintext,
                                             const RoundKeys& rk,
                                             std::size_t round,

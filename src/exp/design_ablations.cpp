@@ -1,5 +1,4 @@
-// EXP-A1 — Ablations of the design choices DESIGN.md calls out.
-//
+// Ablations of the allocator behaviours the exploit relies on:
 //   (a) pcp list policy: LIFO (Linux) vs FIFO — the exploit needs LIFO;
 //   (b) pcp `high` watermark: how long a planted frame survives cache
 //       pressure before being drained back to buddy;
@@ -7,21 +6,27 @@
 //       frame on a PTE page instead of the data page;
 //   (d) zero-on-allocation: without it, released attacker data leaks into
 //       the victim (and vice versa).
-#include <iostream>
+#include <algorithm>
+#include <string>
+#include <vector>
 
 #include "attack/victim.hpp"
-#include "common.hpp"
+#include "exp/bodies.hpp"
 #include "kernel/noise.hpp"
-#include "support/rng.hpp"
-#include "support/table.hpp"
 
-using namespace explframe;
-using namespace explframe::bench;
+namespace explframe::exp {
+
 using namespace explframe::attack;
 
 namespace {
 
 constexpr std::uint32_t kTrials = 150;
+
+kernel::SystemConfig quiet() {
+  return small_machine(scenario::WeakCellProfile::kQuiet, 0);
+}
+
+std::string rate(std::size_t hits) { return rate_cell_wide(hits, kTrials); }
 
 /// Steering trial with a configurable system; returns whether the victim's
 /// table page received the planted frame.
@@ -56,48 +61,41 @@ bool steer_once(kernel::SystemConfig sys_cfg, std::uint64_t seed,
   return sys.translate(victim.task(), victim.table_page_va()) == planted;
 }
 
-std::string rate(std::size_t hits) { return rate_cell_wide(hits, kTrials); }
-
-void ablate_lifo() {
-  std::cout << "\n(a) pcp list policy (the exploit's core assumption):\n";
+Table lifo() {
   Table t({"pcp policy", "P(steered)"});
   for (const bool lifo : {true, false}) {
-    kernel::SystemConfig cfg = quiet_system(0);
+    kernel::SystemConfig cfg = quiet();
     cfg.pcp.lifo = lifo;
     std::size_t hits = 0;
     for (std::uint32_t i = 0; i < kTrials; ++i)
       hits += steer_once(cfg, 1000 + i, true, 0) ? 1 : 0;
     t.row(lifo ? "LIFO (Linux)" : "FIFO (ablated)", rate(hits));
   }
-  t.print(std::cout);
-  std::cout << "FIFO still steers eventually (the frame waits behind the "
-               "refilled batch) but loses head-of-line placement: any "
-               "intervening allocation takes the planted frame's slot.\n";
+  return t;
+}
 
-  Table t2({"pcp policy", "noise ops", "P(steered)"});
+Table lifo_with_noise() {
+  Table t({"pcp policy", "noise ops", "P(steered)"});
   for (const bool lifo : {true, false}) {
     for (const std::uint32_t ops : {2u, 8u}) {
-      kernel::SystemConfig cfg = quiet_system(0);
+      kernel::SystemConfig cfg = quiet();
       cfg.pcp.lifo = lifo;
       std::size_t hits = 0;
       for (std::uint32_t i = 0; i < kTrials; ++i)
         hits += steer_once(cfg, 1500 + i, true, ops) ? 1 : 0;
-      t2.row(lifo ? "LIFO" : "FIFO", ops, rate(hits));
+      t.row(lifo ? "LIFO" : "FIFO", ops, rate(hits));
     }
   }
-  t2.print(std::cout);
+  return t;
 }
 
-void ablate_pcp_high() {
-  std::cout << "\n(b) planted-frame fate under additional frees from the "
-               "releasing CPU (hot frees bury the head; past `high` the "
-               "cache drains its cold end back to buddy):\n";
-  Table t({"pcp high", "extra frees", "free temp",
-           "P(head still planted)", "P(planted drained to buddy)"});
+Table pcp_high() {
+  Table t({"pcp high", "extra frees", "free temp", "P(head still planted)",
+           "P(planted drained to buddy)"});
   for (const std::uint32_t high : {16u, 186u}) {
     for (const std::uint32_t extra : {4u, 32u, 256u}) {
       for (const bool cold : {false, true}) {
-        kernel::SystemConfig cfg = quiet_system(0);
+        kernel::SystemConfig cfg = quiet();
         cfg.pcp.high = high;
         std::size_t head_planted = 0, drained = 0;
         for (std::uint32_t i = 0; i < kTrials; ++i) {
@@ -114,8 +112,7 @@ void ablate_pcp_high() {
           sys.sys_munmap(attacker, va, kPageSize);  // plant
           // Extra frees from the same CPU, one page at a time.
           for (std::uint32_t p = 1; p <= extra; ++p) {
-            const mm::Pfn pfn =
-                sys.translate(attacker, va + p * kPageSize);
+            const mm::Pfn pfn = sys.translate(attacker, va + p * kPageSize);
             attacker.space().page_table().unmap(va + p * kPageSize);
             sys.allocator().free_pages(pfn, 0, 0, cold);
           }
@@ -134,20 +131,14 @@ void ablate_pcp_high() {
       }
     }
   }
-  t.print(std::cout);
-  std::cout << "cold frees leave the planted frame at the hot head "
-               "indefinitely; hot frees bury it, and once the cache "
-               "overflows `high` it is eventually drained to buddy — the "
-               "attack window is bounded by same-CPU free traffic.\n";
+  return t;
 }
 
-void ablate_page_table_charging() {
-  std::cout << "\n(c) victim warm-up (page-table nodes pre-faulted) vs cold "
-               "start, with page-table charging on/off:\n";
+Table page_table_charging() {
   Table t({"page tables charged", "victim warm", "P(table page steered)"});
   for (const bool charged : {true, false}) {
     for (const bool warm : {true, false}) {
-      kernel::SystemConfig cfg = quiet_system(0);
+      kernel::SystemConfig cfg = quiet();
       cfg.charge_page_tables = charged;
       std::size_t hits = 0;
       for (std::uint32_t i = 0; i < kTrials; ++i)
@@ -155,18 +146,13 @@ void ablate_page_table_charging() {
       t.row(charged, warm, rate(hits));
     }
   }
-  t.print(std::cout);
-  std::cout << "with charging on and a cold victim, the first fault's PTE "
-               "page consumes the planted frame — the attack must target "
-               "warm victims (long-running services), as the paper's "
-               "scenario does.\n";
+  return t;
 }
 
-void ablate_zero_on_alloc() {
-  std::cout << "\n(d) zero-on-allocation (defence-in-depth interaction):\n";
+Table zero_on_alloc() {
   Table t({"zero on alloc", "victim page still holds attacker data"});
   for (const bool zero : {true, false}) {
-    kernel::SystemConfig cfg = quiet_system(0);
+    kernel::SystemConfig cfg = quiet();
     cfg.zero_on_alloc = zero;
     cfg.charge_page_tables = false;
     std::size_t leaked = 0;
@@ -186,16 +172,43 @@ void ablate_zero_on_alloc() {
     }
     t.row(zero, rate(leaked));
   }
-  t.print(std::cout);
+  return t;
 }
 
 }  // namespace
 
-int main() {
-  print_banner(std::cout, "EXP-A1: design-choice ablations");
-  ablate_lifo();
-  ablate_pcp_high();
-  ablate_page_table_charging();
-  ablate_zero_on_alloc();
-  return 0;
+std::vector<Section> design_ablations() {
+  const std::string per_row = std::to_string(kTrials) + " trials per row";
+  std::vector<Section> out;
+  out.push_back({"(a) pcp list policy, the exploit's core assumption (" +
+                     per_row + ")",
+                 lifo(),
+                 "FIFO still steers eventually (the frame waits behind the "
+                 "refilled batch) but loses head-of-line placement: any "
+                 "intervening allocation takes the planted frame's slot."});
+  out.push_back({"(a) pcp list policy with intervening same-CPU noise (" +
+                     per_row + ")",
+                 lifo_with_noise(), ""});
+  out.push_back({"(b) Planted-frame fate under additional frees from the "
+                 "releasing CPU (" + per_row + ")",
+                 pcp_high(),
+                 "Hot frees bury the head; past `high` the cache drains its "
+                 "cold end back to buddy. Cold frees leave the planted frame "
+                 "at the hot head indefinitely; hot frees bury it, and once "
+                 "the cache overflows `high` it is eventually drained to "
+                 "buddy — the attack window is bounded by same-CPU free "
+                 "traffic."});
+  out.push_back({"(c) Victim warm-up (page-table nodes pre-faulted) vs cold "
+                 "start, with page-table charging on/off (" + per_row + ")",
+                 page_table_charging(),
+                 "With charging on and a cold victim, the first fault's PTE "
+                 "page consumes the planted frame — the attack must target "
+                 "warm victims (long-running services), as the paper's "
+                 "scenario does."});
+  out.push_back({"(d) Zero-on-allocation, a defence-in-depth interaction (" +
+                     per_row + ")",
+                 zero_on_alloc(), ""});
+  return out;
 }
+
+}  // namespace explframe::exp

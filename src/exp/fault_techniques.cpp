@@ -1,23 +1,22 @@
-// EXP-T6 — Fault-analysis technique comparison: why ExplFrame pairs with
-// *persistent* fault analysis (§I: "sophisticated fault analysis
-// techniques"; conclusion: "induce persistent faults [12]").
-//
-//   (a) PFA (persistent S-box fault) vs DFA (transient round-9 fault) on
-//       AES-128: what each needs from the fault primitive and how much data;
-//   (b) PFA on PRESENT-80 vs AES-128: data complexity scales with the
-//       S-box alphabet (16 vs 256 values).
-#include <iostream>
+// Why ExplFrame pairs with *persistent* fault analysis (§I: "sophisticated
+// fault analysis techniques"; conclusion: "induce persistent faults [12]"):
+// PFA on a persistent S-box fault against DFA on a transient round-9 fault
+// on AES-128, and PFA on PRESENT-80 against AES-128 — data complexity
+// scales with the S-box alphabet (16 vs 256 values).
+#include <string>
+#include <vector>
 
 #include "crypto/present80.hpp"
+#include "exp/bodies.hpp"
 #include "fault/dfa_aes.hpp"
 #include "fault/injection.hpp"
 #include "fault/pfa_aes.hpp"
 #include "fault/pfa_present.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
-#include "support/table.hpp"
 
-using namespace explframe;
+namespace explframe::exp {
+
 using namespace explframe::crypto;
 using namespace explframe::fault;
 
@@ -32,7 +31,6 @@ double measure_aes_pfa(std::uint64_t seed) {
   SboxByteFault fault{static_cast<std::uint16_t>(rng.uniform(256)),
                       static_cast<std::uint8_t>(1u << rng.uniform(8))};
   const auto [v, v_new] = apply_fault(table, fault);
-  (void)v_new;
   AesPfa pfa;
   std::size_t used = 0;
   while (used < 60'000) {
@@ -76,8 +74,7 @@ double measure_present_pfa(std::uint64_t seed) {
   auto table = Present80::sbox();
   SboxByteFault fault{static_cast<std::uint16_t>(rng.uniform(16)),
                       static_cast<std::uint8_t>(1u << rng.uniform(4))};
-  const auto [v, v_new] = apply_fault(table, fault);
-  (void)v_new;
+  const auto v = apply_fault(table, fault).first;
   PresentPfa pfa;
   std::size_t used = 0;
   while (used < 10'000) {
@@ -91,38 +88,32 @@ double measure_present_pfa(std::uint64_t seed) {
 
 }  // namespace
 
-int main() {
-  print_banner(std::cout, "EXP-T6: fault-analysis technique comparison");
+std::vector<Section> fault_techniques() {
   constexpr int kRepeats = 25;
-
   Samples pfa_aes, dfa_pairs, pfa_present;
   for (int i = 0; i < kRepeats; ++i) {
     pfa_aes.add(measure_aes_pfa(400 + i));
     dfa_pairs.add(measure_aes_dfa_pairs(500 + i));
     pfa_present.add(measure_present_pfa(600 + i));
   }
+  const auto mean = [](const Samples& s) {
+    return std::to_string(static_cast<int>(s.mean()));
+  };
 
-  std::cout << "\n(a) what each technique demands of the attacker (" << kRepeats
-            << " trials each):\n";
   Table t({"technique", "fault primitive", "data needed (mean)",
            "needs chosen/correct pairs?", "fault timing"});
   t.row("PFA on AES-128 (ExplFrame)",
         "one persistent S-box bit (Rowhammer flip)",
-        std::to_string(static_cast<int>(pfa_aes.mean())) +
-            " faulty ciphertexts",
-        "no - ciphertext-only", "none (fault persists)");
+        mean(pfa_aes) + " faulty ciphertexts", "no - ciphertext-only",
+        "none (fault persists)");
   t.row("DFA on AES-128 (Piret-Quisquater style)",
         "transient byte fault, round 9 only",
-        std::to_string(static_cast<int>(dfa_pairs.mean())) +
-            " correct/faulty pairs",
+        mean(dfa_pairs) + " correct/faulty pairs",
         "yes - same plaintext twice", "cycle-accurate injection");
   t.row("PFA on PRESENT-80", "one persistent S-box bit",
-        std::to_string(static_cast<int>(pfa_present.mean())) +
-            " faulty ciphertexts (+2^16 search)",
+        mean(pfa_present) + " faulty ciphertexts (+2^16 search)",
         "no - ciphertext-only", "none (fault persists)");
-  t.print(std::cout);
 
-  std::cout << "\n(b) data complexity detail:\n";
   Table t2({"attack", "mean", "median", "p90"});
   t2.row("AES PFA ciphertexts", pfa_aes.mean(), pfa_aes.median(),
          pfa_aes.percentile(90));
@@ -130,12 +121,18 @@ int main() {
          dfa_pairs.percentile(90));
   t2.row("PRESENT PFA ciphertexts", pfa_present.mean(), pfa_present.median(),
          pfa_present.percentile(90));
-  t2.print(std::cout);
 
-  std::cout << "\ntakeaway: a Rowhammer-induced table fault is persistent "
-               "and untimed, which is exactly PFA's model — DFA would "
-               "require transient faults timed to one round, which "
-               "Rowhammer cannot deliver. PRESENT's 16-value S-box "
-               "saturates ~40x faster than AES's 256-value one.\n";
-  return 0;
+  std::vector<Section> out;
+  out.push_back({"(a) What each technique demands of the attacker (" +
+                     std::to_string(kRepeats) + " trials each)",
+                 std::move(t), ""});
+  out.push_back({"(b) Data complexity detail", std::move(t2),
+                 "Takeaway: a Rowhammer-induced table fault is persistent "
+                 "and untimed, which is exactly PFA's model — DFA would "
+                 "require transient faults timed to one round, which "
+                 "Rowhammer cannot deliver. PRESENT's 16-value S-box "
+                 "saturates ~40x faster than AES's 256-value one."});
+  return out;
 }
+
+}  // namespace explframe::exp

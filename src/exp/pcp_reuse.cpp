@@ -1,39 +1,32 @@
-// EXP-T1 — Page-frame-cache reuse probability.
-//
-// The paper (§V): "with a probability of almost 1, if the process requests
-// for a few pages, the recently deallocated page frames will be reallocated".
-// Measured here:
-//   (a) P(released frame is handed to the next allocation on the same CPU)
-//       as a function of the request size;
-//   (b) how that probability decays with intervening allocation noise on
-//       the same CPU (and that cross-CPU noise does not affect it);
-//   (c) same-CPU vs cross-CPU reuse.
-#include <iostream>
+// §V: "with a probability of almost 1, if the process requests for a few
+// pages, the recently deallocated page frames will be reallocated".
+// Measured: the probability that a released frame is handed to the next
+// allocation on the same CPU, against request size, intervening noise on
+// the same or another CPU, and the allocating CPU.
+#include <string>
+#include <vector>
 
-#include "common.hpp"
+#include "exp/bodies.hpp"
 #include "kernel/noise.hpp"
-#include "support/table.hpp"
 
-using namespace explframe;
-using namespace explframe::bench;
+namespace explframe::exp {
 
 namespace {
 
 constexpr std::uint32_t kTrials = 200;
 
-/// One trial: task A touches+releases one frame; then `noise_ops` noise
-/// operations run on `noise_cpu`; then task B on `alloc_cpu` touches
-/// `request_pages` pages. Returns (planted received at all, received as the
-/// first-touched page).
+/// Whether the planted frame came back at all, and as the first page.
 struct TrialResult {
   bool received = false;
   bool first = false;
 };
 
+/// Task A touches and releases one frame; `noise_ops` noise operations run
+/// on `noise_cpu`; then task B on `alloc_cpu` touches `request_pages` pages.
 TrialResult run_trial(std::uint64_t seed, std::uint32_t request_pages,
                       std::uint32_t noise_ops, std::uint32_t noise_cpu,
                       std::uint32_t alloc_cpu) {
-  kernel::System sys(quiet_system(seed));
+  kernel::System sys(small_machine(scenario::WeakCellProfile::kQuiet, seed));
   kernel::Task& a = sys.spawn("releaser", 0);
   kernel::Task& b = sys.spawn("allocator", alloc_cpu);
   kernel::Task& n = sys.spawn("noise", noise_cpu);
@@ -68,10 +61,7 @@ TrialResult run_trial(std::uint64_t seed, std::uint32_t request_pages,
   return r;
 }
 
-void sweep_request_size() {
-  std::cout << "\n(a) reuse probability vs victim request size (same CPU, "
-               "no noise, "
-            << kTrials << " trials/row):\n";
+Table by_request_size() {
   Table t({"request pages", "P(frame received)", "P(received as 1st page)"});
   for (const std::uint32_t pages : {1u, 2u, 4u, 8u, 16u, 32u, 64u}) {
     std::size_t received = 0, first = 0;
@@ -83,13 +73,10 @@ void sweep_request_size() {
     t.row(pages, rate_cell_wide(received, kTrials),
           rate_cell_wide(first, kTrials));
   }
-  t.print(std::cout);
+  return t;
 }
 
-void sweep_noise() {
-  std::cout << "\n(b) reuse probability vs intervening noise operations "
-               "(request = 4 pages, "
-            << kTrials << " trials/row):\n";
+Table by_noise() {
   Table t({"noise ops", "noise CPU", "P(frame received)"});
   for (const std::uint32_t ops : {0u, 1u, 2u, 4u, 8u, 16u, 64u, 256u}) {
     for (const std::uint32_t noise_cpu : {0u, 1u}) {
@@ -100,12 +87,10 @@ void sweep_noise() {
             rate_cell_wide(received, kTrials));
     }
   }
-  t.print(std::cout);
+  return t;
 }
 
-void same_vs_cross_cpu() {
-  std::cout << "\n(c) same-CPU vs cross-CPU allocation (request = 4 pages, "
-               "no noise):\n";
+Table by_cpu() {
   Table t({"allocating CPU", "P(frame received)"});
   for (const std::uint32_t cpu : {0u, 1u}) {
     std::size_t received = 0;
@@ -114,19 +99,27 @@ void same_vs_cross_cpu() {
     t.row(cpu == 0 ? "same (cpu 0)" : "other (cpu 1)",
           rate_cell_wide(received, kTrials));
   }
-  t.print(std::cout);
+  return t;
 }
 
 }  // namespace
 
-int main() {
-  print_banner(std::cout,
-               "EXP-T1: per-CPU page frame cache reuse probability (SV)");
-  sweep_request_size();
-  sweep_noise();
-  same_vs_cross_cpu();
-  std::cout << "\npaper claim: reuse probability ~ 1 for small same-CPU "
-               "requests; requires the releaser's CPU cache to stay "
-               "undisturbed.\n";
-  return 0;
+std::vector<Section> pcp_reuse() {
+  const std::string per_row = std::to_string(kTrials) + " trials/row";
+  std::vector<Section> out;
+  out.push_back({"(a) Reuse probability vs victim request size (same CPU, "
+                 "no noise, " + per_row + ")",
+                 by_request_size(), ""});
+  out.push_back({"(b) Reuse probability vs intervening noise operations "
+                 "(request = 4 pages, " + per_row + ")",
+                 by_noise(), ""});
+  out.push_back({"(c) Same-CPU vs cross-CPU allocation (request = 4 pages, "
+                 "no noise)",
+                 by_cpu(),
+                 "Paper claim: reuse probability ~ 1 for small same-CPU "
+                 "requests; requires the releaser's CPU cache to stay "
+                 "undisturbed."});
+  return out;
 }
+
+}  // namespace explframe::exp

@@ -1,29 +1,29 @@
-// EXP-T5 — Persistent Fault Analysis data complexity (paper ref [12],
-// Zhang et al. TCHES 2018), driven through the fault::Analysis interface.
-//
-//   (a) remaining AES-128 key space vs number of faulty ciphertexts;
-//   (b) ciphertexts needed for a unique key: missing-value vs
-//       max-likelihood, over random keys and random single-bit S-box
-//       faults. Ref [12] reports ~2000-2500 ciphertexts on average for the
-//       missing-value attack; the shape to reproduce is the coupon-collector
-//       knee around 2000.
-#include <iostream>
+// Persistent Fault Analysis data complexity (paper ref [12], Zhang et al.
+// TCHES 2018) through the fault::Analysis interface: the remaining AES-128
+// key space against faulty ciphertexts, and the ciphertexts needed for a
+// unique key. The shape to reproduce is the coupon-collector knee around
+// 2000 ciphertexts.
+#include <string>
+#include <vector>
 
 #include "crypto/aes128.hpp"
 #include "crypto/table_cipher.hpp"
+#include "exp/bodies.hpp"
 #include "fault/analysis.hpp"
 #include "fault/injection.hpp"
 #include "fault/pfa_aes.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
-#include "support/table.hpp"
 
-using namespace explframe;
+namespace explframe::exp {
+
 using namespace explframe::crypto;
 using namespace explframe::fault;
 
 namespace {
 
+/// A random AES-128 key encrypting random plaintexts through an S-box with
+/// one random single-bit fault.
 struct FaultedOracle {
   Aes128::Key key;
   Aes128::RoundKeys rk;
@@ -49,16 +49,12 @@ struct FaultedOracle {
   }
 };
 
-void keyspace_curve() {
-  std::cout << "\n(a) remaining key space vs ciphertexts (mean over 20 "
-               "random key/fault pairs):\n";
+Table keyspace_curve() {
   constexpr int kRepeats = 20;
   const TableCipher& aes = cipher_for(CipherKind::kAes128);
-  const std::vector<std::size_t> checkpoints = {125,  250,  500,  1000,
-                                                1500, 2000, 3000, 4000};
   Table t({"ciphertexts", "mean log2(keyspace), missing-value",
            "mean log2(argmax ties), max-likelihood", "P(unique), missing"});
-  for (const std::size_t n : checkpoints) {
+  for (const std::size_t n : {125, 250, 500, 1000, 1500, 2000, 3000, 4000}) {
     RunningStats missing_bits, ml_bits;
     std::size_t unique = 0;
     for (int rep = 0; rep < kRepeats; ++rep) {
@@ -79,12 +75,10 @@ void keyspace_curve() {
     t.row(n, missing_bits.mean(), ml_bits.mean(),
           Table::percent(static_cast<double>(unique) / kRepeats));
   }
-  t.print(std::cout);
+  return t;
 }
 
-void ciphertexts_to_unique() {
-  std::cout << "\n(b) ciphertexts needed for a unique AES-128 key (50 random "
-               "key/fault pairs, counted in steps of 32):\n";
+Table ciphertexts_to_unique() {
   constexpr int kRepeats = 50;
   constexpr std::size_t kStep = 32;
   constexpr std::size_t kCap = 60'000;
@@ -109,20 +103,15 @@ void ciphertexts_to_unique() {
   t.row("missing-value", missing_needed.mean(), missing_needed.median(),
         missing_needed.percentile(90), missing_needed.min(),
         missing_needed.max());
-  t.print(std::cout);
-  std::cout << "reference: Zhang et al. report ~2000-2500 ciphertexts on "
-               "average for the missing-value attack (coupon collector over "
-               "256 values x 16 bytes).\n";
+  return t;
+}
 
-  std::cout << "\n    max-likelihood comparison: the frequency peak must "
-               "dominate 254 competitors at all 16 bytes simultaneously, so "
-               "it needs several times more data than the missing value:\n";
-  constexpr int kMlRepeats = 20;
-  Table t2({"ciphertexts", "P(ML top-guess key correct)"});
-  for (const std::size_t n :
-       {1000ull, 2000ull, 4000ull, 8000ull, 16000ull, 32000ull}) {
+Table max_likelihood_top_guess() {
+  constexpr int kRepeats = 20;
+  Table t({"ciphertexts", "P(ML top-guess key correct)"});
+  for (const std::size_t n : {1000, 2000, 4000, 8000, 16000, 32000}) {
     std::size_t correct = 0;
-    for (int rep = 0; rep < kMlRepeats; ++rep) {
+    for (int rep = 0; rep < kRepeats; ++rep) {
       FaultedOracle oracle(9000 + rep);
       // The top-guess diagnostic needs the raw frequency tables, which are
       // an engine detail below the Analysis interface.
@@ -145,17 +134,31 @@ void ciphertexts_to_unique() {
       }
       if (Aes128::master_key_from_round10(guess) == oracle.key) ++correct;
     }
-    t2.row(n, Table::percent(static_cast<double>(correct) / kMlRepeats));
+    t.row(n, Table::percent(static_cast<double>(correct) / kRepeats));
   }
-  t2.print(std::cout);
+  return t;
 }
 
 }  // namespace
 
-int main() {
-  print_banner(std::cout,
-               "EXP-T5: PFA data complexity on AES-128 (paper ref [12])");
-  keyspace_curve();
-  ciphertexts_to_unique();
-  return 0;
+std::vector<Section> pfa_complexity() {
+  std::vector<Section> out;
+  out.push_back({"(a) Remaining key space vs ciphertexts (mean over 20 "
+                 "random key/fault pairs)",
+                 keyspace_curve(), ""});
+  out.push_back({"(b) Ciphertexts needed for a unique AES-128 key (50 "
+                 "random key/fault pairs, counted in steps of 32)",
+                 ciphertexts_to_unique(),
+                 "Reference: Zhang et al. report ~2000-2500 ciphertexts on "
+                 "average for the missing-value attack (coupon collector "
+                 "over 256 values x 16 bytes)."});
+  out.push_back({"(c) Max-likelihood top guess vs ciphertexts (20 random "
+                 "key/fault pairs)",
+                 max_likelihood_top_guess(),
+                 "The frequency peak must dominate 254 competitors at all 16 "
+                 "bytes simultaneously, so it needs several times more data "
+                 "than the missing value."});
+  return out;
 }
+
+}  // namespace explframe::exp

@@ -1,31 +1,27 @@
-// EXP-T3 — Rowhammer characterisation on the DRAM model.
-//
-//   (a) flips vs hammer budget, double-sided vs single-sided;
-//   (b) templating yield: vulnerable rows/pages found per scanned capacity;
-//   (c) flip reproducibility at the same cell across repeated hammering —
-//       the §VI observation ExplFrame's re-hammer phase relies on.
-#include <iostream>
+// §VI on the DRAM model: flips against hammer budget (double- vs
+// single-sided), templating yield against module vulnerability, and flip
+// reproducibility at the same cell across repeated hammering — the
+// observation ExplFrame's re-hammer phase relies on.
 #include <set>
+#include <string>
 #include <vector>
 
 #include "dram/hammer.hpp"
-#include "support/table.hpp"
-#include "support/units.hpp"
+#include "exp/bodies.hpp"
 
-using namespace explframe;
+namespace explframe::exp {
+
 using namespace explframe::dram;
 
 namespace {
 
-DeviceParams bench_params(double density) {
+DeviceParams params_with_density(double cells_per_mib) {
   DeviceParams p;
-  p.weak_cells.cells_per_mib = density;
+  p.weak_cells.cells_per_mib = cells_per_mib;
   return p;
 }
 
-void flips_vs_budget() {
-  std::cout << "\n(a) flips in targeted rows vs hammer budget (100 rows per "
-               "point, density 64 cells/MiB):\n";
+Table flips_vs_budget() {
   Table t({"activations per aggressor", "double-sided flips",
            "single-sided flips"});
   const auto g = Geometry::with_capacity(64 * kMiB);
@@ -33,7 +29,7 @@ void flips_vs_budget() {
        {20'000ull, 40'000ull, 80'000ull, 160'000ull, 320'000ull}) {
     std::uint64_t dbl = 0, sgl = 0;
     for (const bool double_sided : {true, false}) {
-      DramDevice dev(g, bench_params(64.0), 99);
+      DramDevice dev(g, params_with_density(64.0), 99);
       dev.fill(0, 0xFF, 16 * kMiB);  // charge true cells in the scanned area
       HammerEngine engine(dev);
       AddressMapping map(g, MappingScheme::kRowMajor);
@@ -58,20 +54,15 @@ void flips_vs_budget() {
     }
     t.row(budget, dbl, sgl);
   }
-  t.print(std::cout);
-  std::cout << "shape check (Kim et al. ISCA'14): no flips below the "
-               "threshold knee, then rising with budget; double-sided >= "
-               "single-sided throughout.\n";
+  return t;
 }
 
-void templating_yield() {
-  std::cout << "\n(b) templating yield vs module vulnerability (256 rows "
-               "scanned at 300K activations, extrapolated per GiB):\n";
-  Table t({"cells/MiB (module)", "rows w/ flips", "pages w/ flips",
-           "flips", "est. vulnerable pages/GiB"});
+Table templating_yield() {
+  Table t({"cells/MiB (module)", "rows w/ flips", "pages w/ flips", "flips",
+           "est. vulnerable pages/GiB"});
   const auto g = Geometry::with_capacity(64 * kMiB);
   for (const double density : {1.0, 4.0, 16.0, 64.0}) {
-    DramDevice dev(g, bench_params(density), 7);
+    DramDevice dev(g, params_with_density(density), 7);
     dev.fill(0, 0xFF, 16 * kMiB);
     HammerEngine engine(dev);
     AddressMapping map(g, MappingScheme::kRowMajor);
@@ -96,14 +87,12 @@ void templating_yield() {
         static_cast<double>(pages_with.size()) * (double{kGiB} / scanned_bytes);
     t.row(density, rows_with.size(), pages_with.size(), flips, per_gib);
   }
-  t.print(std::cout);
+  return t;
 }
 
-void reproducibility() {
-  std::cout << "\n(c) flip reproducibility at the same cell (SVI: \"high "
-               "probability of getting bit flips in the same location\"):\n";
+Table reproducibility() {
   const auto g = Geometry::with_capacity(64 * kMiB);
-  DramDevice dev(g, bench_params(64.0), 13);
+  DramDevice dev(g, params_with_density(64.0), 13);
   dev.fill(0, 0xFF, 16 * kMiB);
   HammerEngine engine(dev);
   AddressMapping map(g, MappingScheme::kRowMajor);
@@ -137,8 +126,6 @@ void reproducibility() {
                          ? static_cast<std::uint8_t>(byte & ~(1u << cell.bit))
                          : static_cast<std::uint8_t>(byte | (1u << cell.bit)));
       dev.refresh_now();
-      const PhysAddr target = map.encode({0, 0, cell.row, 0, 0});
-      (void)target;
       const auto r = engine.hammer_double_sided(
           map.encode({0, 0, 0, cell.row, 0}), 300'000);
       ++attempts;
@@ -153,15 +140,26 @@ void reproducibility() {
            "reproducibility"});
   t.row(found.size(), attempts, reproduced,
         rate_cell_wide(reproduced, attempts));
-  t.print(std::cout);
+  return t;
 }
 
 }  // namespace
 
-int main() {
-  print_banner(std::cout, "EXP-T3: Rowhammer characterisation (SVI)");
-  flips_vs_budget();
-  templating_yield();
-  reproducibility();
-  return 0;
+std::vector<Section> rowhammer() {
+  std::vector<Section> out;
+  out.push_back({"(a) Flips in targeted rows vs hammer budget (100 rows per "
+                 "point, density 64 cells/MiB)",
+                 flips_vs_budget(),
+                 "Shape check (Kim et al. ISCA'14): no flips below the "
+                 "threshold knee, then rising with budget; double-sided >= "
+                 "single-sided throughout."});
+  out.push_back({"(b) Templating yield vs module vulnerability (256 rows "
+                 "scanned at 300K activations, extrapolated per GiB)",
+                 templating_yield(), ""});
+  out.push_back({"(c) Flip reproducibility at the same cell (SVI: \"high "
+                 "probability of getting bit flips in the same location\")",
+                 reproducibility(), ""});
+  return out;
 }
+
+}  // namespace explframe::exp

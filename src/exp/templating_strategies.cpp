@@ -1,7 +1,5 @@
-// EXP-T8 — Templating strategy comparison (extension).
-//
 // The paper's attacker "allocates a large memory and starts the Rowhammer
-// process" (§VI) — the two practical ways to do that without pagemap:
+// process" (§VI). The two practical ways to do that without pagemap:
 //   * contiguous double-sided: assume VA->PA contiguity, discover the bank
 //     stride by timing, hammer row neighbours directly;
 //   * random same-bank pairs (Kim'14 style): timing-verified random pairs,
@@ -9,31 +7,33 @@
 // Compared on hammer sessions and simulated time to the first flip, under
 // both a linear bank function and Intel-style XOR bank hashing (which
 // defeats stride discovery entirely).
-#include <iostream>
+#include <string>
+#include <vector>
 
 #include "attack/templating.hpp"
-#include "common.hpp"
+#include "exp/bodies.hpp"
 #include "support/stats.hpp"
-#include "support/table.hpp"
 
-using namespace explframe;
-using namespace explframe::bench;
+namespace explframe::exp {
+
 using namespace explframe::attack;
 
 namespace {
 
 constexpr std::uint32_t kTrials = 6;
+constexpr std::uint32_t kMaxSessions = 256;
 
+/// One machine's scan report, reduced to the first vulnerable page.
 struct Outcome {
   bool found = false;
   double sessions = 0;
   double sim_seconds = 0;
-  double flips = 0;
 };
 
 Outcome run_one(TemplateStrategy strategy, dram::MappingScheme mapping,
                 std::uint64_t seed) {
-  kernel::SystemConfig sys_cfg = vulnerable_system(seed);
+  kernel::SystemConfig sys_cfg =
+      small_machine(scenario::WeakCellProfile::kVulnerable, seed);
   sys_cfg.dram.mapping = mapping;
   kernel::System sys(sys_cfg);
   kernel::Task& attacker = sys.spawn("attacker", 0);
@@ -42,7 +42,7 @@ Outcome run_one(TemplateStrategy strategy, dram::MappingScheme mapping,
   cfg.buffer_bytes = 4 * kMiB;
   cfg.hammer_iterations = 100'000;
   cfg.stop_after = 1;  // stop at the first vulnerable page
-  cfg.max_rows = 256;
+  cfg.max_rows = kMaxSessions;
   cfg.seed = seed;
   Templater templater(sys, attacker, cfg);
   templater.allocate_buffer();
@@ -51,17 +51,17 @@ Outcome run_one(TemplateStrategy strategy, dram::MappingScheme mapping,
   o.found = !report.flips.empty();
   o.sessions = static_cast<double>(report.rows_scanned);
   o.sim_seconds = static_cast<double>(report.elapsed) / kSecond;
-  o.flips = static_cast<double>(report.flips.size());
   return o;
+}
+
+/// A mean over the machines that found a page; "-" when none did.
+std::string mean_cell(const Samples& s) {
+  return s.empty() ? "-" : Table::to_cell(s.mean());
 }
 
 }  // namespace
 
-int main() {
-  print_banner(std::cout, "EXP-T8: templating strategy x bank hashing");
-  std::cout << "(time/sessions to the FIRST vulnerable page; " << kTrials
-            << " machines per row; budget 256 sessions)\n\n";
-
+std::vector<Section> templating_strategies() {
   struct RowSpec {
     const char* strategy_name;
     TemplateStrategy strategy;
@@ -93,18 +93,22 @@ int main() {
       }
     }
     t.row(spec.strategy_name, spec.mapping_name,
-          Table::percent(wilson_interval(found, kTrials).p), sessions.mean(),
-          secs.mean());
+          Table::percent(wilson_interval(found, kTrials).p),
+          mean_cell(sessions), mean_cell(secs));
   }
-  t.print(std::cout);
-  std::cout << "\nnotes: (1) under XOR bank hashing the smallest conflicting "
-               "stride is a whole bank sweep times the bank count, so the "
-               "contiguous strategy hammers rows far from its scan target "
-               "and silently finds nothing; random pairs are mapping-"
-               "agnostic. (2) random pairs look cheap per session here "
-               "because the full-buffer rescan runs on the cached data path "
-               "(free in simulated time); on real hardware those rescans "
-               "dominate, which is why targeted double-sided templating won "
-               "once reverse-engineered maps became available.\n";
-  return 0;
+  return {{"Time and sessions to the first vulnerable page (" +
+               std::to_string(kTrials) + " machines per row, budget " +
+               std::to_string(kMaxSessions) + " sessions)",
+           std::move(t),
+           "Notes: (1) under XOR bank hashing the smallest conflicting "
+           "stride is a whole bank sweep times the bank count, so the "
+           "contiguous strategy hammers rows far from its scan target and "
+           "silently finds nothing (`-`: no machine found a page); random "
+           "pairs are mapping-agnostic. (2) random pairs look cheap per "
+           "session here because the full-buffer rescan runs on the cached "
+           "data path (free in simulated time); on real hardware those "
+           "rescans dominate, which is why targeted double-sided templating "
+           "won once reverse-engineered maps became available."}};
 }
+
+}  // namespace explframe::exp

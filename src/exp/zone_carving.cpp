@@ -1,22 +1,19 @@
-// EXP-F2 — Components of the zoned page frame allocator (paper Fig. 2).
-//
-// Prints the zone carving for several machine sizes, the zonelist fallback
-// order per allocation class, and demonstrates fallback + per-CPU cache
-// structure under memory pressure — the mechanism diagrammed in Fig. 2.
-#include <iostream>
+// Fig. 2: the zone carving for several machine sizes, the zonelist fallback
+// order per allocation class, fallback under memory pressure, and the
+// per-CPU page frame cache kept for each CPU inside each zone.
+#include <string>
+#include <vector>
 
-#include "common.hpp"
+#include "exp/bodies.hpp"
 #include "mm/page_allocator.hpp"
-#include "support/table.hpp"
 
-using namespace explframe;
+namespace explframe::exp {
+
 using namespace explframe::mm;
 
 namespace {
 
-void print_zone_carving() {
-  print_banner(std::cout, "EXP-F2: zoned page frame allocator (Fig. 2)");
-  std::cout << "\nzone carving by machine size and architecture (SIII):\n";
+Table carving() {
   Table t({"machine", "zone", "start", "end", "pages", "wmark min/low/high"});
   const auto add_rows = [&](std::uint64_t mib, Arch arch, const char* label) {
     AllocatorConfig cfg;
@@ -37,11 +34,10 @@ void print_zone_carving() {
   for (const std::uint64_t mib : {64ull, 512ull, 8192ull})
     add_rows(mib, Arch::kX86_64, "x86-64");
   add_rows(2048, Arch::kX86_32, "x86-32");
-  t.print(std::cout);
+  return t;
 }
 
-void print_zonelists() {
-  std::cout << "\nzonelist fallback order per allocation class:\n";
+Table zonelists() {
   AllocatorConfig cfg;
   cfg.total_bytes = 8 * kGiB;
   PageAllocator alloc(cfg);
@@ -58,12 +54,10 @@ void print_zonelists() {
   t.row("GFP_HIGHUSER", render(GfpZonePreference::kHighUser));
   t.row("GFP_DMA32", render(GfpZonePreference::kDma32));
   t.row("GFP_DMA", render(GfpZonePreference::kDma));
-  t.print(std::cout);
+  return t;
 }
 
-void demonstrate_fallback_under_pressure() {
-  std::cout << "\nzone fallback under pressure (order-0 user allocations on "
-               "a 64 MiB machine):\n";
+Table fallback_under_pressure() {
   AllocatorConfig cfg;
   cfg.total_bytes = 64 * kMiB;
   PageAllocator alloc(cfg);
@@ -82,13 +76,10 @@ void demonstrate_fallback_under_pressure() {
         std::size_t{0});
   t.row("after fallback", served_dma, "DMA", alloc.stats().zone_fallbacks,
         alloc.stats().watermark_skips);
-  t.print(std::cout);
+  return t;
 }
 
-void print_per_cpu_cache_structure() {
-  std::cout << "\nper-CPU page frame cache per (zone, cpu) — \"the page "
-               "frame cache is maintained for each CPU inside each zone\" "
-               "(paper SV):\n";
+Table per_cpu_caches() {
   AllocatorConfig cfg;
   cfg.total_bytes = 64 * kMiB;
   cfg.num_cpus = 4;
@@ -107,15 +98,24 @@ void print_per_cpu_cache_structure() {
             std::size_t{zone.pcp(cpu).config().high});
     }
   }
-  t.print(std::cout);
+  return t;
 }
 
 }  // namespace
 
-int main() {
-  print_zone_carving();
-  print_zonelists();
-  demonstrate_fallback_under_pressure();
-  print_per_cpu_cache_structure();
-  return 0;
+std::vector<Section> zone_carving() {
+  std::vector<Section> out;
+  out.push_back({"Zone carving by machine size and architecture (SIII)",
+                 carving(), ""});
+  out.push_back({"Zonelist fallback order per allocation class", zonelists(),
+                 ""});
+  out.push_back({"Zone fallback under pressure (order-0 user allocations on "
+                 "a 64 MiB machine)",
+                 fallback_under_pressure(), ""});
+  out.push_back({"Per-CPU page frame cache per (zone, cpu)", per_cpu_caches(),
+                 "\"The page frame cache is maintained for each CPU inside "
+                 "each zone\" (paper SV)."});
+  return out;
 }
+
+}  // namespace explframe::exp

@@ -1,9 +1,10 @@
 // Differential Fault Analysis of AES-128 (Piret–Quisquater style, round-9
 // single-byte fault). Implemented as the *transient*-fault comparison point
-// for EXP-T6: DFA needs pairs of (correct, faulty) ciphertexts of the SAME
-// plaintext and a precisely timed fault; PFA (the paper's choice) needs
-// only faulty ciphertexts of arbitrary unknown plaintexts — which is what a
-// persistent Rowhammer flip naturally provides.
+// of the `fault-techniques` experiment: DFA needs pairs of (correct,
+// faulty) ciphertexts of the SAME plaintext and a precisely timed fault;
+// PFA (the paper's choice) needs only faulty ciphertexts of arbitrary
+// unknown plaintexts — which is what a persistent Rowhammer flip naturally
+// provides.
 //
 // Fault model: an unknown byte difference is injected into one state byte
 // at the entry of round 9. After SubBytes/ShiftRows/MixColumns it spreads

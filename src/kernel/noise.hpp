@@ -1,6 +1,7 @@
 // Background allocation noise: a synthetic process that mmaps, touches and
 // munmaps small regions at random, churning the per-CPU page frame cache.
-// Used to measure how fragile the planted-frame window is (EXP-T1/T2) and
+// Used to measure how fragile the planted-frame window is (`pcp-reuse`,
+// `frame-steering`) and
 // to model the "attacker went to sleep" contention the paper warns about.
 #pragma once
 

@@ -33,7 +33,8 @@ struct SystemConfig {
   std::uint64_t seed = 1;
   /// Zero user pages on allocation (Linux __GFP_ZERO for anon memory).
   bool zero_on_alloc = true;
-  /// Charge page-table node pages to the allocator (realistic; see EXP-A1).
+  /// Charge page-table node pages to the allocator (realistic; see the
+  /// `design-ablations` experiment).
   bool charge_page_tables = true;
 };
 

@@ -23,7 +23,7 @@ struct PcpConfig {
   /// Bulk transfer size for refill and drain (Linux default 31).
   std::uint32_t batch = 31;
   /// LIFO (Linux behaviour): allocate hottest = most recently freed first.
-  /// Setting this false gives FIFO, used by the EXP-A1 ablation.
+  /// Setting this false gives FIFO, used by the `design-ablations` experiment.
   bool lifo = true;
 };
 

@@ -38,13 +38,13 @@ const char* to_string(Defence defence) noexcept;
 /// Inverse of to_string; nullopt on an unknown name.
 std::optional<Defence> defence_from_string(const std::string& name) noexcept;
 
-/// Named weak-cell population presets (the bench/common.hpp triad plus the
-/// denser module PRESENT's 16-byte table window needs).
+/// Named weak-cell population presets: quiet, realistic and vulnerable
+/// modules, plus the denser one PRESENT's 16-byte table window needs.
 enum class WeakCellProfile {
   kQuiet,       ///< No weak cells (allocator-only experiments).
   kRealistic,   ///< Typical DDR3 part (4 cells/MiB, stock thresholds).
-  kVulnerable,  ///< Highly vulnerable part, weakened thresholds (EXP-T4).
-  kDense,       ///< 4x vulnerable density (PRESENT experiments, EXP-T7).
+  kVulnerable,  ///< Highly vulnerable part, weakened thresholds.
+  kDense,       ///< 4x vulnerable density (PRESENT scenarios).
 };
 
 /// Canonical name ("quiet" | "realistic" | "vulnerable" | "dense").
@@ -55,7 +55,7 @@ std::optional<WeakCellProfile> weak_cell_profile_from_string(
 
 /// Overwrite `config`'s DRAM weak-cell population (and the coupled
 /// data-pattern-sensitivity flag) with the preset. The single source of
-/// these constants — bench/common.hpp's canned systems delegate here.
+/// these constants — scenarios, experiments and benches all delegate here.
 void apply_weak_cell_profile(WeakCellProfile profile,
                              kernel::SystemConfig& config) noexcept;
 

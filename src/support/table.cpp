@@ -81,17 +81,6 @@ std::string samples_cell(const Samples& s) {
          ", max " + Table::to_cell(s.max()) + ")";
 }
 
-std::optional<TableFormat> try_parse_table_format(const std::string& name) {
-  if (name == "ascii") return TableFormat::kAscii;
-  if (name == "markdown" || name == "md") return TableFormat::kMarkdown;
-  if (name == "csv") return TableFormat::kCsv;
-  return std::nullopt;
-}
-
-TableFormat parse_table_format(const std::string& name, TableFormat fallback) {
-  return try_parse_table_format(name).value_or(fallback);
-}
-
 namespace {
 
 /// CSV quoting per RFC 4180: quote when the cell contains a comma, a quote

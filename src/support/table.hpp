@@ -1,31 +1,22 @@
-// ASCII table printer. Every experiment harness emits its results through
-// this so bench output lines up with the tables in EXPERIMENTS.md.
+// Result table printer: every report, experiment page and bench console
+// table is rendered through this.
 #pragma once
 
 #include <cstddef>
 #include <initializer_list>
 #include <iosfwd>
-#include <optional>
 #include <string>
 #include <vector>
 
 namespace explframe {
 
 /// Output formats for Table::render — ASCII for terminals, Markdown for
-/// experiment write-ups, CSV for downstream plotting.
+/// the generated handbook pages, CSV for downstream plotting.
 enum class TableFormat {
   kAscii,
   kMarkdown,
   kCsv,
 };
-
-/// Parse a format name ("ascii" | "markdown" | "md" | "csv"); nullopt on
-/// anything else. Benches accept `--format=<name>` and reject unknown names.
-std::optional<TableFormat> try_parse_table_format(const std::string& name);
-
-/// Lenient variant: falls back to `fallback` on an unknown name.
-TableFormat parse_table_format(const std::string& name,
-                               TableFormat fallback = TableFormat::kAscii);
 
 /// Column-aligned result table; render() emits any TableFormat.
 class Table {
@@ -77,13 +68,13 @@ class Samples;
 std::string rate_cell(std::size_t hits, std::size_t trials);
 
 /// The same cell as "p  [lo, hi]" (two spaces) — the spelling of the phase
-/// table and the bench console tables.
+/// table and the experiment pages.
 std::string rate_cell_wide(std::size_t hits, std::size_t trials);
 
 /// "mean (min lo, max hi)", or "-" when there are no samples.
 std::string samples_cell(const Samples& s);
 
-/// Print a section banner used to delimit experiments in bench output.
+/// Print a section banner used to delimit bench output.
 void print_banner(std::ostream& os, const std::string& title);
 
 }  // namespace explframe

@@ -5,7 +5,8 @@
 // FrameClient, because on real Linux the kernel's PTE-page allocations go
 // through the very same per-CPU page frame cache the attack manipulates —
 // a victim's first fault in a fresh region can consume the planted frame
-// for a page-table page instead of the data page (measured in EXP-A1).
+// for a page-table page instead of the data page (measured by the
+// `design-ablations` experiment).
 #pragma once
 
 #include <array>
@@ -44,7 +45,7 @@ struct FrameClient {
 
 /// 4-level x86-64-shaped page table (9 bits per level, 4 KiB leaves).
 /// Node frames are charged through the FrameClient so table pages
-/// travel the same allocator path as data pages (EXP-A1).
+/// travel the same allocator path as data pages (`design-ablations`).
 class PageTable {
  public:
   /// `client` may be null: nodes are then bookkept but not charged frames.

@@ -56,7 +56,8 @@ TEST(PresentPfa, RecoversMasterKeyWithResidualSearch) {
 
 TEST(PresentPfa, NeedsFarFewerCiphertextsThanAes) {
   // 16-value nibbles saturate after ~O(16 ln 16) ~ 45 samples; 200 is
-  // plenty. This is the data-complexity contrast shown in EXP-T6.
+  // plenty. This is the data-complexity contrast the `fault-techniques`
+  // experiment shows.
   Rng rng(203);
   Present80::Key key;
   rng.fill_bytes(key);

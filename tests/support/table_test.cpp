@@ -102,22 +102,10 @@ TEST(Table, PrintHonoursFormat) {
   EXPECT_EQ(csv.str(), "a\n1\n");
 }
 
-TEST(Table, ParseFormat) {
-  EXPECT_EQ(parse_table_format("ascii"), TableFormat::kAscii);
-  EXPECT_EQ(parse_table_format("markdown"), TableFormat::kMarkdown);
-  EXPECT_EQ(parse_table_format("md"), TableFormat::kMarkdown);
-  EXPECT_EQ(parse_table_format("csv"), TableFormat::kCsv);
-  EXPECT_EQ(parse_table_format("nonsense", TableFormat::kMarkdown),
-            TableFormat::kMarkdown);
-  EXPECT_EQ(try_parse_table_format("csv"), TableFormat::kCsv);
-  EXPECT_EQ(try_parse_table_format("nonsense"), std::nullopt);
-  EXPECT_EQ(try_parse_table_format(""), std::nullopt);
-}
-
 TEST(Table, BannerContainsTitle) {
   std::ostringstream os;
-  print_banner(os, "EXP-T1");
-  EXPECT_NE(os.str().find("EXP-T1"), std::string::npos);
+  print_banner(os, "PERF: harvest");
+  EXPECT_NE(os.str().find("PERF: harvest"), std::string::npos);
 }
 
 }  // namespace

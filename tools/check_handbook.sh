@@ -2,14 +2,15 @@
 # Handbook-coverage lint (run by CI next to lint_headers.sh).
 #
 # docs/HANDBOOK.md is the task-oriented front door to the experiment
-# catalogue; a scenario or sweep that is registered in code but missing
+# catalogue; a scenario, sweep or experiment registered in code but missing
 # from the handbook's tables is invisible to a reader. This script greps
-# the registration sites for every `s.name = "..."` / `name = ...` entry
+# the registration sites for every registered name
 # and fails unless each name appears (backquoted) in docs/HANDBOOK.md.
 #
 # Registration sites are the single source of truth:
 #   src/scenario/registry.cpp  (Scenario entries, `s.name = "<name>";`)
 #   src/sweep/registry.cpp     (SweepSpec literals, `name = <name>`)
+#   src/exp/experiment.cpp     (Experiment entries, `{.name = "<name>",`)
 #
 # The time-travel debugger (`explsim debug`) is covered the same way:
 # every REPL command must be documented (backquoted) in the handbook.
@@ -20,15 +21,17 @@ cd "$(dirname "$0")/.." || exit 2
 scenarios=$(sed -n 's/^[[:space:]]*s\.name = "\([A-Za-z0-9_.-]*\)";$/\1/p' \
     src/scenario/registry.cpp)
 sweeps=$(sed -n 's/^name = \([A-Za-z0-9_.-]*\)$/\1/p' src/sweep/registry.cpp)
+experiments=$(sed -n 's/^[[:space:]]*{\.name = "\([A-Za-z0-9_.-]*\)",$/\1/p' \
+    src/exp/experiment.cpp)
 
-if [ -z "$scenarios" ] || [ -z "$sweeps" ]; then
+if [ -z "$scenarios" ] || [ -z "$sweeps" ] || [ -z "$experiments" ]; then
   echo "check_handbook: failed to extract registered names (did the" >&2
   echo "registration syntax change? update this script's patterns)" >&2
   exit 2
 fi
 
 status=0
-for name in $scenarios $sweeps; do
+for name in $scenarios $sweeps $experiments; do
   if ! grep -q "\`$name\`" docs/HANDBOOK.md; then
     echo "docs/HANDBOOK.md: error: registered entry '$name' is missing" \
          "from the handbook tables" >&2
@@ -64,6 +67,7 @@ if [ "$status" -ne 0 ]; then
 else
   echo "handbook lint: OK ($(echo "$scenarios" | wc -l) scenarios," \
        "$(echo "$sweeps" | wc -l) sweeps," \
+       "$(echo "$experiments" | wc -l) experiments," \
        "$(echo "$debug_cmds" | wc -w) debugger commands," \
        "$(echo "$shard_cmds" | wc -w) shard/daemon commands covered)"
 fi

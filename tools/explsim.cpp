@@ -13,6 +13,10 @@
 //   explsim sweep all --shard=I/N --out=DIR     # one shard of every grid
 //   explsim sweep all --merge-from=DIR [--check]  # reassemble + verify
 //
+//   explsim exp list                  # the experiment catalogue
+//   explsim exp run <name>            # print one experiment's page
+//   explsim exp all [--check]         # (re)generate docs/results/experiments/
+//
 // `run` accepts either a registered name or a path (anything containing
 // '/' or ending in ".scn"/".sweep" is treated as a path), so a registered
 // experiment can be exported with `describe --scn`/`--sweep`, edited and
@@ -21,10 +25,11 @@
 // digits, is a usage error (exit 2) before any work.
 //
 // `all` regenerates the reproduction handbook (docs/results/ for
-// scenarios, docs/results/sweeps/ for grids): markdown + CSV per entry
-// plus a README.md index. With --check nothing is written; the regenerated
-// bytes are compared against the checked-in files and any drift is a
-// non-zero exit — the CI gate that keeps the handbook in sync with code.
+// scenarios, docs/results/sweeps/ for grids, docs/results/experiments/ for
+// the non-campaign experiments): one page per entry plus a README.md
+// index. With --check nothing is written; the regenerated bytes are
+// compared against the checked-in files and any drift is a non-zero exit
+// — the CI gate that keeps the handbook in sync with code.
 //
 // Sweeps checkpoint each completed grid point (fsynced, one record per
 // line) next to their output; an interrupted `sweep run`/`sweep all`
@@ -49,6 +54,7 @@
 #include <string_view>
 #include <vector>
 
+#include "exp/experiment.hpp"
 #include "io/fs.hpp"
 #include "scenario/debug.hpp"
 #include "scenario/registry.hpp"
@@ -116,7 +122,14 @@ int usage(std::ostream& os, int code) {
         "      [--merge-from=DIR]    skip execution; merge every grid's\n"
         "                            shard checkpoints found in DIR (with\n"
         "                            --check: verify the merged reports\n"
-        "                            against the committed goldens)\n";
+        "                            against the committed goldens)\n"
+        "\n"
+        "experiment commands (figure- and section-level measurements):\n"
+        "  exp list                  list registered experiments\n"
+        "  exp run <name>            run one experiment and print its page\n"
+        "  exp all [--out=DIR]       run every experiment and write the pages\n"
+        "                            (default DIR: docs/results/experiments)\n"
+        "      [--check]             write nothing; fail on drift\n";
   return code;
 }
 
@@ -295,21 +308,26 @@ int cmd_debug(const std::string& operand, std::uint32_t trial) {
   return 0;
 }
 
-/// Shared tail of every `all --check`: report issues or success.
-int finish_check(const std::vector<std::string>& issues, std::size_t total,
-                 const char* regenerate_command) {
-  for (const std::string& issue : issues) std::cerr << issue << "\n";
-  if (!issues.empty()) {
-    std::cerr << issues.size() << " report(s) out of date — regenerate with "
-              << "`" << regenerate_command << "` and commit the diff.\n";
-    return 1;
+/// Shared tail of every `all`: with `check`, compare the regenerated
+/// (path, content) pairs against the goldens in `dir` and report drift,
+/// missing and orphan files; otherwise write them.
+int check_or_write(
+    const std::vector<std::pair<std::string, std::string>>& files,
+    const std::string& dir, bool check, const char* regenerate_command) {
+  if (check) {
+    const auto issues = sweep::check_generated_files(files, dir);
+    for (const std::string& issue : issues) std::cerr << issue << "\n";
+    if (!issues.empty()) {
+      std::cerr << issues.size() << " report(s) out of date — regenerate "
+                << "with `" << regenerate_command << "` and commit the "
+                << "diff.\n";
+      return 1;
+    }
+    std::cout << "all " << files.size() << " handbook files match.\n";
+    return 0;
   }
-  std::cout << "all " << total << " handbook files match.\n";
-  return 0;
-}
-
-int write_files(
-    const std::vector<std::pair<std::string, std::string>>& files) {
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
   for (const auto& [path, content] : files) {
     if (!write_file(path, content)) {
       std::cerr << "explsim: cannot write '" << path
@@ -317,6 +335,7 @@ int write_files(
       return 1;
     }
   }
+  std::cout << "wrote " << files.size() << " files under " << dir << "\n";
   return 0;
 }
 
@@ -335,14 +354,7 @@ int cmd_all(const std::string& out_dir, bool check, std::uint32_t threads) {
                        csv_report(results.back()));
   }
   files.emplace_back(out_dir + "/README.md", markdown_index(results));
-
-  if (check)
-    return finish_check(sweep::check_generated_files(files, out_dir),
-                        files.size(), "explsim all");
-  if (const int rc = write_files(files)) return rc;
-  std::cout << "wrote " << files.size() << " files under " << out_dir
-            << "\n";
-  return 0;
+  return check_or_write(files, out_dir, check, "explsim all");
 }
 
 // ---- sweep subcommands -----------------------------------------------------
@@ -598,23 +610,55 @@ int cmd_sweep_all(const std::string& out_dir, bool check,
     if (!result) return 1;
     results.push_back(std::move(*result));
   }
-  const auto files = sweep::sweep_files(results, out_dir);
+  return check_or_write(sweep::sweep_files(results, out_dir), out_dir, check,
+                        "explsim sweep all");
+}
 
-  if (check)
-    return finish_check(sweep::check_generated_files(files, out_dir),
-                        files.size(), "explsim sweep all");
-  if (const int rc = write_files(files)) return rc;
-  std::cout << "wrote " << files.size() << " files under " << out_dir
-            << "\n";
+// ---- exp subcommands -------------------------------------------------------
+
+int cmd_exp_list() {
+  Table t({"experiment", "paper ref", "title"});
+  for (const exp::Experiment& e : exp::experiments())
+    t.row(e.name, e.paper_ref, e.title);
+  t.print(std::cout);
+  std::cout << t.rows() << " experiments. `explsim exp run <name>` to "
+            << "reproduce one.\n";
   return 0;
 }
 
-/// The flags `command` passes on to its cmd_* function (value flags by
-/// name, without "=VALUE"). Any other flag on its command line is a usage
-/// error, reported before any work.
-std::vector<std::string_view> flags_taken(bool is_sweep,
+int cmd_exp_run(const std::string& name) {
+  const exp::Experiment* e = exp::find_experiment(name);
+  if (!e) {
+    std::cerr << "explsim: no experiment named '" << name
+              << "' (try: explsim exp list)\n";
+    return 1;
+  }
+  std::cout << exp::experiment_markdown(*e, e->run());
+  return 0;
+}
+
+int cmd_exp_all(const std::string& out_dir, bool check) {
+  std::vector<std::pair<std::string, std::string>> files;  // path, content
+  for (const exp::Experiment& e : exp::experiments()) {
+    std::cout << (check ? "checking " : "running ") << e.name << "\n"
+              << std::flush;
+    files.emplace_back(out_dir + "/" + e.name + ".md",
+                       exp::experiment_markdown(e, e.run()));
+  }
+  files.emplace_back(out_dir + "/README.md", exp::experiments_index());
+  return check_or_write(files, out_dir, check, "explsim exp all");
+}
+
+/// The flags `command` of `group` ("", "sweep" or "exp") passes on to its
+/// cmd_* function (value flags by name, without "=VALUE"). Any other flag
+/// on its command line is a usage error, reported before any work.
+std::vector<std::string_view> flags_taken(const std::string& group,
                                           const std::string& command) {
-  if (is_sweep) {
+  if (group == "exp") {
+    if (command == "all") return {"--out", "--check"};
+    return {};
+  }
+  if (group == "sweep") {
     if (command == "describe") return {"--sweep"};
     if (command == "run")
       return {"--threads", "--out", "--checkpoint", "--resume", "--shard"};
@@ -637,9 +681,10 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage(std::cerr, 2);
   std::string command = argv[1];
   int first_option = 2;
-  const bool is_sweep = command == "sweep";
-  if (is_sweep) {
+  std::string group;
+  if (command == "sweep" || command == "exp") {
     if (argc < 3) return usage(std::cerr, 2);
+    group = command;
     command = argv[2];
     first_option = 3;
   }
@@ -655,7 +700,7 @@ int main(int argc, char** argv) {
   std::string checkpoint;
   std::string merge_from;
   ShardArg shard;
-  const std::vector<std::string_view> taken = flags_taken(is_sweep, command);
+  const std::vector<std::string_view> taken = flags_taken(group, command);
   for (int i = first_option; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
@@ -667,7 +712,7 @@ int main(int argc, char** argv) {
     const std::string value =
         eq == std::string::npos ? std::string() : arg.substr(eq + 1);
     if (std::find(taken.begin(), taken.end(), flag) == taken.end()) {
-      std::cerr << "explsim: '" << (is_sweep ? "sweep " : "") << command
+      std::cerr << "explsim: '" << (group.empty() ? "" : group + " ") << command
                 << "' does not take option '" << arg << "'\n";
       return usage(std::cerr, 2);
     }
@@ -726,7 +771,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (is_sweep) {
+  if (group == "exp") {
+    if (command == "list" && operands.empty()) return cmd_exp_list();
+    if (command == "run" && operands.size() == 1)
+      return cmd_exp_run(operands[0]);
+    if (command == "all" && operands.empty())
+      return cmd_exp_all(
+          out_dir.empty() ? "docs/results/experiments" : out_dir, check);
+    return usage(std::cerr, 2);
+  }
+  if (group == "sweep") {
     if (command == "list" && operands.empty()) return cmd_sweep_list();
     if (command == "describe" && operands.size() == 1)
       return cmd_sweep_describe(operands[0], sweep_only);

@@ -18,7 +18,8 @@
 #                   friends outside src/support/rng.*: all randomness must
 #                   flow from explicitly seeded support/rng streams.
 #   unordered-emit  any unordered container in the byte-stable emitter
-#                   translation units (src/*/report.*, src/support/table.*)
+#                   translation units (src/*/report.*, src/exp/*,
+#                   src/support/table.*)
 #                   or in the packed DRAM-state units whose iteration order
 #                   feeds emitted bytes (src/support/packed.*,
 #                   src/dram/weak_cells.*, src/dram/packed_state.*: the
@@ -54,11 +55,12 @@ scan() {
   f="$1"
   awk -v file="$f" '
     function is_emitter(path) {
-      # The byte-stable emitter units (scenario/sweep report + table), the
-      # packed DRAM-state units whose iteration order reaches emitted
-      # bytes (sorted weak-cell arena -> vulnerable_rows() and flip-log
-      # order), and the self-test fixture standing in for them.
+      # The byte-stable emitter units (scenario/sweep report, experiment
+      # pages, table), the packed DRAM-state units whose iteration order
+      # reaches emitted bytes (sorted weak-cell arena -> vulnerable_rows()
+      # and flip-log order), and the self-test fixture standing in for them.
       return (path ~ /^src\/[a-z]+\/report\.(cpp|hpp)$/ ||
+              path ~ /^src\/exp\/[a-z_]+\.(cpp|hpp)$/ ||
               path ~ /^src\/support\/table\.(cpp|hpp)$/ ||
               path ~ /^src\/support\/packed\.(cpp|hpp)$/ ||
               path ~ /^src\/dram\/(weak_cells|packed_state)\.(cpp|hpp)$/ ||

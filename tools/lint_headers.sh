@@ -24,7 +24,7 @@ set -u
 cd "$(dirname "$0")/.." || exit 2
 
 status=0
-for f in src/attack/*.hpp src/io/*.hpp src/scenario/*.hpp \
+for f in src/attack/*.hpp src/exp/*.hpp src/io/*.hpp src/scenario/*.hpp \
          src/service/*.hpp src/snapshot/*.hpp src/sweep/*.hpp \
          src/support/*.hpp src/crypto/*.hpp src/dram/*.hpp src/fault/*.hpp \
          src/kernel/*.hpp src/mm/*.hpp src/vm/*.hpp; do
