@@ -157,9 +157,8 @@ int main(int argc, char** argv) {
                   capacity_ratio, "x below ", bar_capacity, "x");
   verdict.require(memory_ratio < bar_memory, "memory per simulated GiB ",
                   memory_ratio, "x not below ", bar_memory, "x");
-  bench::Json json;
-  json.add("bench", "geometry")
-      .add("cells_per_mib", bench_params().weak_cells.cells_per_mib)
+  bench::Json json = bench::bench_json("geometry");
+  json.add("cells_per_mib", bench_params().weak_cells.cells_per_mib)
       .add("state_budget_bytes", kStateBudget)
       .add("curve", points)
       .add("seed_bytes_per_gib", seed_bpg)

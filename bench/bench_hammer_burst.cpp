@@ -78,9 +78,8 @@ int main(int argc, char** argv) {
   // loop on the undefended device.
   bench::Verdict verdict;
   verdict.require(speedup >= 10.0, "burst speedup ", speedup, " < 10x");
-  bench::Json json;
-  json.add("bench", "hammer_burst")
-      .add("per_access_acts_per_sec", slow)
+  bench::Json json = bench::bench_json("hammer_burst");
+  json.add("per_access_acts_per_sec", slow)
       .add("burst_acts_per_sec", fast)
       .add("speedup", speedup)
       .add("per_access_acts_per_sec_trr", slow_trr)

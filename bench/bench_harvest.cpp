@@ -170,9 +170,8 @@ int main(int argc, char** argv) {
                   " < 10x");
   verdict.require(present_speedup >= 1.0, "present80 batch speedup ",
                   present_speedup, " < 1x");
-  bench::Json json;
-  json.add("bench", "harvest")
-      .add("aes128_per_call_cts_per_sec", aes_slow)
+  bench::Json json = bench::bench_json("harvest");
+  json.add("aes128_per_call_cts_per_sec", aes_slow)
       .add("aes128_batch_cts_per_sec", aes_fast)
       .add("aes128_speedup", aes_speedup)
       .add("present80_per_call_cts_per_sec", present_slow)

@@ -115,12 +115,10 @@ int main(int argc, char** argv) {
   else
     verdict.require(speedup >= bar, "shard speedup ", speedup, "x is under ",
                     bar, "x");
-  bench::Json json;
-  json.add("bench", "shard")
-      .add("sweep", spec.name)
+  bench::Json json = bench::bench_json("shard");
+  json.add("sweep", spec.name)
       .add("points", points->size())
       .add("shards", kShards)
-      .add("cores", cores)
       .add("sequential_seconds", sequential)
       .add("sharded_seconds", sharded)
       .add("speedup", speedup);

@@ -122,9 +122,8 @@ int main(int argc, char** argv) {
 
   verdict.require(speedup >= bar, "end-to-end speedup ", speedup, "x below ",
                   bar, "x");
-  bench::Json json;
-  json.add("bench", "snapshot")
-      .add("points", variants.size())
+  bench::Json json = bench::bench_json("snapshot");
+  json.add("points", variants.size())
       .add("trials", kTrials)
       .add("base_seconds", fresh)
       .add("forked_seconds", forked)

@@ -84,9 +84,8 @@ int main(int argc, char** argv) {
   bench::Verdict verdict;
   verdict.require(overhead <= bar, "sweep overhead ", Table::percent(overhead),
                   " exceeds ", Table::percent(bar));
-  bench::Json json;
-  json.add("bench", "sweep")
-      .add("sweep", spec.name)
+  bench::Json json = bench::bench_json("sweep");
+  json.add("sweep", spec.name)
       .add("points", points->size())
       .add("standalone_seconds", standalone)
       .add("sweep_seconds", swept)

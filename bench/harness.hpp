@@ -1,6 +1,9 @@
 // The PERF benches' shared core: strict flag parsing, wall-clock timing,
 // the bar verdict and the BENCH_*.json writer. Each policy is decided here
 // once, so every gated bench parses, measures, judges and records alike.
+//
+// Includers are compiled with EXPLFRAME_BUILD_TYPE and EXPLFRAME_COMPILER
+// defined (CMakeLists.txt passes both), the host facts of every JSON file.
 #pragma once
 
 #include <algorithm>
@@ -13,6 +16,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -153,6 +157,17 @@ class Json {
 
   std::vector<std::string> fields_;  ///< Rendered `"key": value` pairs.
 };
+
+/// A BENCH_*.json object opened with the bench's name and the host facts
+/// that make its numbers comparable: cores, build type and compiler.
+inline Json bench_json(const std::string& name) {
+  Json json;
+  json.add("bench", name)
+      .add("host_cores", std::thread::hardware_concurrency())
+      .add("build_type", std::string(EXPLFRAME_BUILD_TYPE))
+      .add("compiler", std::string(EXPLFRAME_COMPILER));
+  return json;
+}
 
 /// Writes `json` to `path` and returns the bench's exit code: 1 if any
 /// requirement failed or the file could not be written, else 0.

@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <span>
 
 namespace explframe::crypto {
@@ -37,6 +38,17 @@ class Present80 {
   static Key invert_key_schedule(std::uint64_t k32, std::uint16_t low,
                                  RoundKeys& rk) noexcept;
 
+  /// The residual key search of PRESENT PFA: the first `low` in 0..0xFFFF,
+  /// in ascending order, whose round-32 register K32 || low walks back to a
+  /// master key that encrypts `plaintext` to `ciphertext` under `table`
+  /// (masked on use, as encrypt_with_sbox does), or nullopt if none does.
+  /// Bitsliced: 256 candidates per pass, one lane each, through a fixed
+  /// S-box circuit plus one correction term per entry where the masked
+  /// table differs from the real S-box — exact for any table.
+  static std::optional<std::uint16_t> find_register_low(
+      std::uint64_t k32, Block plaintext, Block ciphertext,
+      std::span<const std::uint8_t, 16> table) noexcept;
+
   static Block encrypt(Block plaintext, const RoundKeys& rk) noexcept;
   static Block decrypt(Block ciphertext, const RoundKeys& rk) noexcept;
 
@@ -51,8 +63,7 @@ class Present80 {
   /// plus a 64-step bit permutation. Exact by linearity of pLayer over
   /// disjoint bit sets — encrypt_with_sp is byte-identical to
   /// encrypt_with_sbox over the same table (differentially tested). Derived
-  /// once per harvest snapshot by the batched EncryptContext and once per
-  /// residual key search by PresentPfa::recover_master_key.
+  /// once per harvest snapshot by the batched EncryptContext.
   using SpTables = std::array<std::array<std::uint64_t, 256>, 8>;
   static SpTables derive_sp_tables(
       std::span<const std::uint8_t, 16> table) noexcept;

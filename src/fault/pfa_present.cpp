@@ -73,20 +73,12 @@ std::optional<PresentPfa::MasterKeyResult> PresentPfa::recover_master_key(
     std::span<const std::uint8_t, 16> faulty_sbox) const {
   const auto k32 = recover_k32(v);
   if (!k32) return std::nullopt;
-  // One SP-table derivation per search; each candidate then costs one
-  // inverse schedule walk (which writes the round keys as it goes) and one
-  // table-driven encryption.
-  const Present80::SpTables sp = Present80::derive_sp_tables(faulty_sbox);
+  const auto low = Present80::find_register_low(*k32, known_plaintext,
+                                                known_ciphertext, faulty_sbox);
+  if (!low) return std::nullopt;
   Present80::RoundKeys rk;
-  for (std::uint32_t low = 0; low < (1u << 16); ++low) {
-    const auto key = Present80::invert_key_schedule(
-        *k32, static_cast<std::uint16_t>(low), rk);
-    if (Present80::encrypt_with_sp(known_plaintext, rk, sp) ==
-        known_ciphertext) {
-      return MasterKeyResult{key, low + 1};
-    }
-  }
-  return std::nullopt;
+  return MasterKeyResult{Present80::invert_key_schedule(*k32, *low, rk),
+                         static_cast<std::uint32_t>(*low) + 1};
 }
 
 }  // namespace explframe::fault

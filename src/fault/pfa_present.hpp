@@ -9,7 +9,8 @@
 //
 // where v is the S-box output value erased by the fault. K32 = P(L) yields
 // 64 of the 80 key-register bits; the remaining 16 bits are brute-forced
-// with one known plaintext/ciphertext pair (reported as residual work).
+// with one known plaintext/ciphertext pair by the bitsliced
+// Present80::find_register_low (reported as residual work).
 #pragma once
 
 #include <array>
@@ -47,11 +48,12 @@ class PresentPfa {
   /// the incremental tallies (amortized O(1) per harvested ciphertext).
   std::optional<std::uint64_t> recover_k32(std::uint8_t v) const;
 
-  /// Recover the full 80-bit master key: K32 from PFA plus a 2^16 search
-  /// over the undetermined low register bits, checked against one known
-  /// plaintext/ciphertext pair (encrypted with the *faulty* S-box, since
-  /// the fault is persistent). Candidates run low = 0, 1, ... and the
-  /// first match wins; returns its key and the number of candidates tried
+  /// Recover the full 80-bit master key: K32 from PFA, then
+  /// Present80::find_register_low over the undetermined low register bits,
+  /// checked against one known plaintext/ciphertext pair (encrypted with
+  /// the *faulty* S-box, since the fault is persistent), then one schedule
+  /// inversion. Candidates count as run low = 0, 1, ... and the first
+  /// match wins; returns its key and the number of candidates tried
   /// (low + 1, the residual brute-force work).
   struct MasterKeyResult {
     crypto::Present80::Key key{};

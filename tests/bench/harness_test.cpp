@@ -1,11 +1,13 @@
-// The PERF benches' shared core (bench/harness.hpp): strict flag parsing
-// and a JSON writer that keeps the committed BENCH_*.json layout.
+// The PERF benches' shared core (bench/harness.hpp): strict flag parsing,
+// a JSON writer that keeps the committed BENCH_*.json layout, and the host
+// facts every file opens with.
 #include "../../bench/harness.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace explframe::bench {
@@ -111,6 +113,21 @@ TEST(BenchJson, MatchesTheGeometryLayout) {
             "  \"memory_ratio\": 0.119177,\n"
             "  \"pass\": false\n"
             "}\n");
+}
+
+TEST(BenchJson, OpensWithTheBenchNameAndHostFacts) {
+  Json json = bench_json("shard");
+  json.add("points", 10);
+  EXPECT_EQ(json.text(),
+            "{\n"
+            "  \"bench\": \"shard\",\n"
+            "  \"host_cores\": " +
+                std::to_string(std::thread::hardware_concurrency()) +
+                ",\n"
+                "  \"build_type\": \"" EXPLFRAME_BUILD_TYPE "\",\n"
+                "  \"compiler\": \"" EXPLFRAME_COMPILER "\",\n"
+                "  \"points\": 10\n"
+                "}\n");
 }
 
 }  // namespace

@@ -728,6 +728,10 @@ int main(int argc, char** argv) {
       // A value flag without its "=VALUE".
       std::cerr << "explsim: malformed option '" << arg << "'\n";
       return usage(std::cerr, 2);
+    } else if (value.empty()) {
+      // "--out=" must not fall back to the default directory.
+      std::cerr << "explsim: empty value in '" << arg << "'\n";
+      return usage(std::cerr, 2);
     } else if (flag == "--threads") {
       const auto parsed = parse_u64(value);
       if (!parsed || *parsed == 0 || *parsed > 256) {
