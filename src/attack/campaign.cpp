@@ -83,7 +83,7 @@ std::string template_key(const kernel::SystemConfig& system,
       << campaign.templating.hammer_iterations << ','
       << campaign.templating.both_polarities << ','
       << campaign.templating.stop_after << ',' << campaign.templating.max_rows
-      << ',' << campaign.templating.timing_probes << '\n'
+      << '\n'
       << "victim=" << campaign.victim.sbox_offset << ','
       << campaign.victim.data_pages << ',' << campaign.victim.warm_up
       << " key=";

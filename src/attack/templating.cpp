@@ -35,23 +35,32 @@ void scan_flips(std::span<const std::uint8_t> data, std::uint8_t pattern,
   for (; off < data.size(); ++off) scan_byte(off);
 }
 
+namespace {
+
+// Alternation rounds per timing probe. They are part of the simulated
+// templating time, so changing them changes every golden's template_time.
+constexpr std::uint64_t kStrideProbes = 8;
+constexpr std::uint64_t kPairProbes = 8;
+constexpr std::uint64_t kBankCheckProbes = 16;
+
+/// The row-conflict timing channel: alternate `a` and `b` for `probes`
+/// rounds and report whether the mean latency sits above the midpoint of
+/// row-hit and row-conflict latency (same bank, different rows).
+bool rows_conflict(kernel::System& system, kernel::Task& task,
+                   vm::VirtAddr a, vm::VirtAddr b, std::uint64_t probes) {
+  const auto& t = system.dram().params().timings;
+  const vm::VirtAddr pair[2] = {a, b};
+  const SimTime total = system.hammer_burst(task, pair, probes);
+  // No ties for p >= 3: a pair conflicts on >= 2p-1 or <= 2 of 2p accesses.
+  return static_cast<double>(total) / (2.0 * static_cast<double>(probes)) >
+         0.5 * static_cast<double>(t.row_hit_ns + t.row_conflict_ns);
+}
+
+}  // namespace
+
 std::uint64_t discover_row_stride(kernel::System& system, kernel::Task& task,
                                   vm::VirtAddr base, std::uint64_t limit) {
-  const auto& t = system.dram().params().timings;
-  const double threshold =
-      0.5 * static_cast<double>(t.row_hit_ns + t.row_conflict_ns);
   const std::uint64_t row_bytes = system.dram().geometry().row_bytes;
-
-  const auto conflicts = [&](vm::VirtAddr a, vm::VirtAddr b) {
-    SimTime total = 0;
-    constexpr std::uint32_t kProbes = 8;
-    for (std::uint32_t i = 0; i < kProbes; ++i) {
-      total += system.uncached_access(task, a);
-      total += system.uncached_access(task, b);
-    }
-    return static_cast<double>(total) / (2.0 * kProbes) > threshold;
-  };
-
   // Probe at several bases and take a majority vote: the first pages of a
   // fresh buffer are often physical-contiguity outliers (their frames were
   // interleaved with the kernel's own page-table allocations).
@@ -60,7 +69,9 @@ std::uint64_t discover_row_stride(kernel::System& system, kernel::Task& task,
     for (std::uint64_t frac = 4; frac <= 8; frac += 2) {
       const vm::VirtAddr probe_base =
           base + (limit / frac / row_bytes) * row_bytes;
-      if (conflicts(probe_base, probe_base + stride)) ++votes;
+      if (rows_conflict(system, task, probe_base, probe_base + stride,
+                        kStrideProbes))
+        ++votes;
     }
     if (votes >= 2) return stride;
   }
@@ -143,10 +154,6 @@ TemplateReport Templater::scan_random_pairs(
   const std::uint64_t rows = config_.buffer_bytes / row_bytes_;
   const std::uint64_t budget = config_.max_rows != 0 ? config_.max_rows : rows;
 
-  const auto& t = system_->dram().params().timings;
-  const double threshold =
-      0.5 * static_cast<double>(t.row_hit_ns + t.row_conflict_ns);
-
   // Work one polarity at a time over the whole buffer: fill, hammer random
   // same-bank pairs, rescan after every session.
   std::vector<std::uint8_t> pattern_buf;
@@ -166,12 +173,7 @@ TemplateReport Templater::scan_random_pairs(
         a = buffer_va_ + rng.uniform(rows) * row_bytes_;
         b = buffer_va_ + rng.uniform(rows) * row_bytes_;
         if (a == b) continue;
-        SimTime total = 0;
-        for (std::uint32_t p = 0; p < 8; ++p) {
-          total += system_->uncached_access(*attacker_, a);
-          total += system_->uncached_access(*attacker_, b);
-        }
-        if (static_cast<double>(total) / 16.0 > threshold) {
+        if (rows_conflict(*system_, *attacker_, a, b, kPairProbes)) {
           have_pair = true;
           break;
         }
@@ -243,15 +245,8 @@ TemplateReport Templater::scan_contiguous(
     }
     // Bank sanity check through the timing channel: if the two aggressor
     // rows do not conflict, the VA->PA contiguity assumption broke here.
-    SimTime total = 0;
-    for (std::uint32_t p = 0; p < config_.timing_probes; ++p) {
-      total += system_->uncached_access(*attacker_, target - row_stride_);
-      total += system_->uncached_access(*attacker_, target + row_stride_);
-    }
-    const auto& t = system_->dram().params().timings;
-    const double avg = static_cast<double>(total) /
-                       (2.0 * config_.timing_probes);
-    if (avg < 0.5 * static_cast<double>(t.row_hit_ns + t.row_conflict_ns)) {
+    if (!rows_conflict(*system_, *attacker_, target - row_stride_,
+                       target + row_stride_, kBankCheckProbes)) {
       ++report.rows_skipped_timing;
       continue;
     }

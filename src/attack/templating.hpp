@@ -60,8 +60,6 @@ struct TemplateConfig {
   /// Give up after scanning this many candidate rows / hammering this many
   /// random pairs (0 = one pass over the buffer) — the attacker's budget.
   std::uint64_t max_rows = 0;
-  /// Probe count for the timing-channel bank check.
-  std::uint32_t timing_probes = 16;
   /// Seed for the random-pair strategy.
   std::uint64_t seed = 1;
 };

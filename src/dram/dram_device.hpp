@@ -139,9 +139,9 @@ class DramDevice {
 
   // ---- Timing-visible access path (the attacker's view) ---------------
   /// Perform one uncached access: opens the row (activating it, which also
-  /// exerts Rowhammer disturbance on neighbours) and returns the latency.
-  /// This is the primitive behind both the hammer loop and the row-conflict
-  /// timing side channel.
+  /// exerts Rowhammer disturbance on neighbours), advances the clock by the
+  /// latency and returns it. hammer_burst is the production path over it;
+  /// this single step is the per-access oracle the burst is tested against.
   SimTime access(PhysAddr addr);
 
   /// Batched hammer: equivalent to `iterations` rounds of `access()` over

@@ -1,7 +1,5 @@
 #include "dram/hammer.hpp"
 
-#include "support/check.hpp"
-
 namespace explframe::dram {
 
 HammerResult HammerEngine::hammer(std::span<const PhysAddr> aggressors,
@@ -43,25 +41,6 @@ HammerResult HammerEngine::hammer_single_sided(PhysAddr aggressor,
   }
   const PhysAddr pair[2] = {aggressor, partner};
   return hammer(pair, iterations);
-}
-
-double HammerEngine::time_alternating(PhysAddr a, PhysAddr b,
-                                      std::uint32_t probes) {
-  EXPLFRAME_CHECK(probes > 0);
-  SimTime total = 0;
-  for (std::uint32_t i = 0; i < probes; ++i) {
-    total += device_->access(a);
-    total += device_->access(b);
-  }
-  return static_cast<double>(total) / (2.0 * static_cast<double>(probes));
-}
-
-bool HammerEngine::same_bank_by_timing(PhysAddr a, PhysAddr b,
-                                       std::uint32_t probes) {
-  const auto& t = device_->params().timings;
-  const double threshold =
-      0.5 * static_cast<double>(t.row_hit_ns + t.row_conflict_ns);
-  return time_alternating(a, b, probes) > threshold;
 }
 
 }  // namespace explframe::dram

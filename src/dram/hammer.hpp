@@ -1,6 +1,8 @@
-// Rowhammer primitives built on the uncached-access path of DramDevice:
-// the hammer loop itself (flush+read alternation) and the row-conflict
-// timing side channel the attacker uses to group addresses by bank.
+// The physical-address hammer loop (flush+read alternation) over
+// DramDevice's batched burst path: double- and single-sided sessions that
+// report the flips they induced. The attacker's row-conflict timing channel
+// lives in the attack layer (attack/templating.cpp), on the same burst path
+// through System::hammer_burst.
 #pragma once
 
 #include <cstdint>
@@ -50,16 +52,6 @@ class HammerEngine {
   /// target's. Returns valid=false if no such partner row exists.
   HammerResult hammer_single_sided(PhysAddr aggressor,
                                    std::uint64_t iterations);
-
-  /// Row-conflict timing probe: average latency (ns) of alternately
-  /// accessing `a` and `b`. Same-bank/different-row pairs show conflict
-  /// latency; different-bank pairs show hit latency. This is the only
-  /// physical-layout oracle an unprivileged attacker has.
-  double time_alternating(PhysAddr a, PhysAddr b, std::uint32_t probes = 64);
-
-  /// Classifies a pair as same-bank using the timing probe and a threshold
-  /// halfway between hit and conflict latency.
-  bool same_bank_by_timing(PhysAddr a, PhysAddr b, std::uint32_t probes = 64);
 
  private:
   DramDevice* device_;

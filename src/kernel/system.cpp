@@ -252,15 +252,6 @@ bool System::mem_read(Task& task, vm::VirtAddr va,
   return true;
 }
 
-SimTime System::uncached_access(Task& task, vm::VirtAddr va) {
-  if (!touch(task, va)) return 0;
-  const vm::VirtAddr page = va & ~vm::VirtAddr{kPageSize - 1};
-  const vm::Pte* pte = task.space().page_table().find(page);
-  EXPLFRAME_CHECK(pte != nullptr);
-  return dram_->access(static_cast<dram::PhysAddr>(pte->pfn) * kPageSize +
-                       (va - page));
-}
-
 SimTime System::hammer_burst(Task& task,
                              std::span<const vm::VirtAddr> aggressors,
                              std::uint64_t iterations) {

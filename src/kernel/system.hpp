@@ -94,16 +94,13 @@ class System : public snap::Restorable {
   bool touch(Task& task, vm::VirtAddr va);  ///< Fault one page in.
 
   // ---- Uncached access (timing/hammer path) -------------------------------
-  /// One flush+load of `va`: activates the DRAM row and returns the latency.
-  /// Returns 0 on invalid access.
-  SimTime uncached_access(Task& task, vm::VirtAddr va);
-
-  /// Batched hammer loop: equivalent to `iterations` rounds of
-  /// uncached_access over `aggressors` in order (bit-identical flips,
-  /// refreshes and simulated time), but translates each address once and
-  /// drives DramDevice::hammer_burst instead of walking the page table per
-  /// access. Returns the simulated time spent, or 0 if any address is
-  /// invalid (nothing is hammered then).
+  /// `iterations` rounds of one flush+load of each of `aggressors` in order:
+  /// demand-faults and translates each address once, then drives
+  /// DramDevice::hammer_burst (bit-identical to per-access
+  /// DramDevice::access: flips, refreshes and simulated time). Returns the
+  /// simulated time spent, which is the sum of the per-access latencies, so
+  /// a short burst over a pair is also the row-conflict timing probe.
+  /// Returns 0 if any address is invalid (nothing is accessed then).
   SimTime hammer_burst(Task& task, std::span<const vm::VirtAddr> aggressors,
                        std::uint64_t iterations);
 

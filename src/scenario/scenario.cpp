@@ -1,5 +1,7 @@
 #include "scenario/scenario.hpp"
 
+#include <bit>
+
 #include "support/units.hpp"
 
 namespace explframe::scenario {
@@ -224,7 +226,11 @@ std::optional<Scenario> Scenario::from_scn(const std::string& text,
     return fail("key 'name': missing or not a valid identifier");
   if (s.title.empty()) return fail("key 'title': missing");
   if (s.trials == 0) return fail("key 'trials': must be >= 1");
-  if (s.memory_mib == 0) return fail("key 'memory_mib': must be >= 1");
+  // Geometry::with_capacity needs a power of two of at least 64 rows per
+  // bank (4 MiB), and memory_bytes must not overflow.
+  if (s.memory_mib < 4 || !std::has_single_bit(s.memory_mib) ||
+      s.memory_mib > ~std::uint64_t{0} / kMiB)
+    return fail("key 'memory_mib': must be a power of two in [4, 2^43]");
   if (s.buffer_mib == 0 || s.buffer_mib >= s.memory_mib)
     return fail("key 'buffer_mib': must be in [1, memory_mib)");
   if (s.analysis == fault::AnalysisKind::kDfa)

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 namespace explframe::attack {
 namespace {
 
@@ -197,6 +199,76 @@ TEST(Templater, ContiguousStrategyMisledByXorBankHashing) {
   (void)budget;
   const auto report = templater.scan();
   EXPECT_EQ(report.flips.size(), 0u);
+}
+
+TEST(Templater, ScanReportsArePinned) {
+  // Every timing probe (stride discovery, the random-pairs bank check and
+  // the contiguous bank check) is pinned, through the reports it shapes, to
+  // the values the former per-access probe loop produced.
+  // A fragmenting task first leaves every other frame of a 64-page run
+  // free, so the buffer is not contiguous there and some contiguous bank
+  // checks fail: the conflict threshold is exercised on both sides.
+  struct Pin {
+    dram::MappingScheme mapping;
+    TemplateStrategy strategy;
+    bool fragment;
+    SimTime allocated_at;  ///< Clock after allocate_buffer's stride probes.
+    std::uint64_t row_stride;
+    std::uint64_t rows_scanned;
+    std::uint64_t rows_skipped_timing;
+    std::uint64_t rows_skipped_edge;
+    std::uint64_t pages_with_flips;
+    std::size_t flips;
+    SimTime elapsed;
+  };
+  constexpr auto kRowMajor = dram::MappingScheme::kRowMajor;
+  constexpr auto kXor = dram::MappingScheme::kBankXor;
+  constexpr auto kContiguous = TemplateStrategy::kContiguousDoubleSided;
+  constexpr auto kRandom = TemplateStrategy::kRandomPairs;
+  const Pin pins[] = {
+      {kRowMajor, kContiguous, false, 12'200, 65536, 240, 0, 0, 179, 232,
+       8'640'691'200},
+      {kRowMajor, kContiguous, true, 12'200, 65536, 240, 12, 0, 170, 222,
+       8'208'676'800},
+      {kXor, kContiguous, true, 19'520, 524288, 128, 12, 0, 0, 0,
+       4'176'354'240},
+      {kRowMajor, kRandom, false, 12'200, 65536, 192, 0, 0, 140, 347,
+       3'457'495'600},
+      {kXor, kRandom, false, 19'560, 524288, 192, 0, 0, 134, 358,
+       3'457'555'040},
+  };
+  for (std::size_t i = 0; i < std::size(pins); ++i) {
+    const Pin& pin = pins[i];
+    kernel::SystemConfig c = hammerable_cfg();
+    c.dram.mapping = pin.mapping;
+    kernel::System sys(c);
+    if (pin.fragment) {
+      kernel::Task& other = sys.spawn("fragmenter", 0);
+      const vm::VirtAddr va = sys.sys_mmap(other, 64 * kPageSize);
+      for (std::uint64_t p = 0; p < 64; ++p)
+        ASSERT_TRUE(sys.touch(other, va + p * kPageSize));
+      for (std::uint64_t p = 0; p < 64; p += 2)
+        ASSERT_TRUE(sys.sys_munmap(other, va + p * kPageSize, kPageSize));
+    }
+    kernel::Task& attacker = sys.spawn("attacker", 0);
+    TemplateConfig cfg = fast_template();
+    cfg.strategy = pin.strategy;
+    if (pin.strategy == kRandom) {
+      cfg.max_rows = 96;
+      cfg.seed = 5;
+    }
+    Templater templater(sys, attacker, cfg);
+    templater.allocate_buffer();
+    EXPECT_EQ(sys.now(), pin.allocated_at) << i;
+    const auto report = templater.scan();
+    EXPECT_EQ(templater.row_stride(), pin.row_stride) << i;
+    EXPECT_EQ(report.rows_scanned, pin.rows_scanned) << i;
+    EXPECT_EQ(report.rows_skipped_timing, pin.rows_skipped_timing) << i;
+    EXPECT_EQ(report.rows_skipped_edge, pin.rows_skipped_edge) << i;
+    EXPECT_EQ(report.pages_with_flips, pin.pages_with_flips) << i;
+    EXPECT_EQ(report.flips.size(), pin.flips) << i;
+    EXPECT_EQ(report.elapsed, pin.elapsed) << i;
+  }
 }
 
 TEST(Templater, MaxRowsBudgetRespected) {

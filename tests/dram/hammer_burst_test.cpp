@@ -93,12 +93,14 @@ void expect_identical(const Outcome& slow, const Outcome& burst,
 }
 
 /// Runs the same aggressor burst through the per-access loop and through
-/// hammer_burst on identically seeded devices and asserts every observable
-/// matches. Returns the number of flips (so callers can assert coverage).
+/// hammer_burst on identically seeded devices, both first idle for `start`,
+/// and asserts every observable matches, including that the burst's elapsed
+/// time is the sum of the latencies access() returned. Returns the number
+/// of flips (so callers can assert coverage).
 std::size_t run_differential(const DeviceParams& params, std::uint64_t seed,
                              const std::vector<DramAddress>& aggressors,
                              std::uint64_t iterations,
-                             const std::string& label) {
+                             const std::string& label, SimTime start = 0) {
   const Geometry g = small_geometry();
   DramDevice slow_dev(g, params, seed);
   DramDevice burst_dev(g, params, seed);
@@ -112,9 +114,14 @@ std::size_t run_differential(const DeviceParams& params, std::uint64_t seed,
   for (const DramAddress& c : aggressors)
     addrs.push_back(slow_dev.mapping().encode(c));
 
+  slow_dev.idle(start);
+  burst_dev.idle(start);
+  SimTime latency_sum = 0;
   for (std::uint64_t i = 0; i < iterations; ++i)
-    for (const PhysAddr a : addrs) slow_dev.access(a);
+    for (const PhysAddr a : addrs) latency_sum += slow_dev.access(a);
+  const SimTime burst_start = burst_dev.now();
   burst_dev.hammer_burst(addrs, iterations);
+  EXPECT_EQ(burst_dev.now() - burst_start, latency_sum) << label;
 
   const Outcome slow = capture(slow_dev);
   const Outcome burst = capture(burst_dev);
@@ -189,6 +196,41 @@ TEST(HammerBurstDifferential, EdgeRowsAndTinyIterationCounts) {
   for (const std::uint64_t iters : {1ull, 2ull, 3ull, 7'000ull})
     run_differential(base_params(true, true), 11, edges, iters,
                      "edges x" + std::to_string(iters));
+}
+
+TEST(HammerBurstDifferential, TimingProbeShapes) {
+  // The templater's row-conflict probes are short two-address bursts whose
+  // elapsed time it reads as the latency sum: a same-bank pair (every access
+  // conflicts), an other-bank pair and a same-row pair (hits after the first
+  // round), over 8 and 16 rounds, under every defence config and both
+  // mappings. The second start puts a refresh boundary inside the probe.
+  const std::vector<std::vector<DramAddress>> shapes = {
+      {{0, 0, 0, 19, 0}, {0, 0, 0, 21, 0}},
+      {{0, 0, 0, 19, 0}, {0, 0, 1, 21, 0}},
+      {{0, 0, 0, 19, 0}, {0, 0, 0, 19, 64}}};
+  for (const MappingScheme mapping :
+       {MappingScheme::kRowMajor, MappingScheme::kBankXor}) {
+    for (const bool trr : {false, true}) {
+      for (const bool ecc : {false, true}) {
+        DeviceParams p = base_params(trr, ecc);
+        p.mapping = mapping;
+        const SimTime near_refresh =
+            p.timings.refresh_window_ns - 3 * p.timings.row_conflict_ns;
+        for (std::size_t s = 0; s < shapes.size(); ++s) {
+          for (const std::uint64_t iters : {8ull, 16ull}) {
+            for (const SimTime start : {SimTime{0}, near_refresh}) {
+              const std::string label =
+                  std::string("probe ") + to_string(mapping) + " " +
+                  config_label(trr, ecc) + " shape " + std::to_string(s) +
+                  " x" + std::to_string(iters) + " @" +
+                  std::to_string(start);
+              run_differential(p, 3, shapes[s], iters, label, start);
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(HammerBurstDifferential, ResumesMidWindowWithPriorState) {

@@ -11,24 +11,6 @@ DeviceParams no_flip_params() {
   return p;
 }
 
-TEST(HammerEngine, TimingChannelSeparatesBanks) {
-  const auto g = Geometry::with_capacity(64 * kMiB);
-  const DeviceParams p = no_flip_params();
-  DramDevice dev(g, p, 1);
-  HammerEngine engine(dev);
-  AddressMapping map(g, p.mapping);
-
-  const PhysAddr same_bank_a = map.encode({0, 0, 2, 100, 0});
-  const PhysAddr same_bank_b = map.encode({0, 0, 2, 300, 0});
-  const PhysAddr other_bank = map.encode({0, 0, 3, 100, 0});
-
-  const double conflict = engine.time_alternating(same_bank_a, same_bank_b);
-  const double hit = engine.time_alternating(same_bank_a, other_bank);
-  EXPECT_GT(conflict, hit);
-  EXPECT_TRUE(engine.same_bank_by_timing(same_bank_a, same_bank_b));
-  EXPECT_FALSE(engine.same_bank_by_timing(same_bank_a, other_bank));
-}
-
 TEST(HammerEngine, HammerCountsIterationsAndTime) {
   const auto g = Geometry::with_capacity(64 * kMiB);
   const DeviceParams p = no_flip_params();

@@ -167,11 +167,9 @@ TEST(Integration, RefreshPreventsFlipsAtLowRate) {
   const vm::VirtAddr lo = va + 2 * stride;
   const vm::VirtAddr hi = lo + stride;
   // ~1400 activations per window (well under every threshold), many windows.
+  const vm::VirtAddr pair[2] = {lo, hi};
   for (int w = 0; w < 20; ++w) {
-    for (int i = 0; i < 700; ++i) {
-      sys.uncached_access(t, lo);
-      sys.uncached_access(t, hi);
-    }
+    sys.hammer_burst(t, pair, 700);
     sys.idle(70 * kMillisecond);
   }
   EXPECT_GT(sys.dram().total_activations(), acts_before + 20000);

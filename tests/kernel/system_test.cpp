@@ -85,7 +85,8 @@ TEST(System, AccessOutsideVmaFails) {
   std::uint8_t b = 1;
   EXPECT_FALSE(sys.mem_write(t, 0xdead0000, {&b, 1}));
   EXPECT_FALSE(sys.mem_read(t, 0xdead0000, {&b, 1}));
-  EXPECT_EQ(sys.uncached_access(t, 0xdead0000), 0u);
+  const vm::VirtAddr bad[1] = {0xdead0000};
+  EXPECT_EQ(sys.hammer_burst(t, bad, 1), 0u);
 }
 
 TEST(System, MunmapSendsFrameToPcpHead) {
@@ -134,9 +135,9 @@ TEST(System, CrossCpuMunmapDoesNotSteer) {
 TEST(System, UncachedAccessReturnsLatencyAndFaults) {
   System sys(small_cfg());
   Task& t = sys.spawn("hammer", 0);
-  const vm::VirtAddr va = sys.sys_mmap(t, kPageSize);
-  const SimTime lat = sys.uncached_access(t, va);
-  EXPECT_GT(lat, 0u);
+  const vm::VirtAddr va[1] = {sys.sys_mmap(t, kPageSize)};
+  const SimTime lat = sys.hammer_burst(t, va, 1);
+  EXPECT_EQ(lat, sys.dram().params().timings.row_conflict_ns);
   EXPECT_EQ(t.space().page_table().mapped_pages(), 1u);
 }
 

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "support/units.hpp"
 
 namespace explframe::scenario {
@@ -109,6 +112,25 @@ TEST(Scenario, RejectsSemanticImpossibilities) {
                    .has_value());
   EXPECT_FALSE(Scenario::from_scn("name = not a key\ntitle = t\n", &error)
                    .has_value());
+}
+
+TEST(Scenario, MemoryMustBeABuildableGeometry) {
+  // A power of two of at least 4 MiB whose byte count fits in 64 bits;
+  // anything else is a parse error, not an abort mid-run.
+  const std::pair<const char*, bool> cases[] = {
+      {"2", false}, {"3", false}, {"5", false}, {"17592186044416", false},
+      {"4", true},  {"16", true}, {"8796093022208", true}};
+  for (const auto& [mib, ok] : cases) {
+    std::string error;
+    const auto s = Scenario::from_scn(
+        std::string("name = x\ntitle = t\nbuffer_mib = 1\nmemory_mib = ") +
+            mib + "\n",
+        &error);
+    EXPECT_EQ(s.has_value(), ok) << mib << ": " << error;
+    if (!ok) {
+      EXPECT_NE(error.find("key 'memory_mib'"), std::string::npos) << mib;
+    }
+  }
 }
 
 TEST(Scenario, RunnerConfigLowersEveryKnob) {

@@ -203,6 +203,13 @@ TEST(SweepSpec, ExpandRejectsUnknownBaseAndAxisKeys) {
   ASSERT_TRUE(bad_value.has_value());
   EXPECT_FALSE(bad_value->expand(scenarios(), &error).has_value());
   EXPECT_NE(error.find("tsr"), std::string::npos);
+
+  // A memory size the DRAM geometry cannot build fails at expansion too.
+  const auto bad_memory = SweepSpec::from_sweep(
+      "name = x\ntitle = t\nbase = quickstart\naxis.memory_mib = 64,48\n");
+  ASSERT_TRUE(bad_memory.has_value());
+  EXPECT_FALSE(bad_memory->expand(scenarios(), &error).has_value());
+  EXPECT_NE(error.find("memory_mib"), std::string::npos);
 }
 
 TEST(SweepSpec, ExpansionIsDeterministicRowMajor) {
