@@ -64,7 +64,7 @@ std::string template_key(const kernel::SystemConfig& system,
       << "pcp=" << system.pcp.high << ',' << system.pcp.batch << ','
       << system.pcp.lifo << '\n'
       << "timings=" << d.timings.row_hit_ns << ',' << d.timings.row_conflict_ns
-      << ',' << d.timings.act_ns << ',' << d.timings.refresh_window_ns << '\n'
+      << ',' << d.timings.refresh_window_ns << '\n'
       << "weak=" << d.weak_cells.cells_per_mib << ','
       << d.weak_cells.threshold_log_mean << ','
       << d.weak_cells.threshold_log_sigma << ','

@@ -24,13 +24,22 @@ void scan_flips(std::span<const std::uint8_t> data, std::uint8_t pattern,
       out.push_back(rec);
     }
   };
+  // The scan covers the whole templating buffer after every hammer session,
+  // so the loop takes one branch per 64-byte block: the block's eight word
+  // differences are OR-ed, and only a block that differs is scanned byte
+  // by byte.
+  constexpr std::size_t kBlock = 64;
   const std::uint64_t pattern_word = 0x0101010101010101ULL * pattern;
   std::size_t off = 0;
-  for (; off + 8 <= data.size(); off += 8) {
-    std::uint64_t word;
-    std::memcpy(&word, data.data() + off, 8);
-    if (word == pattern_word) continue;
-    for (std::size_t i = 0; i < 8; ++i) scan_byte(off + i);
+  for (; off + kBlock <= data.size(); off += kBlock) {
+    std::uint64_t diff = 0;
+    for (std::size_t w = 0; w < kBlock; w += 8) {
+      std::uint64_t word;
+      std::memcpy(&word, data.data() + off + w, 8);
+      diff |= word ^ pattern_word;
+    }
+    if (diff == 0) continue;
+    for (std::size_t i = 0; i < kBlock; ++i) scan_byte(off + i);
   }
   for (; off < data.size(); ++off) scan_byte(off);
 }

@@ -79,8 +79,9 @@ struct TemplateReport {
 /// Append one FlipRecord to `out` for every bit of `data` that differs from
 /// `pattern`, in (offset, bit) order. `data` was read back from `base_va`;
 /// each record's page_va/offset split that address at page boundaries and
-/// carries the two aggressor VAs given. Compares eight bytes at a time and
-/// looks at single bytes only inside words that differ; any length works.
+/// carries the two aggressor VAs given. Compares 64-byte blocks (eight
+/// words at a time) and looks at single bytes only inside blocks that
+/// differ; any length works.
 void scan_flips(std::span<const std::uint8_t> data, std::uint8_t pattern,
                 vm::VirtAddr base_va, vm::VirtAddr aggressor_lo,
                 vm::VirtAddr aggressor_hi, std::vector<FlipRecord>& out);

@@ -33,7 +33,7 @@ DramDevice::DramDevice(const Geometry& geometry, const DeviceParams& params,
       weak_cells_(geometry, params.weak_cells, seed),
       zero_row_(std::make_unique<std::uint8_t[]>(geometry.row_bytes)),
       open_row_(geometry.total_banks(), -1),
-      disturbance_(weak_cells_.row_index(), geometry),
+      disturbance_(weak_cells_.row_index().size()),
       trr_sampler_(params.trr.sampler_entries),
       next_refresh_(params.timings.refresh_window_ns) {
   std::memset(zero_row_.get(), 0, geometry_.row_bytes);

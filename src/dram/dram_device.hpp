@@ -25,7 +25,6 @@ namespace explframe::dram {
 struct DramTimings {
   SimTime row_hit_ns = 50;       ///< Load served from an open row.
   SimTime row_conflict_ns = 90;  ///< Precharge + activate + read.
-  SimTime act_ns = 47;           ///< tRC: min row activate-to-activate.
   SimTime refresh_window_ns = 64 * kMillisecond;  ///< tREFW.
 };
 
@@ -230,9 +229,10 @@ class DramDevice {
   std::vector<std::int64_t> open_row_;
 
   // Disturbance counters for rows that contain weak cells, this window —
-  // dense per-bank arrays over weak-row ordinals (the weak-cell arena's
-  // RowIndex doubles as the presence test the seed's weak_row_ byte array
-  // provided, without the byte-per-row memory floor).
+  // flat arrays over weak-row ordinals, allocated on the first activation
+  // (the weak-cell arena's RowIndex doubles as the presence test the
+  // seed's weak_row_ byte array provided, without the byte-per-row memory
+  // floor).
   DisturbanceTable disturbance_;
 
   // Flip event log (SoA; coordinates re-derived at drain).

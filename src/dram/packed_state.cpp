@@ -8,82 +8,27 @@ namespace explframe::dram {
 
 // ---- DisturbanceTable ------------------------------------------------------
 
-DisturbanceTable::DisturbanceTable(const RowIndex& weak_rows,
-                                   const Geometry& geometry) {
-  const std::uint64_t banks = geometry.total_banks();
-  base_.reserve(static_cast<std::size_t>(banks) + 1);
-  for (std::uint64_t b = 0; b < banks; ++b)
-    base_.push_back(static_cast<std::uint32_t>(
-        weak_rows.lower_bound(b * geometry.rows_per_bank)));
-  base_.push_back(static_cast<std::uint32_t>(weak_rows.size()));
-  banks_.resize(static_cast<std::size_t>(banks));
-}
-
-std::size_t DisturbanceTable::bank_of(std::size_t ordinal) const noexcept {
-  // base_ is non-decreasing; the owning bank is the last one whose base is
-  // <= ordinal (empty banks share their successor's base, so that bank is
-  // never empty for a valid ordinal).
-  const auto it = std::upper_bound(base_.begin(), base_.end(),
-                                   static_cast<std::uint32_t>(ordinal));
-  return static_cast<std::size_t>(it - base_.begin()) - 1;
-}
-
-DisturbanceTable::Bank& DisturbanceTable::materialise(std::size_t bank) {
-  Bank& slab = banks_[bank];
-  if (slab.tag.empty()) {
-    const std::size_t span = base_[bank + 1] - base_[bank];
-    slab.above.assign(span, 0);
-    slab.below.assign(span, 0);
-    slab.tag.assign(span, 0);
-  }
-  return slab;
-}
-
-std::uint32_t DisturbanceTable::above(std::size_t ordinal) const noexcept {
-  const std::size_t b = bank_of(ordinal);
-  const Bank& slab = banks_[b];
-  if (slab.tag.empty()) return 0;
-  const std::size_t i = ordinal - base_[b];
-  return slab.tag[i] == window_ ? slab.above[i] : 0;
-}
-
-std::uint32_t DisturbanceTable::below(std::size_t ordinal) const noexcept {
-  const std::size_t b = bank_of(ordinal);
-  const Bank& slab = banks_[b];
-  if (slab.tag.empty()) return 0;
-  const std::size_t i = ordinal - base_[b];
-  return slab.tag[i] == window_ ? slab.below[i] : 0;
-}
-
 DisturbanceTable::Counters DisturbanceTable::touch(std::size_t ordinal) {
-  const std::size_t b = bank_of(ordinal);
-  Bank& slab = materialise(b);
-  const std::size_t i = ordinal - base_[b];
-  if (slab.tag[i] != window_) {
-    slab.tag[i] = window_;
-    slab.above[i] = 0;
-    slab.below[i] = 0;
+  if (tag_.empty()) {
+    above_.assign(rows_, 0);
+    below_.assign(rows_, 0);
+    tag_.assign(rows_, 0);
+  }
+  if (tag_[ordinal] != window_) {
+    tag_[ordinal] = window_;
+    above_[ordinal] = 0;
+    below_[ordinal] = 0;
     touched_.push_back(static_cast<std::uint32_t>(ordinal));
   }
-  return {slab.above[i], slab.below[i]};
-}
-
-void DisturbanceTable::reset(std::size_t ordinal) noexcept {
-  const std::size_t b = bank_of(ordinal);
-  Bank& slab = banks_[b];
-  if (slab.tag.empty()) return;
-  const std::size_t i = ordinal - base_[b];
-  if (slab.tag[i] != window_) return;
-  slab.above[i] = 0;
-  slab.below[i] = 0;
+  return {above_[ordinal], below_[ordinal]};
 }
 
 void DisturbanceTable::clear_window() noexcept {
   touched_.clear();
   if (++window_ == 0) {
     // Epoch wrap (once per 2^32 refreshes): stale tags could alias the
-    // recycled window id, so hard-reset the allocated tags.
-    for (Bank& slab : banks_) std::fill(slab.tag.begin(), slab.tag.end(), 0);
+    // recycled window id, so hard-reset the tags.
+    std::fill(tag_.begin(), tag_.end(), 0);
     window_ = 1;
   }
 }
@@ -91,12 +36,8 @@ void DisturbanceTable::clear_window() noexcept {
 std::vector<DisturbanceTable::Entry> DisturbanceTable::capture() const {
   std::vector<Entry> entries;
   entries.reserve(touched_.size());
-  for (const std::uint32_t ordinal : touched_) {
-    const std::size_t b = bank_of(ordinal);
-    const Bank& slab = banks_[b];
-    const std::size_t i = ordinal - base_[b];
-    entries.push_back({ordinal, slab.above[i], slab.below[i]});
-  }
+  for (const std::uint32_t ordinal : touched_)
+    entries.push_back({ordinal, above_[ordinal], below_[ordinal]});
   return entries;
 }
 
@@ -107,17 +48,6 @@ void DisturbanceTable::restore(std::span<const Entry> entries) {
     c.above = e.above;
     c.below = e.below;
   }
-}
-
-std::uint64_t DisturbanceTable::heap_bytes() const noexcept {
-  std::uint64_t bytes = base_.capacity() * sizeof(std::uint32_t) +
-                        banks_.capacity() * sizeof(Bank) +
-                        touched_.capacity() * sizeof(std::uint32_t);
-  for (const Bank& slab : banks_)
-    bytes += (slab.above.capacity() + slab.below.capacity() +
-              slab.tag.capacity()) *
-             sizeof(std::uint32_t);
-  return bytes;
 }
 
 // ---- TrrSampler ------------------------------------------------------------

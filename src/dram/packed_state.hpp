@@ -6,10 +6,11 @@
 // clear() whole maps and snapshotting had to deep-copy them. These four
 // value types replace the maps:
 //
-//   DisturbanceTable  dense per-bank counter arrays indexed by weak-row
-//                     ordinal, invalidated O(1) per refresh by a window
-//                     epoch tag instead of clearing; a touched list makes
-//                     snapshot capture O(touched this window).
+//   DisturbanceTable  flat counter arrays indexed by weak-row ordinal,
+//                     sized on the first touch and invalidated O(1) per
+//                     refresh by a window epoch tag instead of clearing;
+//                     a touched list makes snapshot capture
+//                     O(touched this window).
 //   TrrSampler        the finite TRR activation sampler as two parallel
 //                     fixed-capacity arrays with deterministic eviction
 //                     (min count, tie -> lowest row).
@@ -28,16 +29,15 @@
 #include <span>
 #include <vector>
 
-#include "dram/geometry.hpp"
-#include "support/packed.hpp"
 #include "support/units.hpp"
 
 namespace explframe::dram {
 
 /// Per-window Rowhammer disturbance counters for weak rows, stored as
-/// dense u32 arrays per flat bank (allocated lazily on the bank's first
-/// disturbance) and indexed by the weak-row ordinal a RowIndex assigns.
-/// A per-entry window tag makes refresh an O(1) epoch bump; entries whose
+/// three parallel u32 arrays (above, below, window tag) indexed directly
+/// by the weak-row ordinal a RowIndex assigns. The arrays are sized on
+/// the first touch, so a device that is never hammered holds none. A
+/// per-entry window tag makes refresh an O(1) epoch bump; entries whose
 /// tag is stale read as zero, exactly like the map entries the seed
 /// erased.
 class DisturbanceTable {
@@ -58,20 +58,29 @@ class DisturbanceTable {
 
   /// An empty table (no weak rows).
   DisturbanceTable() = default;
-  /// Size the per-bank directory for `weak_rows` over `geometry`; counter
-  /// arrays are allocated per bank on first touch.
-  DisturbanceTable(const RowIndex& weak_rows, const Geometry& geometry);
+  /// A table over ordinals [0, weak_rows); the counter arrays are
+  /// allocated on the first touch.
+  explicit DisturbanceTable(std::size_t weak_rows)
+      : rows_(static_cast<std::uint32_t>(weak_rows)) {}
 
   /// Activations of row-1 recorded for this weak row this window.
-  std::uint32_t above(std::size_t ordinal) const noexcept;
+  std::uint32_t above(std::size_t ordinal) const noexcept {
+    return live(ordinal) ? above_[ordinal] : 0;
+  }
   /// Activations of row+1 recorded for this weak row this window.
-  std::uint32_t below(std::size_t ordinal) const noexcept;
+  std::uint32_t below(std::size_t ordinal) const noexcept {
+    return live(ordinal) ? below_[ordinal] : 0;
+  }
   /// Mutable counters for this window, zero-initialising the entry (and
   /// recording it as touched) if this is its first touch since the last
   /// window reset.
   Counters touch(std::size_t ordinal);
   /// Targeted-refresh reset of one row's counters (TRR intervention).
-  void reset(std::size_t ordinal) noexcept;
+  void reset(std::size_t ordinal) noexcept {
+    if (!live(ordinal)) return;
+    above_[ordinal] = 0;
+    below_[ordinal] = 0;
+  }
   /// Refresh: forget every counter, O(1) (epoch bump).
   void clear_window() noexcept;
 
@@ -80,21 +89,22 @@ class DisturbanceTable {
   /// Replace the window contents with previously captured entries.
   void restore(std::span<const Entry> entries);
 
-  /// Heap bytes across the directory and all allocated banks.
-  std::uint64_t heap_bytes() const noexcept;
+  /// Heap bytes of the counter arrays and the touched list.
+  std::uint64_t heap_bytes() const noexcept {
+    return (above_.capacity() + below_.capacity() + tag_.capacity() +
+            touched_.capacity()) *
+           sizeof(std::uint32_t);
+  }
 
  private:
-  /// One bank's counter slab: parallel above/below arrays plus the epoch
-  /// tag that says whether an entry belongs to the current window.
-  struct Bank {
-    std::vector<std::uint32_t> above, below, tag;
-  };
-  std::size_t bank_of(std::size_t ordinal) const noexcept;
-  Bank& materialise(std::size_t bank);
+  /// True when `ordinal` was touched this window (false before sizing).
+  bool live(std::size_t ordinal) const noexcept {
+    return !tag_.empty() && tag_[ordinal] == window_;
+  }
 
-  std::vector<std::uint32_t> base_;  ///< bank -> first weak ordinal (+ end)
-  std::vector<Bank> banks_;          ///< counter arrays, lazily sized
+  std::vector<std::uint32_t> above_, below_, tag_;  ///< sized on 1st touch
   std::vector<std::uint32_t> touched_;  ///< ordinals touched this window
+  std::uint32_t rows_ = 0;              ///< weak-row count (array size)
   std::uint32_t window_ = 1;            ///< current epoch (tags start at 0)
 };
 

@@ -231,8 +231,10 @@ std::optional<Scenario> Scenario::from_scn(const std::string& text,
   if (s.memory_mib < 4 || !std::has_single_bit(s.memory_mib) ||
       s.memory_mib > ~std::uint64_t{0} / kMiB)
     return fail("key 'memory_mib': must be a power of two in [4, 2^43]");
-  if (s.buffer_mib == 0 || s.buffer_mib >= s.memory_mib)
-    return fail("key 'buffer_mib': must be in [1, memory_mib)");
+  // The victim, the kernel and the attacker's noise need the other half:
+  // larger buffers abort mid-run in allocation.
+  if (s.buffer_mib == 0 || s.buffer_mib > s.memory_mib / 2)
+    return fail("key 'buffer_mib': must be in [1, memory_mib / 2]");
   if (s.analysis == fault::AnalysisKind::kDfa)
     return fail(
         "key 'analysis': dfa needs transient (correct, faulty) pairs; the "

@@ -150,36 +150,6 @@ std::size_t RowIndex::find(std::uint64_t key) const noexcept {
   return kNpos;
 }
 
-std::size_t RowIndex::lower_bound(std::uint64_t key) const noexcept {
-  if (key >= key_limit_) return keys_;
-  const std::uint32_t block = static_cast<std::uint32_t>(key >> kBlockBits);
-  const std::uint64_t within = key & (kBlockSize - 1);
-  // First occupied block at or after `block`; within the first candidate,
-  // binary-search for the first key-within-block >= `within`.
-  for (std::size_t b = block; b < dir_.size(); ++b) {
-    const std::uint32_t slot = dir_[b];
-    if (slot == kAbsentBlock) continue;
-    std::size_t lo = start_[slot];
-    const std::size_t hi = start_[slot + 1];
-    if (b == block) {
-      std::size_t left = lo;
-      std::size_t right = hi;
-      while (left < right) {
-        const std::size_t mid = left + (right - left) / 2;
-        if (in_block_.get(mid) < within) {
-          left = mid + 1;
-        } else {
-          right = mid;
-        }
-      }
-      if (left == hi) continue;  // whole block is below `key`
-      return left;
-    }
-    return lo;
-  }
-  return keys_;
-}
-
 std::size_t RowIndex::ordinal(std::uint64_t key) const {
   const std::size_t o = find(key);
   EXPLFRAME_CHECK_MSG(o != kNpos, "RowIndex: key not present");

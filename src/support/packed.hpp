@@ -123,8 +123,6 @@ class RowIndex {
   bool contains(std::uint64_t key) const noexcept;
   /// Dense ordinal of `key` in sorted order, or kNpos if absent.
   std::size_t find(std::uint64_t key) const noexcept;
-  /// Ordinal of the first present key >= `key` (size() if none).
-  std::size_t lower_bound(std::uint64_t key) const noexcept;
   /// Dense ordinal of a present key (CHECK: present).
   std::size_t ordinal(std::uint64_t key) const;
   /// The `ordinal`-th smallest present key (CHECK: ordinal < size()).

@@ -140,8 +140,8 @@ TEST(PackedVectorProperty, WeakCellFieldSaturationDies) {
 
 /// Random sparse key sets over random universes: every lookup observable
 /// must match the sorted-vector oracle (find == binary-search index,
-/// key_at is its inverse, lower_bound matches std::lower_bound, misses are
-/// kNpos) — including block-boundary keys and a multi-GB-scale universe.
+/// key_at is its inverse, misses are kNpos) — including block-boundary
+/// keys and a multi-GB-scale universe.
 TEST(RowIndexProperty, LookupsMatchSortedVectorOracle) {
   Rng rng(0x10de);
   for (int round = 0; round < 40; ++round) {
@@ -181,13 +181,11 @@ TEST(RowIndexProperty, LookupsMatchSortedVectorOracle) {
       const std::uint64_t key = rng.uniform(limit);
       const auto it = std::lower_bound(keys.begin(), keys.end(), key);
       const std::size_t lb = static_cast<std::size_t>(it - keys.begin());
-      ASSERT_EQ(index.lower_bound(key), lb) << "key " << key;
       const bool present = it != keys.end() && *it == key;
       ASSERT_EQ(index.contains(key), present) << "key " << key;
       ASSERT_EQ(index.find(key), present ? lb : RowIndex::kNpos);
     }
-    // Past-the-universe probes are misses / end().
-    EXPECT_EQ(index.lower_bound(limit), keys.size());
+    // Past-the-universe probes are misses.
     EXPECT_FALSE(index.contains(limit));
   }
 }
@@ -199,7 +197,6 @@ TEST(RowIndexProperty, EmptyAndInvalidConstruction) {
   EXPECT_EQ(empty.size(), 0u);
   EXPECT_FALSE(empty.contains(0));
   EXPECT_EQ(empty.find(123), RowIndex::kNpos);
-  EXPECT_EQ(empty.lower_bound(0), 0u);
 
   const std::uint64_t unsorted[] = {9, 3};
   EXPECT_DEATH(RowIndex(unsorted, 100), "strictly increasing");
@@ -223,7 +220,7 @@ TEST(DisturbanceTableProperty, StormMatchesMapOracle) {
   ASSERT_FALSE(weak_rows.empty());
   const RowIndex index(weak_rows, geometry.total_rows());
 
-  dram::DisturbanceTable table(index, geometry);
+  dram::DisturbanceTable table(index.size());
   std::map<std::size_t, std::pair<std::uint32_t, std::uint32_t>> oracle;
   std::vector<dram::DisturbanceTable::Entry> saved_entries;
   std::map<std::size_t, std::pair<std::uint32_t, std::uint32_t>> saved_oracle;
@@ -288,7 +285,7 @@ TEST(DisturbanceTableProperty, SnapshotRoundTripFixedPoint) {
   for (std::uint64_t r = 0; r < geometry.total_rows(); r += 1 + rng.uniform(50))
     weak_rows.push_back(r);
   const RowIndex index(weak_rows, geometry.total_rows());
-  dram::DisturbanceTable table(index, geometry);
+  dram::DisturbanceTable table(index.size());
 
   for (int i = 0; i < 500; ++i) {
     const auto counters = table.touch(rng.uniform(index.size()));
@@ -306,6 +303,44 @@ TEST(DisturbanceTableProperty, SnapshotRoundTripFixedPoint) {
   for (int i = 0; i < 200; ++i) table.touch(rng.uniform(index.size()));
   table.restore(first);
   EXPECT_EQ(table.capture(), first);
+}
+
+/// The arrays are sized on the first touch: a fresh table holds no heap
+/// and reads zero everywhere; one touch sizes all three arrays to the row
+/// count without disturbing any other ordinal; a window clear makes the
+/// touched ordinal read zero again.
+TEST(DisturbanceTableProperty, SizedOnFirstTouch) {
+  constexpr std::size_t kRows = 1000;
+  dram::DisturbanceTable table(kRows);
+  EXPECT_EQ(table.heap_bytes(), 0u);
+  for (std::size_t o = 0; o < kRows; ++o) {
+    ASSERT_EQ(table.above(o), 0u) << "ordinal " << o;
+    ASSERT_EQ(table.below(o), 0u) << "ordinal " << o;
+  }
+  table.reset(7);  // resetting an unsized table is a no-op
+  EXPECT_EQ(table.heap_bytes(), 0u);
+  EXPECT_TRUE(table.capture().empty());
+
+  constexpr std::size_t kTouched = 421;
+  const auto counters = table.touch(kTouched);
+  counters.above = 3;
+  counters.below = 5;
+  // Three u32 arrays of kRows entries plus the one-entry touched list.
+  EXPECT_GE(table.heap_bytes(), (3 * kRows + 1) * sizeof(std::uint32_t));
+  EXPECT_EQ(table.above(kTouched), 3u);
+  EXPECT_EQ(table.below(kTouched), 5u);
+  for (std::size_t o = 0; o < kRows; ++o) {
+    if (o == kTouched) continue;
+    ASSERT_EQ(table.above(o), 0u) << "ordinal " << o;
+    ASSERT_EQ(table.below(o), 0u) << "ordinal " << o;
+  }
+  // The last ordinal is in range once sized.
+  EXPECT_EQ(table.touch(kRows - 1).above, 0u);
+
+  table.clear_window();
+  EXPECT_EQ(table.above(kTouched), 0u);
+  EXPECT_EQ(table.below(kTouched), 0u);
+  EXPECT_TRUE(table.capture().empty());
 }
 
 // ---- TrrSampler ------------------------------------------------------------

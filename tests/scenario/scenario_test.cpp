@@ -133,6 +133,33 @@ TEST(Scenario, MemoryMustBeABuildableGeometry) {
   }
 }
 
+TEST(Scenario, BufferMustLeaveHalfOfMemory) {
+  // Buffers over half of memory starve the victim and the kernel and
+  // abort mid-run; they are parse errors instead.
+  struct Case {
+    const char* memory;
+    const char* buffer;
+    bool ok;
+  };
+  const Case cases[] = {{"4", "3", false},
+                        {"64", "33", false},
+                        {"4", "2", true},
+                        {"64", "32", true}};
+  for (const Case& c : cases) {
+    std::string error;
+    const auto s = Scenario::from_scn(std::string("name = x\ntitle = t\n") +
+                                          "memory_mib = " + c.memory +
+                                          "\nbuffer_mib = " + c.buffer + "\n",
+                                      &error);
+    EXPECT_EQ(s.has_value(), c.ok) << c.memory << '/' << c.buffer << ": "
+                                   << error;
+    if (!c.ok) {
+      EXPECT_NE(error.find("key 'buffer_mib'"), std::string::npos)
+          << c.memory << '/' << c.buffer;
+    }
+  }
+}
+
 TEST(Scenario, RunnerConfigLowersEveryKnob) {
   const auto s = Scenario::from_scn(
       "name = lower\n"

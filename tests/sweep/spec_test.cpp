@@ -210,6 +210,13 @@ TEST(SweepSpec, ExpandRejectsUnknownBaseAndAxisKeys) {
   ASSERT_TRUE(bad_memory.has_value());
   EXPECT_FALSE(bad_memory->expand(scenarios(), &error).has_value());
   EXPECT_NE(error.find("memory_mib"), std::string::npos);
+
+  // So does a templating buffer over half of memory.
+  const auto bad_buffer = SweepSpec::from_sweep(
+      "name = x\ntitle = t\nbase = quickstart\naxis.buffer_mib = 4,33\n");
+  ASSERT_TRUE(bad_buffer.has_value());
+  EXPECT_FALSE(bad_buffer->expand(scenarios(), &error).has_value());
+  EXPECT_NE(error.find("buffer_mib"), std::string::npos);
 }
 
 TEST(SweepSpec, ExpansionIsDeterministicRowMajor) {

@@ -24,6 +24,11 @@
 // which spool file holds the id (queue/ = pending, done/ = completed,
 // failed/ = gave up), so they just look.
 //
+// Each command takes only the options usage lists for it. Any other
+// option, a value option without its value or with an empty one
+// (`--spool=`), or a flag given a value (`--once=1`) is a usage error,
+// reported before the spool is touched.
+//
 // Exit codes (scriptable — each failure class is distinguishable):
 //   0  success
 //   1  job failed (a failed/ entry, or `serve --once` saw failures)
@@ -38,6 +43,7 @@
 #include <iostream>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -290,6 +296,17 @@ int cmd_report(const std::string& spool, const std::string& id, bool csv) {
   return 0;
 }
 
+/// The options `command` passes on to its cmd_* function (value options
+/// by name, without "=VALUE"). Any other option on its command line is a
+/// usage error, reported before any filesystem access.
+std::vector<std::string_view> options_taken(const std::string& command) {
+  if (command == "serve") return {"--spool", "--workers", "--once"};
+  if (command == "submit") return {"--spool", "--threads"};
+  if (command == "status") return {"--spool"};
+  if (command == "report") return {"--spool", "--csv"};
+  return {};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -301,40 +318,60 @@ int main(int argc, char** argv) {
   std::uint32_t threads = 0;
   bool once = false;
   bool csv = false;
+  const std::string& command = args[0];
+  const std::vector<std::string_view> taken = options_taken(command);
   std::vector<std::string> operands;
   for (std::size_t i = 1; i < args.size(); ++i) {
     const std::string& arg = args[i];
-    if (arg.rfind("--spool=", 0) == 0) {
-      spool = arg.substr(8);
-    } else if (arg.rfind("--workers=", 0) == 0) {
-      const auto value = parse_u64(arg.substr(10));
-      if (!value || *value == 0 || *value > 64) {
-        std::cerr << "error: bad --workers value (want 1..64)\n";
-        return 2;
-      }
-      workers = static_cast<std::uint32_t>(*value);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      const auto value = parse_u64(arg.substr(10));
-      if (!value || *value > 256) {
-        std::cerr << "error: bad --threads value (want 0..256)\n";
-        return 2;
-      }
-      threads = static_cast<std::uint32_t>(*value);
-    } else if (arg == "--once") {
+    if (arg == "--help" || arg == "-h") return usage(std::cout, 0);
+    if (arg.rfind("--", 0) != 0) {
+      operands.push_back(arg);
+      continue;
+    }
+    const std::size_t eq = arg.find('=');
+    const std::string flag = arg.substr(0, eq);
+    const std::string value =
+        eq == std::string::npos ? std::string() : arg.substr(eq + 1);
+    if (std::find(taken.begin(), taken.end(), flag) == taken.end()) {
+      std::cerr << "explsimd: '" << command << "' does not take option '"
+                << arg << "'\n";
+      return usage(std::cerr, 2);
+    }
+    if (arg == "--once") {
       once = true;
     } else if (arg == "--csv") {
       csv = true;
-    } else if (arg == "--help" || arg == "-h") {
-      return usage(std::cout, 0);
-    } else if (arg.rfind("--", 0) == 0) {
-      std::cerr << "error: unknown option '" << arg << "'\n";
+    } else if (eq == std::string::npos) {
+      // A value option without its "=VALUE".
+      std::cerr << "explsimd: malformed option '" << arg << "'\n";
       return usage(std::cerr, 2);
+    } else if (value.empty()) {
+      // "--spool=" would resolve every spool path under "/".
+      std::cerr << "explsimd: empty value in '" << arg << "'\n";
+      return usage(std::cerr, 2);
+    } else if (flag == "--spool") {
+      spool = value;
+    } else if (flag == "--workers") {
+      const auto parsed = parse_u64(value);
+      if (!parsed || *parsed == 0 || *parsed > 64) {
+        std::cerr << "error: bad --workers value (want 1..64)\n";
+        return 2;
+      }
+      workers = static_cast<std::uint32_t>(*parsed);
+    } else if (flag == "--threads") {
+      const auto parsed = parse_u64(value);
+      if (!parsed || *parsed > 256) {
+        std::cerr << "error: bad --threads value (want 0..256)\n";
+        return 2;
+      }
+      threads = static_cast<std::uint32_t>(*parsed);
     } else {
-      operands.push_back(arg);
+      // A flag given a value ("--once=1").
+      std::cerr << "explsimd: malformed option '" << arg << "'\n";
+      return usage(std::cerr, 2);
     }
   }
 
-  const std::string& command = args[0];
   if (command == "serve" && operands.empty())
     return cmd_serve(spool, workers, once);
   if (command == "submit" && operands.size() == 2)
