@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
+#include <numeric>
 
 #include "support/check.hpp"
 #include "support/units.hpp"
@@ -119,68 +121,116 @@ WeakCellModel::WeakCellModel(const Geometry& geometry,
     }
     staged.emplace_back(rng.uniform(rows), cell);
   }
-  build(geometry, std::move(staged));
+  build(geometry, staged);
 }
 
 WeakCellModel::WeakCellModel(
     const Geometry& geometry, const WeakCellParams& params,
     std::span<const std::pair<std::uint64_t, WeakCell>> cells)
     : params_(params) {
-  build(geometry, {cells.begin(), cells.end()});
+  build(geometry, cells);
 }
 
 void WeakCellModel::build(
     const Geometry& geometry,
-    std::vector<std::pair<std::uint64_t, WeakCell>> staged) {
-  EXPLFRAME_CHECK_MSG(geometry.total_rows() <= (1ull << kRowBits),
+    std::span<const std::pair<std::uint64_t, WeakCell>> staged) {
+  const std::uint64_t total_rows = geometry.total_rows();
+  EXPLFRAME_CHECK_MSG(total_rows <= (1ull << kRowBits),
                       "geometry exceeds the 40-bit flat-row space");
+  // One bound covers both the u32 sort indices and the u32 row_start_
+  // offsets: the kept cells are a subset of the staged ones.
+  EXPLFRAME_CHECK_MSG(
+      staged.size() <= std::numeric_limits<std::uint32_t>::max(),
+      "weak-cell population exceeds 32-bit arena offsets");
+
   // Canonical arena order: ascending row, presentation order within a row
   // (matching the seed layout's per-row insertion order, which the golden
-  // flip logs depend on).
-  std::stable_sort(staged.begin(), staged.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  // flip logs depend on). A stable LSD radix sort of u32 indices into
+  // `staged`, kDigitBits of the row per pass, as many passes as the
+  // largest flat row needs; one sweep counts every pass's digits.
+  constexpr unsigned kDigitBits = 11;
+  constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
+  const unsigned passes =
+      (std::bit_width(std::max<std::uint64_t>(total_rows, 1) - 1) +
+       kDigitBits - 1) /
+      kDigitBits;
+  std::vector<std::uint32_t> starts(passes * kBuckets, 0);
+  for (const auto& entry : staged) {
+    const std::uint64_t row = entry.first;
+    EXPLFRAME_CHECK_MSG(row < total_rows, "weak-cell row outside the geometry");
+    for (unsigned p = 0; p < passes; ++p)
+      ++starts[p * kBuckets + ((row >> (p * kDigitBits)) & (kBuckets - 1))];
+  }
+  std::vector<std::uint32_t> order(staged.size());
+  std::iota(order.begin(), order.end(), 0u);
+  {
+    std::vector<std::uint32_t> sorted(staged.size());
+    for (unsigned p = 0; p < passes; ++p) {
+      const auto start = std::span(starts).subspan(p * kBuckets, kBuckets);
+      std::exclusive_scan(start.begin(), start.end(), start.begin(), 0u);
+      const unsigned shift = p * kDigitBits;
+      for (const std::uint32_t i : order)
+        sorted[start[(staged[i].first >> shift) & (kBuckets - 1)]++] = i;
+      order.swap(sorted);
+    }
+  }
 
   // Keep the first occurrence of each (col, bit) within a row — identical
-  // to the seed layout's skip-at-insert dedup.
-  std::vector<std::pair<std::uint64_t, WeakCell>> kept;
-  kept.reserve(staged.size());
+  // to the seed layout's skip-at-insert dedup — by compacting `order` to
+  // the kept indices in place.
+  std::size_t kept = 0;
   std::size_t run_begin = 0;  // first kept entry of the current row
-  for (const auto& [row, cell] : staged) {
-    if (!kept.empty() && kept.back().first != row) run_begin = kept.size();
-    bool dup = false;
-    for (std::size_t j = run_begin; j < kept.size(); ++j) {
-      if (kept[j].second.col == cell.col && kept[j].second.bit == cell.bit) {
-        dup = true;
-        break;
-      }
+  std::size_t row_count = 0;
+  for (const std::uint32_t i : order) {
+    const auto& [row, cell] = staged[i];
+    if (kept == 0 || staged[order[kept - 1]].first != row) {
+      run_begin = kept;
+      ++row_count;
     }
-    if (!dup) kept.emplace_back(row, cell);
+    const bool dup = std::any_of(
+        order.begin() + static_cast<std::ptrdiff_t>(run_begin),
+        order.begin() + static_cast<std::ptrdiff_t>(kept),
+        [&](std::uint32_t j) {
+          return staged[j].second.col == cell.col &&
+                 staged[j].second.bit == cell.bit;
+        });
+    if (!dup) order[kept++] = i;
   }
+  order.resize(kept);
 
   std::vector<std::uint64_t> rows;
-  col_.reserve(kept.size());
-  bit_.reserve(kept.size());
-  threshold_.reserve(kept.size());
-  polarity_.reserve(kept.size());
-  couple_.reserve(kept.size());
-  for (const auto& [row, cell] : kept) {
+  rows.reserve(row_count);
+  row_start_.reserve(row_count + 1);
+  for (std::size_t k = 0; k < kept; ++k) {
+    const std::uint64_t row = staged[order[k]].first;
     if (rows.empty() || rows.back() != row) {
       rows.push_back(row);
-      row_start_.push_back(static_cast<std::uint32_t>(col_.size()));
+      row_start_.push_back(static_cast<std::uint32_t>(k));
     }
-    col_.push_back(cell.col);
-    bit_.push_back(cell.bit);
-    threshold_.push_back(cell.threshold);
-    polarity_.push_back(cell.true_cell ? 1 : 0);
-    couple_.push_back(encode_couple(cell.couple_above, cell.couple_below));
   }
-  row_start_.push_back(static_cast<std::uint32_t>(col_.size()));
-  // At realistic densities (~1 cell per vulnerable row) the geometric
-  // push_back growth of row_start_ would otherwise be a sizeable slice of
-  // the whole arena; the build is one-shot, so trim it.
-  row_start_.shrink_to_fit();
-  rows_ = RowIndex(rows, geometry.total_rows());
-  total_ = kept.size();
+  row_start_.push_back(static_cast<std::uint32_t>(kept));
+  rows_ = RowIndex(rows, total_rows);
+
+  // One bulk store per packed field, through a single reused value buffer.
+  std::vector<std::uint64_t> values(kept);
+  const auto store = [&](PackedVector& field, auto value_of) {
+    for (std::size_t k = 0; k < kept; ++k)
+      values[k] = value_of(staged[order[k]].second);
+    field.assign(values);
+  };
+  store(col_, [](const WeakCell& c) { return c.col; });
+  // After the width CHECK, so a col at or past 2^28 reports saturation.
+  EXPLFRAME_CHECK_MSG(
+      std::all_of(values.begin(), values.end(),
+                  [&](std::uint64_t col) { return col < geometry.row_bytes; }),
+      "weak-cell col outside the row");
+  store(bit_, [](const WeakCell& c) { return c.bit; });
+  store(threshold_, [](const WeakCell& c) { return c.threshold; });
+  store(polarity_, [](const WeakCell& c) { return c.true_cell ? 1 : 0; });
+  store(couple_, [](const WeakCell& c) {
+    return encode_couple(c.couple_above, c.couple_below);
+  });
+  total_ = kept;
 }
 
 WeakCellSpan WeakCellModel::cells_in_row(std::uint64_t flat_row) const {

@@ -15,6 +15,13 @@
 // coupling:27). The seed layout — an unordered_map of heap vectors — cost
 // ~100 bytes of node overhead per cell; the arena costs ~10 bytes per cell
 // with no dense per-row floor, which is what lets multi-GB geometries fit.
+//
+// The build is linear in the cell count: a stable LSD radix sort of u32
+// indices by flat row (11 bits per pass, as many passes as the largest row
+// needs), so each row keeps its sampling order; an in-place keep-the-first
+// dedup of each row's (col, bit); and one PackedVector::assign per field.
+// Its scratch memory, the sampled (row, cell) list included, stays under
+// 64 bytes per cell.
 #pragma once
 
 #include <cstdint>
@@ -120,7 +127,8 @@ class WeakCellSpan {
 class WeakCellModel {
  public:
   /// Packed field widths. Out-of-range values CHECK at construction —
-  /// never silently truncated.
+  /// never silently truncated — and so do rows outside the geometry and
+  /// cols at or past `row_bytes`.
   static constexpr unsigned kRowBits = 40;
   static constexpr unsigned kColBits = 28;        ///< byte offset in row
   static constexpr unsigned kBitBits = 3;         ///< bit index 0..7
@@ -183,7 +191,7 @@ class WeakCellModel {
 
  private:
   void build(const Geometry& geometry,
-             std::vector<std::pair<std::uint64_t, WeakCell>> staged);
+             std::span<const std::pair<std::uint64_t, WeakCell>> staged);
 
   WeakCellParams params_;
   RowIndex rows_;

@@ -49,6 +49,24 @@ void PackedVector::push_back(std::uint64_t value) {
   set(size_ - 1, value);
 }
 
+void PackedVector::assign(std::span<const std::uint64_t> values) {
+  const std::size_t words = words_for(values.size(), bits_);
+  words_.clear();
+  words_.reserve(words);
+  words_.resize(words, 0);
+  size_ = values.size();
+  std::size_t off = 0;
+  for (const std::uint64_t value : values) {
+    EXPLFRAME_CHECK_MSG(value <= mask_,
+                        "PackedVector: value exceeds field width");
+    const std::size_t word = off / 64;
+    const unsigned shift = static_cast<unsigned>(off % 64);
+    words_[word] |= value << shift;
+    if (shift + bits_ > 64) words_[word + 1] |= value >> (64 - shift);
+    off += bits_;
+  }
+}
+
 void PackedVector::insert(std::size_t pos, std::uint64_t value) {
   EXPLFRAME_CHECK(pos <= size_);
   push_back(0);  // width-checks `value` via the set() below

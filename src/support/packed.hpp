@@ -35,10 +35,10 @@
 namespace explframe {
 
 /// Vector of unsigned integers, each stored in exactly `bits` bits
-/// (1..64) within one contiguous word array. set/push_back CHECK that the
-/// value fits the field width — saturation is a caller bug, not a silent
-/// truncation. insert/erase shift the tail element-wise (O(n)); intended
-/// for small dynamic tables and large build-once arenas.
+/// (1..64) within one contiguous word array. set/push_back/assign CHECK
+/// that the value fits the field width — saturation is a caller bug, not a
+/// silent truncation. insert/erase shift the tail element-wise (O(n));
+/// intended for small dynamic tables and large build-once arenas.
 class PackedVector {
  public:
   /// An empty 1-bit vector (for default-constructed members; assign a
@@ -62,6 +62,10 @@ class PackedVector {
   void set(std::size_t i, std::uint64_t value);
   /// Append (CHECK: value fits `bits()`).
   void push_back(std::uint64_t value);
+  /// Replace the contents with `values` in one pass (CHECK: each fits
+  /// `bits()`). Leaves the contents and heap_bytes() that clear() +
+  /// reserve() + one push_back per value would, with zeroed tail bits.
+  void assign(std::span<const std::uint64_t> values);
   /// Insert before `pos` (CHECK: pos <= size, value fits), shifting the
   /// tail one slot right.
   void insert(std::size_t pos, std::uint64_t value);

@@ -20,8 +20,10 @@
 #include "dram/address_mapping.hpp"
 #include "dram/dram_device.hpp"
 #include "dram/geometry.hpp"
+#include "kernel/system.hpp"
 #include "reference_dram.hpp"
 #include "scenario/registry.hpp"
+#include "scenario/scenario.hpp"
 #include "support/rng.hpp"
 #include "support/units.hpp"
 
@@ -41,6 +43,31 @@ DramAddress coord_of_flat_row(const Geometry& g, std::uint64_t fr) {
   return c;
 }
 
+/// The packed arena and the reference map hold the same population: same
+/// vulnerable rows, same count, and each row's cells decode identically in
+/// the same per-row order (same RNG stream, same per-row insertion order).
+void expect_same_population(const WeakCellModel& arena,
+                            const refdram::RefWeakCellModel& ref) {
+  const auto rows = arena.vulnerable_rows();
+  ASSERT_EQ(rows, ref.vulnerable_rows());
+  ASSERT_EQ(arena.total_cells(), ref.total_cells());
+  for (const std::uint64_t row : rows) {
+    const auto span = arena.cells_in_row(row);
+    const auto& vec = ref.cells_in_row(row);
+    ASSERT_EQ(span.size(), vec.size());
+    for (std::size_t i = 0; i < vec.size(); ++i) {
+      const WeakCell a = span[i];
+      const WeakCell& b = vec[i];
+      EXPECT_EQ(a.col, b.col);
+      EXPECT_EQ(a.bit, b.bit);
+      EXPECT_EQ(a.threshold, b.threshold);
+      EXPECT_EQ(a.true_cell, b.true_cell);
+      EXPECT_EQ(a.couple_above, b.couple_above);
+      EXPECT_EQ(a.couple_below, b.couple_below);
+    }
+  }
+}
+
 /// The packed device and the reference device built from one configuration,
 /// plus the storm utilities that drive both and assert equality.
 class DevicePair {
@@ -58,28 +85,10 @@ class DevicePair {
   const Geometry& geometry() const { return geometry_; }
   const AddressMapping& mapping() const { return mapping_; }
 
-  /// Weak-cell populations decode identically (same RNG stream, same
-  /// per-row insertion order) — the precondition for everything else.
+  /// Weak-cell populations decode identically — the precondition for
+  /// everything else.
   void expect_same_population() {
-    const auto rows = dev_.weak_cells().vulnerable_rows();
-    ASSERT_EQ(rows, ref_.weak_cells().vulnerable_rows());
-    ASSERT_EQ(dev_.weak_cells().total_cells(),
-              ref_.weak_cells().total_cells());
-    for (const std::uint64_t row : rows) {
-      const auto span = dev_.weak_cells().cells_in_row(row);
-      const auto& vec = ref_.weak_cells().cells_in_row(row);
-      ASSERT_EQ(span.size(), vec.size());
-      for (std::size_t i = 0; i < vec.size(); ++i) {
-        const WeakCell a = span[i];
-        const WeakCell& b = vec[i];
-        EXPECT_EQ(a.col, b.col);
-        EXPECT_EQ(a.bit, b.bit);
-        EXPECT_EQ(a.threshold, b.threshold);
-        EXPECT_EQ(a.true_cell, b.true_cell);
-        EXPECT_EQ(a.couple_above, b.couple_above);
-        EXPECT_EQ(a.couple_below, b.couple_below);
-      }
-    }
+    dram::expect_same_population(dev_.weak_cells(), ref_.weak_cells());
   }
 
   /// Every statistics counter and the device clock agree.
@@ -413,6 +422,39 @@ TEST(PackedDifferential, EveryRegisteredScenarioMatchesReference) {
   }
 }
 
+/// The sampled arena against the reference map for every non-empty cell
+/// profile the scenarios use, at both campaign module sizes and at a
+/// geometry of 2^23 flat rows (small rows keep the population modest),
+/// where the arena's radix sort by row needs three digit passes instead of
+/// two. Four seeds each.
+TEST(PackedDifferential, SampledArenaMatchesReference) {
+  Geometry wide;
+  wide.rows_per_bank = 1u << 20;  // 8 banks x 2^20 = 2^23 flat rows
+  wide.row_bytes = 32;
+  ASSERT_GT(wide.total_rows(), 1ull << 22);
+  const Geometry geometries[] = {Geometry::with_capacity(16 * kMiB),
+                                 Geometry::with_capacity(64 * kMiB), wide};
+  for (const scenario::WeakCellProfile profile :
+       {scenario::WeakCellProfile::kRealistic,
+        scenario::WeakCellProfile::kVulnerable,
+        scenario::WeakCellProfile::kDense}) {
+    kernel::SystemConfig config;
+    scenario::apply_weak_cell_profile(profile, config);
+    const WeakCellParams& params = config.dram.weak_cells;
+    for (const Geometry& g : geometries) {
+      for (const std::uint64_t seed : {1ull, 2ull, 20261016ull, 0xfeedull}) {
+        SCOPED_TRACE(testing::Message()
+                     << "cells/MiB " << params.cells_per_mib << ", "
+                     << g.total_rows() << " rows, seed " << seed);
+        const WeakCellModel arena(g, params, seed);
+        const refdram::RefWeakCellModel ref(g, params, seed);
+        ASSERT_GT(arena.total_cells(), 0u);
+        expect_same_population(arena, ref);
+      }
+    }
+  }
+}
+
 /// Regression for the arena canonicalisation: presenting the same per-row
 /// cell sequences in a different global interleaving must produce the same
 /// model (the seed's unordered_map made global order invisible; the arena
@@ -434,18 +476,24 @@ TEST(PackedDifferential, ArenaIndependentOfInsertionOrder) {
     return c;
   };
   // Three rows; row 900 holds a later duplicate of (col 7, bit 2) that the
-  // canonicaliser must drop in favour of the first record.
+  // canonicaliser must drop in favour of the first record, and row 12 one
+  // of (col 100, bit 0) presented after other rows' records. Row 4000 also
+  // holds a (col 100, bit 0) cell, which is no duplicate: dedup is per row.
   const auto r900a = cell(7, 2, 30'000, true, 1.0F, 0.75F);
   const auto r900b = cell(11, 5, 40'000, false, 0.0F, 1.0F);
   const auto r900dup = cell(7, 2, 99'000, false, 1.0F, 1.0F);
   const auto r12 = cell(100, 0, 25'000, true, 1.0F, 0.5F);
+  const auto r12dup = cell(100, 0, 88'000, false, 0.0F, 1.0F);
   const auto r4000 = cell(8000, 7, 60'000, false, 0.625F, 1.0F);
+  const auto r4000b = cell(100, 0, 45'000, true, 1.0F, 0.0F);
 
   using Pop = std::vector<std::pair<std::uint64_t, WeakCell>>;
-  const Pop forward = {{900, r900a}, {900, r900b}, {900, r900dup},
-                       {12, r12},    {4000, r4000}};
-  const Pop shuffled = {{4000, r4000}, {900, r900a},   {12, r12},
-                        {900, r900b},  {900, r900dup}};
+  const Pop forward = {{900, r900a},  {900, r900b},   {900, r900dup},
+                       {12, r12},     {12, r12dup},   {4000, r4000},
+                       {4000, r4000b}};
+  const Pop shuffled = {{4000, r4000}, {12, r12},      {900, r900a},
+                        {4000, r4000b}, {900, r900b},  {900, r900dup},
+                        {12, r12dup}};
 
   WeakCellModel a(g, params, forward);
   WeakCellModel b(g, params, shuffled);
@@ -453,8 +501,9 @@ TEST(PackedDifferential, ArenaIndependentOfInsertionOrder) {
   const std::vector<std::uint64_t> expected_rows = {12, 900, 4000};
   EXPECT_EQ(a.vulnerable_rows(), expected_rows);
   EXPECT_EQ(b.vulnerable_rows(), expected_rows);
-  ASSERT_EQ(a.total_cells(), 4u);  // duplicate dropped
-  ASSERT_EQ(b.total_cells(), 4u);
+  ASSERT_EQ(a.total_cells(), 5u);  // both duplicates dropped
+  ASSERT_EQ(b.total_cells(), 5u);
+  EXPECT_EQ(a.state_bytes(), b.state_bytes());
 
   for (const std::uint64_t row : expected_rows) {
     const auto sa = a.cells_in_row(row);
@@ -470,10 +519,18 @@ TEST(PackedDifferential, ArenaIndependentOfInsertionOrder) {
       EXPECT_EQ(ca.couple_below, cb.couple_below);
     }
   }
-  // The duplicate kept the FIRST record's payload.
+  // Each duplicate kept the FIRST record's payload.
   const auto span = a.cells_in_row(900);
   EXPECT_EQ(span[0].threshold, 30'000u);
   EXPECT_TRUE(span[0].true_cell);
+  const auto row12 = a.cells_in_row(12);
+  ASSERT_EQ(row12.size(), 1u);
+  EXPECT_EQ(row12[0].threshold, 25'000u);
+  // The same (col, bit) in another row is kept.
+  const auto row4000 = a.cells_in_row(4000);
+  ASSERT_EQ(row4000.size(), 2u);
+  EXPECT_EQ(row4000[1].col, 100u);
+  EXPECT_EQ(row4000[1].threshold, 45'000u);
 }
 
 }  // namespace

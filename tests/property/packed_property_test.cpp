@@ -114,6 +114,55 @@ TEST(PackedVectorProperty, OverWidthValuesDieInsteadOfTruncating) {
   EXPECT_DEATH(packed.push_back(1ull << 19), "exceeds field width");
   EXPECT_DEATH(packed.set(0, 1ull << 19), "exceeds field width");
   EXPECT_DEATH(packed.insert(0, 1ull << 19), "exceeds field width");
+  const std::uint64_t over[] = {1, 1ull << 19, 2};
+  EXPECT_DEATH(packed.assign(over), "exceeds field width");
+}
+
+/// The bulk store leaves what clear() + reserve() + one push_back per value
+/// leaves: the same contents and the same heap_bytes(), whether the vector
+/// is fresh, was cleared or was erased (the last two keep stale words past
+/// the end), and at every width including the cross-word-spill ones.
+TEST(PackedVectorProperty, AssignMatchesPushBackOracle) {
+  for (const unsigned bits : {1u, 3u, 19u, 27u, 28u, 33u, 63u, 64u}) {
+    const std::uint64_t mask = bits == 64 ? ~0ull : (1ull << bits) - 1;
+    Rng rng(0xa55 + bits);
+    for (int trial = 0; trial < 60; ++trial) {
+      SCOPED_TRACE(testing::Message() << bits << " bits, trial " << trial);
+      PackedVector bulk(bits);
+      PackedVector oracle(bits);
+      // The same history on both sides: a prefix, then clear() or erase().
+      const std::size_t prefix = rng.uniform(200);
+      for (std::size_t i = 0; i < prefix; ++i) {
+        const std::uint64_t v = rng.next() & mask;
+        bulk.push_back(v);
+        oracle.push_back(v);
+      }
+      if (trial % 3 == 1) {
+        bulk.clear();
+        oracle.clear();
+      } else if (trial % 3 == 2 && prefix > 0) {
+        const std::size_t pos = rng.uniform(prefix);
+        bulk.erase(pos, prefix - pos);
+        oracle.erase(pos, prefix - pos);
+      }
+
+      std::vector<std::uint64_t> values(rng.uniform(300));
+      for (std::uint64_t& v : values) v = rng.next() & mask;
+      bulk.assign(values);
+      oracle.clear();
+      oracle.reserve(values.size());
+      for (const std::uint64_t v : values) oracle.push_back(v);
+
+      ASSERT_TRUE(bulk == oracle);
+      EXPECT_EQ(bulk.heap_bytes(), oracle.heap_bytes());
+      for (std::size_t i = 0; i < values.size(); ++i)
+        ASSERT_EQ(bulk.get(i), values[i]) << "index " << i;
+      // Growth past the assigned tail reads zeros, as after push_back.
+      bulk.resize(values.size() + 5);
+      oracle.resize(values.size() + 5);
+      EXPECT_TRUE(bulk == oracle);
+    }
+  }
 }
 
 /// The weak-cell arena inherits the saturation contract: a threshold at or
@@ -134,6 +183,33 @@ TEST(PackedVectorProperty, WeakCellFieldSaturationDies) {
   oversized_col.col = 1u << 28;
   const std::pair<std::uint64_t, dram::WeakCell> pop_b[] = {{5, oversized_col}};
   EXPECT_DEATH(dram::WeakCellModel(g, params, pop_b), "exceeds field width");
+}
+
+/// A column inside its 28-bit field but at or past the row width, or a row
+/// past the geometry, aborts construction too: the device would otherwise
+/// index a row_bytes buffer out of bounds when it applies the flip.
+TEST(PackedVectorProperty, WeakCellOutsideGeometryDies) {
+  const dram::Geometry g = dram::Geometry::with_capacity(64 * kMiB);
+  const dram::WeakCellParams params;
+
+  dram::WeakCell past_row_end;
+  past_row_end.threshold = 30'000;
+  past_row_end.col = g.row_bytes;
+  const std::pair<std::uint64_t, dram::WeakCell> pop_col[] = {
+      {5, past_row_end}};
+  EXPECT_DEATH(dram::WeakCellModel(g, params, pop_col),
+               "col outside the row");
+
+  dram::WeakCell last_col = past_row_end;
+  last_col.col = g.row_bytes - 1;
+  const std::pair<std::uint64_t, dram::WeakCell> pop_ok[] = {
+      {g.total_rows() - 1, last_col}};
+  EXPECT_EQ(dram::WeakCellModel(g, params, pop_ok).total_cells(), 1u);
+
+  const std::pair<std::uint64_t, dram::WeakCell> pop_row[] = {
+      {g.total_rows(), last_col}};
+  EXPECT_DEATH(dram::WeakCellModel(g, params, pop_row),
+               "row outside the geometry");
 }
 
 // ---- RowIndex --------------------------------------------------------------
