@@ -1,7 +1,8 @@
 // PERF — batched-activation hammer path: activations/sec of the per-access
 // loop vs DramDevice::hammer_burst, with and without TRR (the burst must
-// win by >= 10x on the bare device). Campaign trial throughput is
-// perfbench's `ops_per_s` (workloads `aes-defences`, `present-pfa`).
+// win by >= 10x on the bare device), and bursts/sec of templating-shaped
+// bursts (reported, no bar). Campaign trial throughput is perfbench's
+// `ops_per_s` (workloads `aes-defences`, `present-pfa`).
 //
 // Writes the headline numbers to BENCH_hammer.json (override with
 // --json=PATH) so CI can archive the perf trajectory per PR.
@@ -10,6 +11,7 @@
 
 #include "dram/hammer.hpp"
 #include "harness.hpp"
+#include "scenario/scenario.hpp"
 #include "support/table.hpp"
 
 using namespace explframe;
@@ -45,6 +47,33 @@ double acts_per_sec(bool trr, bool burst, std::uint64_t iterations) {
                     : 0.0;
 }
 
+/// Templating-shaped bursts, as Templater::probe_row issues them: on a
+/// dense 64 MiB module (scenario profile `dense`), fill a victim row with
+/// 0xFF and its two neighbours with 0x00, then hammer the neighbours for
+/// 500K iterations; one burst per interior row of bank 0, in row order.
+/// Returns bursts per host second, fills included.
+double bursts_per_sec(bool trr) {
+  kernel::SystemConfig config;
+  scenario::apply_weak_cell_profile(scenario::WeakCellProfile::kDense, config);
+  DeviceParams p = config.dram;
+  p.trr.enabled = trr;
+  const auto g = Geometry::with_capacity(64 * kMiB);
+  DramDevice dev(g, p, 99);
+  AddressMapping map(g, MappingScheme::kRowMajor);
+  const std::uint32_t bursts = g.rows_per_bank - 2;
+  const double secs = bench::time_seconds([&] {
+    for (std::uint32_t row = 1; row <= bursts; ++row) {
+      const PhysAddr pair[2] = {map.encode({0, 0, 0, row - 1, 0}),
+                                map.encode({0, 0, 0, row + 1, 0})};
+      dev.fill(pair[0], 0x00, g.row_bytes);
+      dev.fill(pair[1], 0x00, g.row_bytes);
+      dev.fill(map.encode({0, 0, 0, row, 0}), 0xFF, g.row_bytes);
+      dev.hammer_burst(pair, 500'000);
+    }
+  });
+  return secs > 0.0 ? static_cast<double>(bursts) / secs : 0.0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -74,6 +103,15 @@ int main(int argc, char** argv) {
   t.row("TRR", "burst", fast_trr, speedup_trr);
   t.print(std::cout);
 
+  const double template_bursts = bursts_per_sec(false);
+  const double template_bursts_trr = bursts_per_sec(true);
+  std::cout << "\n(b) templating-shaped 500K-iteration bursts, dense 64 MiB "
+               "module (host wall clock):\n";
+  Table tb({"defences", "bursts/sec"});
+  tb.row("none", template_bursts);
+  tb.row("TRR", template_bursts_trr);
+  tb.print(std::cout);
+
   // The acceptance bar: the burst path must be at least 10x the per-access
   // loop on the undefended device.
   bench::Verdict verdict;
@@ -84,6 +122,8 @@ int main(int argc, char** argv) {
       .add("speedup", speedup)
       .add("per_access_acts_per_sec_trr", slow_trr)
       .add("burst_acts_per_sec_trr", fast_trr)
-      .add("speedup_trr", speedup_trr);
+      .add("speedup_trr", speedup_trr)
+      .add("template_bursts_per_sec", template_bursts)
+      .add("template_bursts_per_sec_trr", template_bursts_trr);
   return bench::finish(json, flags.json, verdict);
 }

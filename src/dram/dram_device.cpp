@@ -1,6 +1,7 @@
 #include "dram/dram_device.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <utility>
 
@@ -238,31 +239,38 @@ void DramDevice::fill(PhysAddr addr, std::uint8_t value, std::uint64_t len) {
   }
 }
 
-bool DramDevice::aggressor_bit(const DramAddress& victim, std::int32_t delta,
-                               std::uint32_t col, std::uint8_t bit) {
-  DramAddress a = victim;
-  const std::int64_t row = static_cast<std::int64_t>(victim.row) + delta;
-  if (row < 0 || row >= static_cast<std::int64_t>(geometry_.rows_per_bank))
-    return false;
-  a.row = static_cast<std::uint32_t>(row);
-  const std::uint64_t fr = flat_row(geometry_, a);
-  // Peek without allocating: untouched rows hold zeros.
-  const auto it = rows_.find(fr);
-  if (it == rows_.end()) return false;
-  return (it->second[col] >> bit) & 1u;
+DramDevice::Neighbours DramDevice::neighbours(
+    std::uint64_t victim_flat, const DramAddress& victim) const {
+  // Peek without allocating: untouched rows are the shared zero row.
+  const std::uint8_t* zeros = zero_row_.get();
+  return {victim.row > 0 ? row_view(victim_flat - 1) : zeros,
+          victim.row + 1 < geometry_.rows_per_bank ? row_view(victim_flat + 1)
+                                                   : zeros};
+}
+
+double DramDevice::pattern_factor(const Neighbours& n, std::uint32_t col,
+                                  std::uint8_t bit, bool stored) const {
+  // Stripe patterns (aggressor bit opposite to victim bit) couple at full
+  // strength; matching bits couple more weakly.
+  const bool above = (n.above[col] >> bit) & 1u;
+  const bool below = (n.below[col] >> bit) & 1u;
+  return above != stored || below != stored ? 1.0
+                                            : params_.same_pattern_coupling;
 }
 
 void DramDevice::check_victim_row(std::uint64_t victim_flat,
+                                  std::size_t weak_ordinal,
                                   const DramAddress& victim,
                                   const RowDisturbance& d) {
-  const WeakCellSpan cells = weak_cells_.cells_in_row(victim_flat);
-  if (cells.empty()) return;
+  const WeakCellSpan cells = weak_cells_.cells_of(weak_ordinal);
   // Read through the const view and clone (CoW) only when a bit actually
   // flips — the common no-flip check must not copy snapshot-shared rows.
   // Cell fields are read straight from the packed arena by ordinal; only
-  // the fields a step needs are decoded.
+  // the fields a step needs are decoded. The neighbour rows are read once,
+  // at the first charged cell (a flip here never changes them).
   const std::uint8_t* data = row_view(victim_flat);
   std::uint8_t* mut = nullptr;
+  Neighbours near{};
   for (std::size_t k = 0; k < cells.size(); ++k) {
     const std::size_t o = cells.ordinal(k);
     const std::uint32_t ccol = weak_cells_.col_at(o);
@@ -275,12 +283,8 @@ void DramDevice::check_victim_row(std::uint64_t victim_flat,
         static_cast<double>(d.acts_above) * weak_cells_.couple_above_at(o) +
         static_cast<double>(d.acts_below) * weak_cells_.couple_below_at(o);
     if (params_.data_pattern_sensitivity) {
-      // Stripe patterns (aggressor bit opposite to victim bit) couple at
-      // full strength; matching bits couple more weakly.
-      const bool above = aggressor_bit(victim, -1, ccol, cbit);
-      const bool below = aggressor_bit(victim, +1, ccol, cbit);
-      const bool any_opposite = (above != stored) || (below != stored);
-      if (!any_opposite) effective *= params_.same_pattern_coupling;
+      if (near.above == nullptr) near = neighbours(victim_flat, victim);
+      effective *= pattern_factor(near, ccol, cbit, stored);
     }
     if (effective < static_cast<double>(weak_cells_.threshold_at(o))) continue;
 
@@ -308,7 +312,7 @@ void DramDevice::apply_disturbance(const DramAddress& aggressor) {
       ++c.below;
       DramAddress victim = aggressor;
       victim.row -= 1;
-      check_victim_row(victim_flat, victim, {c.above, c.below});
+      check_victim_row(victim_flat, o, victim, {c.above, c.below});
     }
   }
   // Victim below the aggressor (row+1): the aggressor is its above-neighbour.
@@ -320,7 +324,7 @@ void DramDevice::apply_disturbance(const DramAddress& aggressor) {
       ++c.above;
       DramAddress victim = aggressor;
       victim.row += 1;
-      check_victim_row(victim_flat, victim, {c.above, c.below});
+      check_victim_row(victim_flat, o, victim, {c.above, c.below});
     }
   }
 }
@@ -357,26 +361,10 @@ void DramDevice::hammer_burst(std::span<const PhysAddr> aggressors,
   for (const PhysAddr a : aggressors) access(a);
   if (++done == iterations) return;
 
-  struct PatternAccess {
-    DramAddress coord;
-    std::uint64_t flat = 0;
-    bool activates = false;
-  };
-  std::vector<PatternAccess> pattern(aggressors.size());
-  for (std::size_t i = 0; i < aggressors.size(); ++i) {
-    PatternAccess& p = pattern[i];
-    p.coord = mapping_.decode(aggressors[i]);
-    p.flat = flat_row(geometry_, p.coord);
-    p.activates = open_row_[flat_bank(geometry_, p.coord)] !=
-                  static_cast<std::int64_t>(p.coord.row);
-    access(aggressors[i]);
-  }
-  if (++done == iterations) return;
-
-  // --- Steady-state schedule: per-iteration latency and activation count,
-  // the per-iteration disturbance increments of each weak victim row, and
-  // the per-iteration activation multiplicity of each aggressor row (what
-  // the TRR sampler observes).
+  // --- Steady-state schedule, read off the second iteration: per-iteration
+  // latency and activation count, the per-iteration disturbance increments
+  // of each weak victim row, and the per-iteration activation multiplicity
+  // of each aggressor row (what the TRR sampler observes).
   struct VictimDelta {
     std::uint64_t flat = 0;
     std::size_t ordinal = 0;  ///< Weak-row ordinal in the packed arena.
@@ -400,38 +388,44 @@ void DramDevice::hammer_burst(std::span<const PhysAddr> aggressors,
     victims.push_back({flat, ordinal, coord, 0, 0});
     return victims.back();
   };
-  for (const PatternAccess& p : pattern) {
-    iter_latency += p.activates ? params_.timings.row_conflict_ns
-                                : params_.timings.row_hit_ns;
-    if (!p.activates) continue;
+  for (const PhysAddr a : aggressors) {
+    const DramAddress coord = mapping_.decode(a);
+    const std::uint64_t flat = flat_row(geometry_, coord);
+    const bool activates = open_row_[flat_bank(geometry_, coord)] !=
+                           static_cast<std::int64_t>(coord.row);
+    access(a);
+    iter_latency += activates ? params_.timings.row_conflict_ns
+                              : params_.timings.row_hit_ns;
+    if (!activates) continue;
     ++acts_per_iter;
     bool known = false;
     for (AggressorActs& r : agg_rows)
-      if (r.flat == p.flat) {
+      if (r.flat == flat) {
         ++r.per_iter;
         known = true;
         break;
       }
-    if (!known) agg_rows.push_back({p.flat, 1});
-    if (p.coord.row > 0) {
-      const std::size_t o = weak.find(p.flat - 1);
+    if (!known) agg_rows.push_back({flat, 1});
+    if (coord.row > 0) {
+      const std::size_t o = weak.find(flat - 1);
       if (o != RowIndex::kNpos) {
-        DramAddress v = p.coord;
+        DramAddress v = coord;
         v.row -= 1;
         v.col = 0;
-        ++victim_at(p.flat - 1, o, v).below;
+        ++victim_at(flat - 1, o, v).below;
       }
     }
-    if (p.coord.row + 1 < geometry_.rows_per_bank) {
-      const std::size_t o = weak.find(p.flat + 1);
+    if (coord.row + 1 < geometry_.rows_per_bank) {
+      const std::size_t o = weak.find(flat + 1);
       if (o != RowIndex::kNpos) {
-        DramAddress v = p.coord;
+        DramAddress v = coord;
         v.row += 1;
         v.col = 0;
-        ++victim_at(p.flat + 1, o, v).above;
+        ++victim_at(flat + 1, o, v).above;
       }
     }
   }
+  if (++done == iterations) return;
 
   // --- Fast-path eligibility. The analytic sampler model relies on every
   // activated row staying tracked between refreshes: true when the rows fit
@@ -503,17 +497,23 @@ void DramDevice::hammer_burst(std::span<const PhysAddr> aggressors,
     }
 
     // (c) Weak-cell flip: the first iteration whose end-of-iteration
-    // disturbance satisfies the flip condition — evaluated with the very
-    // expression check_victim_row uses, reading thresholds and couplings
-    // straight from the packed arena, so the crossing point is exact.
-    // Cell data and coupling are constant between events (flips are events
-    // themselves), making the condition monotone in the iteration count.
+    // disturbance satisfies the flip condition — a FlipCrossing over the
+    // very expression check_victim_row uses, reading thresholds and
+    // couplings straight from the packed arena, so the crossing point is
+    // exact. Cell data and coupling are constant between events (flips are
+    // events themselves), making the condition monotone in the iteration
+    // count. Only iterations before the earliest event so far (next_event
+    // <= rem + 1) can matter.
     for (const VictimDelta& v : victims) {
-      const WeakCellSpan cells = weak_cells_.cells_in_row(v.flat);
-      if (cells.empty()) continue;
-      const std::uint32_t a0 = disturbance_.above(v.ordinal);
-      const std::uint32_t b0 = disturbance_.below(v.ordinal);
+      if (next_event == 1) break;
+      const WeakCellSpan cells = weak_cells_.cells_of(v.ordinal);
       const std::uint8_t* data = row_view(v.flat);
+      Neighbours near{};
+      FlipCrossing x;
+      x.above = disturbance_.above(v.ordinal);
+      x.below = disturbance_.below(v.ordinal);
+      x.per_above = v.above;
+      x.per_below = v.below;
       for (std::size_t k = 0; k < cells.size(); ++k) {
         const std::size_t o = cells.ordinal(k);
         const std::uint32_t ccol = weak_cells_.col_at(o);
@@ -521,36 +521,15 @@ void DramDevice::hammer_burst(std::span<const PhysAddr> aggressors,
         const bool stored = (data[ccol] >> cbit) & 1u;
         if (stored != weak_cells_.true_cell_at(o))
           continue;  // not charged: cannot flip
-        double factor = 1.0;
+        x.factor = 1.0;
         if (params_.data_pattern_sensitivity) {
-          const bool above = aggressor_bit(v.coord, -1, ccol, cbit);
-          const bool below = aggressor_bit(v.coord, +1, ccol, cbit);
-          if (!((above != stored) || (below != stored)))
-            factor = params_.same_pattern_coupling;
+          if (near.above == nullptr) near = neighbours(v.flat, v.coord);
+          x.factor = pattern_factor(near, ccol, cbit, stored);
         }
-        const float couple_above = weak_cells_.couple_above_at(o);
-        const float couple_below = weak_cells_.couple_below_at(o);
-        const double threshold =
-            static_cast<double>(weak_cells_.threshold_at(o));
-        const auto crosses = [&](std::uint64_t i) {
-          double effective =
-              static_cast<double>(a0 + i * v.above) * couple_above +
-              static_cast<double>(b0 + i * v.below) * couple_below;
-          effective *= factor;
-          return effective >= threshold;
-        };
-        if (!crosses(rem)) continue;  // no flip within the remaining budget
-        std::uint64_t lo = 1;
-        std::uint64_t hi = rem;
-        while (lo < hi) {
-          const std::uint64_t mid = lo + (hi - lo) / 2;
-          if (crosses(mid)) {
-            hi = mid;
-          } else {
-            lo = mid + 1;
-          }
-        }
-        next_event = std::min(next_event, lo);
+        x.couple_above = weak_cells_.couple_above_at(o);
+        x.couple_below = weak_cells_.couple_below_at(o);
+        x.threshold = static_cast<double>(weak_cells_.threshold_at(o));
+        next_event = x.first(next_event - 1);
       }
     }
 
@@ -563,6 +542,58 @@ void DramDevice::hammer_burst(std::span<const PhysAddr> aggressors,
     for (const PhysAddr a : aggressors) access(a);
     --rem;
   }
+}
+
+std::uint64_t FlipCrossing::first(std::uint64_t limit) const noexcept {
+  if (limit == 0 || !crosses(limit)) return limit + 1;
+  // The real root of the linear condition, rounded up. Rounding can put it
+  // an iteration off either way, and a zero factor or slope makes it NaN or
+  // infinite; clamping keeps any of those a valid starting point.
+  const double slope = static_cast<double>(per_above) * couple_above +
+                       static_cast<double>(per_below) * couple_below;
+  const double root =
+      std::ceil((threshold / factor - static_cast<double>(above) * couple_above -
+                 static_cast<double>(below) * couple_below) /
+                slope);
+  std::uint64_t guess = 1;
+  if (root >= static_cast<double>(limit)) {
+    guess = limit;
+  } else if (root > 1.0) {
+    guess = static_cast<std::uint64_t>(root);
+  }
+  // Gallop from the guess to a bracket (lo, hi] with crosses(hi) and, unless
+  // lo == 0, !crosses(lo); then bisect it. Steps double, so both phases
+  // take O(log limit) evaluations.
+  std::uint64_t lo = 0;
+  std::uint64_t hi = limit;
+  if (crosses(guess)) {
+    hi = guess;
+    for (std::uint64_t step = 1; step < hi; step *= 2) {
+      if (!crosses(hi - step)) {
+        lo = hi - step;
+        break;
+      }
+      hi -= step;
+    }
+  } else {
+    lo = guess;
+    for (std::uint64_t step = 1; lo + step < hi; step *= 2) {
+      if (crosses(lo + step)) {
+        hi = lo + step;
+        break;
+      }
+      lo += step;
+    }
+  }
+  while (hi - lo > 1) {
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    if (crosses(mid)) {
+      hi = mid;
+    } else {
+      lo = mid;
+    }
+  }
+  return hi;
 }
 
 void DramDevice::inject_flip(PhysAddr addr, std::uint8_t bit) {

@@ -70,6 +70,41 @@ struct FlipEvent {
   SimTime time = 0;        ///< Device clock at flip.
 };
 
+/// The flip condition of one charged weak cell over a steady hammer burst,
+/// as a function of the iteration count `i`: its disturbance starts at
+/// (`above`, `below`) and grows by (`per_above`, `per_below`) per
+/// iteration. `crosses(i)` is the expression DramDevice's per-access victim
+/// check evaluates after `i` more iterations. Every step of it is monotone
+/// for non-negative couplings and factor, so it is false up to one
+/// iteration and true from there on.
+struct FlipCrossing {
+  std::uint32_t above = 0;      ///< acts_above at iteration 0.
+  std::uint32_t below = 0;      ///< acts_below at iteration 0.
+  std::uint32_t per_above = 0;  ///< acts_above added per iteration.
+  std::uint32_t per_below = 0;  ///< acts_below added per iteration.
+  float couple_above = 0.0F;    ///< The cell's coupling to row-1.
+  float couple_below = 0.0F;    ///< The cell's coupling to row+1.
+  /// Data-pattern factor: 1, or same_pattern_coupling when neither
+  /// neighbour holds the opposite bit.
+  double factor = 1.0;
+  double threshold = 0.0;  ///< The cell's activation threshold.
+
+  /// Whether the cell has flipped by the end of iteration `i`.
+  bool crosses(std::uint64_t i) const noexcept {
+    double effective =
+        static_cast<double>(above + i * per_above) * couple_above +
+        static_cast<double>(below + i * per_below) * couple_below;
+    effective *= factor;
+    return effective >= threshold;
+  }
+  /// The first `i` in [1, limit] with crosses(i), or limit + 1 if none.
+  /// Starts from the linear condition's real root, rounded up and clamped
+  /// to [1, limit], then gallops and bisects to the exact answer: a few
+  /// evaluations when the root is close, O(log limit) at worst (a zero
+  /// factor or slope, a NaN or infinite root).
+  std::uint64_t first(std::uint64_t limit) const noexcept;
+};
+
 /// The simulated DRAM module: row storage (CoW, lazily allocated),
 /// row-buffer and refresh bookkeeping, disturbance accumulation with
 /// closed-form burst fast path, TRR sampling and SECDED ECC filtering.
@@ -147,9 +182,12 @@ class DramDevice {
   /// `aggressors` in order, but instead of stepping the model once per
   /// activation it advances the clock analytically between "interesting"
   /// events — refresh-window boundaries, TRR interventions and weak-cell
-  /// threshold crossings, each solved for in closed form — and replays only
-  /// the iterations containing such an event through the exact per-access
-  /// path. Bit-identical to the slow loop: same flip sequence
+  /// threshold crossings — and replays only the iterations containing such
+  /// an event through the exact per-access path. Refresh and TRR events are
+  /// solved in closed form; each charged cell's crossing is a FlipCrossing
+  /// guessed in closed form and settled exactly. Finding the next event
+  /// costs O(weak cells of the victim rows), with no weak-row lookups.
+  /// Bit-identical to the slow loop: same flip sequence
   /// (addr/bit/direction/time), same refresh count, same TRR interventions
   /// and ECC bookkeeping. Falls back to the per-access loop for
   /// configurations the analytic model does not cover (zero-latency
@@ -202,10 +240,22 @@ class DramDevice {
   const std::uint8_t* row_view(std::uint64_t flat_row) const;
   void advance(SimTime dt);
   void apply_disturbance(const DramAddress& aggressor);
-  void check_victim_row(std::uint64_t victim_flat, const DramAddress& victim,
-                        const RowDisturbance& d);
-  bool aggressor_bit(const DramAddress& victim, std::int32_t delta,
-                     std::uint32_t col, std::uint8_t bit);
+  void check_victim_row(std::uint64_t victim_flat, std::size_t weak_ordinal,
+                        const DramAddress& victim, const RowDisturbance& d);
+  /// The bytes of the rows above and below a victim row, for the
+  /// data-pattern check: an untouched or out-of-bank neighbour reads as
+  /// zeros.
+  struct Neighbours {
+    const std::uint8_t* above;
+    const std::uint8_t* below;
+  };
+  Neighbours neighbours(std::uint64_t victim_flat,
+                        const DramAddress& victim) const;
+  /// The data-pattern factor of a charged cell: 1 when either neighbour
+  /// holds the opposite bit at (col, bit) (a stripe), else
+  /// same_pattern_coupling.
+  double pattern_factor(const Neighbours& n, std::uint32_t col,
+                        std::uint8_t bit, bool stored) const;
   void trr_observe(std::uint64_t aggressor_flat);
   void clear_live_flips(std::uint64_t flat_row, std::uint32_t col,
                         std::uint64_t len);

@@ -236,7 +236,7 @@ void WeakCellModel::build(
 WeakCellSpan WeakCellModel::cells_in_row(std::uint64_t flat_row) const {
   const std::size_t o = rows_.find(flat_row);
   if (o == RowIndex::kNpos) return {};
-  return {this, row_start_[o], row_start_[o + 1]};
+  return cells_of(o);
 }
 
 std::vector<std::uint64_t> WeakCellModel::vulnerable_rows() const {
@@ -244,11 +244,6 @@ std::vector<std::uint64_t> WeakCellModel::vulnerable_rows() const {
   rows.reserve(rows_.size());
   for (std::size_t o = 0; o < rows_.size(); ++o) rows.push_back(rows_.key_at(o));
   return rows;
-}
-
-std::size_t WeakCellModel::row_span_begin(std::size_t row_ordinal) const {
-  EXPLFRAME_CHECK(row_ordinal < row_start_.size());
-  return row_start_[row_ordinal];
 }
 
 float WeakCellModel::couple_above_at(std::size_t ordinal) const {

@@ -9,8 +9,9 @@
 //
 // WeakCellModel samples such a population deterministically from a seed and
 // stores it as one bit-packed SoA arena sorted by flat row: a RowIndex maps
-// vulnerable rows to dense ordinals, per-row spans address contiguous
-// record runs, and each field lives in its own PackedVector at exactly the
+// vulnerable rows to dense ordinals in O(1), per-row spans address
+// contiguous record runs (cells_of(ordinal) reads one without a second
+// lookup), and each field lives in its own PackedVector at exactly the
 // width the domain needs (col:28, bit:3, threshold:19, polarity:1,
 // coupling:27). The seed layout — an unordered_map of heap vectors — cost
 // ~100 bytes of node overhead per cell; the arena costs ~10 bytes per cell
@@ -147,6 +148,12 @@ class WeakCellModel {
 
   /// Weak cells in the given row (empty span if none).
   WeakCellSpan cells_in_row(std::uint64_t flat_row) const;
+  /// Weak cells of the `row_ordinal`-th vulnerable row — the ordinal
+  /// row_index().find() returned, so a caller that already holds it skips
+  /// the directory (never empty; unchecked: row_ordinal < row count).
+  WeakCellSpan cells_of(std::size_t row_ordinal) const noexcept {
+    return {this, row_start_[row_ordinal], row_start_[row_ordinal + 1]};
+  }
 
   /// Total cells across all rows.
   std::size_t total_cells() const noexcept { return total_; }
@@ -159,9 +166,6 @@ class WeakCellModel {
 
   /// Sorted directory mapping vulnerable rows to dense row ordinals.
   const RowIndex& row_index() const noexcept { return rows_; }
-  /// First arena ordinal of the `row_ordinal`-th vulnerable row; index
-  /// size() gives the arena end (CHECK: row_ordinal <= size()).
-  std::size_t row_span_begin(std::size_t row_ordinal) const;
 
   /// Single-field arena reads for hot paths (CHECK: ordinal in range).
   std::uint32_t threshold_at(std::size_t ordinal) const {

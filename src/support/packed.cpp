@@ -1,6 +1,8 @@
 #include "support/packed.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
 #include "support/check.hpp"
 
@@ -102,11 +104,28 @@ bool operator==(const PackedVector& a, const PackedVector& b) {
 
 // ---- RowIndex --------------------------------------------------------------
 
+namespace {
+
+// Set bits of a word. std::popcount compiles to a libgcc call on baseline
+// x86-64 (no POPCNT); this branch-free form stays inline.
+constexpr unsigned popcount64(std::uint64_t x) noexcept {
+  x -= (x >> 1) & 0x5555555555555555ull;
+  x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
+  x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0Full;
+  return static_cast<unsigned>((x * 0x0101010101010101ull) >> 56);
+}
+
+std::uint64_t load64(const std::uint8_t* bytes) noexcept {
+  std::uint64_t word;
+  std::memcpy(&word, bytes, sizeof word);
+  return word;
+}
+
+}  // namespace
+
 RowIndex::RowIndex(std::span<const std::uint64_t> sorted_keys,
                    std::uint64_t key_limit)
-    : key_limit_(key_limit),
-      keys_(sorted_keys.size()),
-      in_block_(kBlockBits) {
+    : key_limit_(key_limit), keys_(sorted_keys.size()) {
   EXPLFRAME_CHECK_MSG(sorted_keys.empty() || key_limit > 0,
                       "RowIndex: keys in an empty universe");
   EXPLFRAME_CHECK_MSG(keys_ < kAbsentBlock,
@@ -118,60 +137,69 @@ RowIndex::RowIndex(std::span<const std::uint64_t> sorted_keys,
     start_.push_back(0);  // no keys: no directory, every lookup misses
     return;
   }
-  dir_.assign(static_cast<std::size_t>(blocks), kAbsentBlock);
-  in_block_.reserve(keys_);
 
-  std::uint64_t prev = 0;
-  bool first = true;
-  for (const std::uint64_t key : sorted_keys) {
+  // Validate and count occupied blocks and groups, so every level is
+  // allocated at its exact size.
+  std::size_t occupied_blocks = 0;
+  std::size_t occupied_groups = 0;
+  for (std::size_t i = 0; i < keys_; ++i) {
+    const std::uint64_t key = sorted_keys[i];
     EXPLFRAME_CHECK_MSG(key < key_limit, "RowIndex: key out of universe");
-    EXPLFRAME_CHECK_MSG(first || key > prev,
+    EXPLFRAME_CHECK_MSG(i == 0 || key > sorted_keys[i - 1],
                         "RowIndex: keys must be strictly increasing");
-    first = false;
-    prev = key;
-    const std::uint32_t block = static_cast<std::uint32_t>(key >> kBlockBits);
-    const std::uint64_t within = key & (kBlockSize - 1);
+    const std::uint64_t prev = i == 0 ? ~0ull : sorted_keys[i - 1];
+    occupied_blocks += (key >> kBlockBits) != (prev >> kBlockBits);
+    occupied_groups += (key >> kGroupBits) != (prev >> kGroupBits);
+  }
+  dir_.assign(static_cast<std::size_t>(blocks), kAbsentBlock);
+  block_id_.reserve(occupied_blocks);
+  start_.reserve(occupied_blocks + 1);
+  coarse_.reserve(occupied_blocks);
+  fine_start_.reserve(occupied_blocks);
+  fine_.reserve(occupied_groups + kMaskPad);
+
+  std::uint64_t prev = ~0ull;
+  for (std::size_t i = 0; i < keys_; ++i) {
+    const std::uint64_t key = sorted_keys[i];
+    const auto block = static_cast<std::uint32_t>(key >> kBlockBits);
     if (dir_[block] == kAbsentBlock) {
       dir_[block] = static_cast<std::uint32_t>(block_id_.size());
       block_id_.push_back(block);
-      start_.push_back(static_cast<std::uint32_t>(in_block_.size()));
+      start_.push_back(static_cast<std::uint32_t>(i));
       coarse_.push_back(0);
+      fine_start_.push_back(static_cast<std::uint32_t>(fine_.size()));
     }
-    coarse_.back() |= 1ull << (within >> 3);
-    in_block_.push_back(within);
+    if ((key >> kGroupBits) != (prev >> kGroupBits)) fine_.push_back(0);
+    coarse_.back() |= 1ull << ((key >> kGroupBits) & 63);
+    fine_.back() = static_cast<std::uint8_t>(fine_.back() | (1u << (key & 7)));
+    prev = key;
   }
-  start_.push_back(static_cast<std::uint32_t>(in_block_.size()));
-}
-
-bool RowIndex::contains(std::uint64_t key) const noexcept {
-  return find(key) != kNpos;
+  start_.push_back(static_cast<std::uint32_t>(keys_));
+  fine_.resize(occupied_groups + kMaskPad, 0);
 }
 
 std::size_t RowIndex::find(std::uint64_t key) const noexcept {
   if (keys_ == 0 || key >= key_limit_) return kNpos;
   const std::uint32_t slot = dir_[static_cast<std::size_t>(key >> kBlockBits)];
   if (slot == kAbsentBlock) return kNpos;
-  const std::uint64_t within = key & (kBlockSize - 1);
-  if (((coarse_[slot] >> (within >> 3)) & 1ull) == 0) return kNpos;
-  std::size_t lo = start_[slot];
-  std::size_t hi = start_[slot + 1];
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    const std::uint64_t v = in_block_.get(mid);
-    if (v == within) return mid;
-    if (v < within) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return kNpos;
-}
-
-std::size_t RowIndex::ordinal(std::uint64_t key) const {
-  const std::size_t o = find(key);
-  EXPLFRAME_CHECK_MSG(o != kNpos, "RowIndex: key not present");
-  return o;
+  const std::uint64_t coarse = coarse_[slot];
+  const unsigned group = static_cast<unsigned>(key >> kGroupBits) & 63;
+  if (((coarse >> group) & 1) == 0) return kNpos;
+  // Read the block's group masks as one little-endian bit string: the key
+  // is bit `pos`, and its ordinal counts the set bits before it — whole
+  // words, then the word holding `pos` cut at it. That last read may run
+  // past the block (into the next block's masks or the padding); the cut
+  // discards those bytes.
+  const std::uint8_t* masks = fine_.data() + fine_start_[slot];
+  const unsigned pos = 8 * popcount64(coarse & ((1ull << group) - 1)) +
+                       static_cast<unsigned>(key & 7);
+  const std::uint64_t last = load64(masks + 8 * (pos / 64));
+  if (((last >> (pos % 64)) & 1) == 0) return kNpos;
+  std::size_t ordinal =
+      start_[slot] + popcount64(last & ((1ull << (pos % 64)) - 1));
+  for (unsigned w = 0; w < pos / 64; ++w)
+    ordinal += popcount64(load64(masks + 8 * w));
+  return ordinal;
 }
 
 std::uint64_t RowIndex::key_at(std::size_t ordinal) const {
@@ -180,15 +208,29 @@ std::uint64_t RowIndex::key_at(std::size_t ordinal) const {
   const auto it = std::upper_bound(start_.begin(), start_.end(),
                                    static_cast<std::uint32_t>(ordinal));
   const std::size_t slot = static_cast<std::size_t>(it - start_.begin()) - 1;
+  // Walk its occupied groups to the one holding the rank, then that
+  // mask's set bits to the key.
+  std::size_t rank = ordinal - start_[slot];
+  const std::uint8_t* mask = fine_.data() + fine_start_[slot];
+  std::uint64_t groups = coarse_[slot];
+  while (rank >= popcount64(*mask)) {
+    rank -= popcount64(*mask);
+    groups &= groups - 1;
+    ++mask;
+  }
+  unsigned bits = *mask;
+  for (; rank > 0; --rank) bits &= bits - 1;
   return static_cast<std::uint64_t>(block_id_[slot]) * kBlockSize +
-         in_block_.get(ordinal);
+         static_cast<std::uint64_t>(std::countr_zero(groups)) * 8 +
+         static_cast<unsigned>(std::countr_zero(bits));
 }
 
 std::uint64_t RowIndex::heap_bytes() const noexcept {
   return dir_.capacity() * sizeof(std::uint32_t) +
          block_id_.capacity() * sizeof(std::uint32_t) +
          start_.capacity() * sizeof(std::uint32_t) +
-         coarse_.capacity() * sizeof(std::uint64_t) + in_block_.heap_bytes();
+         coarse_.capacity() * sizeof(std::uint64_t) +
+         fine_start_.capacity() * sizeof(std::uint32_t) + fine_.capacity();
 }
 
 bool operator==(const RowIndex& a, const RowIndex& b) {

@@ -6,11 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <initializer_list>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "dram/dram_device.hpp"
 #include "dram/hammer.hpp"
+#include "support/rng.hpp"
 
 namespace explframe::dram {
 namespace {
@@ -92,15 +96,20 @@ void expect_identical(const Outcome& slow, const Outcome& burst,
   EXPECT_EQ(slow.image, burst.image) << label;
 }
 
+/// Device setup a differential case runs on both devices before the burst
+/// (after the 0xAA fill and the idle start): row fills, prior hammering.
+using Prepare = std::function<void(DramDevice&)>;
+
 /// Runs the same aggressor burst through the per-access loop and through
-/// hammer_burst on identically seeded devices, both first idle for `start`,
-/// and asserts every observable matches, including that the burst's elapsed
-/// time is the sum of the latencies access() returned. Returns the number
-/// of flips (so callers can assert coverage).
-std::size_t run_differential(const DeviceParams& params, std::uint64_t seed,
-                             const std::vector<DramAddress>& aggressors,
-                             std::uint64_t iterations,
-                             const std::string& label, SimTime start = 0) {
+/// hammer_burst on identically seeded devices, both first filled with 0xAA,
+/// idle for `start` and put through `prepare`, and asserts every observable
+/// matches, including that the burst's elapsed time is the sum of the
+/// latencies access() returned. Returns the per-access outcome (so callers
+/// can assert coverage).
+Outcome run_differential(const DeviceParams& params, std::uint64_t seed,
+                         const std::vector<DramAddress>& aggressors,
+                         std::uint64_t iterations, const std::string& label,
+                         SimTime start = 0, const Prepare& prepare = {}) {
   const Geometry g = small_geometry();
   DramDevice slow_dev(g, params, seed);
   DramDevice burst_dev(g, params, seed);
@@ -116,6 +125,10 @@ std::size_t run_differential(const DeviceParams& params, std::uint64_t seed,
 
   slow_dev.idle(start);
   burst_dev.idle(start);
+  if (prepare) {
+    prepare(slow_dev);
+    prepare(burst_dev);
+  }
   SimTime latency_sum = 0;
   for (std::uint64_t i = 0; i < iterations; ++i)
     for (const PhysAddr a : addrs) latency_sum += slow_dev.access(a);
@@ -123,10 +136,10 @@ std::size_t run_differential(const DeviceParams& params, std::uint64_t seed,
   burst_dev.hammer_burst(addrs, iterations);
   EXPECT_EQ(burst_dev.now() - burst_start, latency_sum) << label;
 
-  const Outcome slow = capture(slow_dev);
+  Outcome slow = capture(slow_dev);
   const Outcome burst = capture(burst_dev);
   expect_identical(slow, burst, label);
-  return slow.flips.size();
+  return slow;
 }
 
 std::string config_label(bool trr, bool ecc) {
@@ -141,7 +154,8 @@ TEST(HammerBurstDifferential, DoubleSidedAllDefenceConfigs) {
     for (const bool ecc : {false, true}) {
       const std::size_t flips =
           run_differential(base_params(trr, ecc), 21, pair, 20'000,
-                           "double-sided " + config_label(trr, ecc));
+                           "double-sided " + config_label(trr, ecc))
+              .flips.size();
       if (!trr && !ecc) flips_without_defences = flips;
     }
   }
@@ -229,6 +243,271 @@ TEST(HammerBurstDifferential, TimingProbeShapes) {
           }
         }
       }
+    }
+  }
+}
+
+/// Fills each row of bank `bank` with `byte_of(row)`.
+void fill_bank(DramDevice& dev, std::uint32_t bank,
+               const std::function<std::uint8_t(std::uint32_t)>& byte_of) {
+  const Geometry& g = dev.geometry();
+  for (std::uint32_t row = 0; row < g.rows_per_bank; ++row)
+    dev.fill(dev.mapping().encode({0, 0, bank, row, 0}), byte_of(row),
+             g.row_bytes);
+}
+
+/// The weak cell at a flip's coordinate (the population is deterministic in
+/// the seed, so a fresh device names the same cells).
+WeakCell cell_of(const DramDevice& dev, const FlipEvent& flip) {
+  const std::uint64_t flat = flat_row(dev.geometry(), flip.coord);
+  for (const WeakCell& cell : dev.weak_cells().cells_in_row(flat))
+    if (cell.col == flip.coord.col && cell.bit == flip.bit) return cell;
+  ADD_FAILURE() << "flip at a cell the model does not have";
+  return {};
+}
+
+TEST(HammerBurstDifferential, SamePatternCouplingZero) {
+  // A charged cell whose neighbours both hold its own bit couples with
+  // factor 0: it can never flip, and its closed-form crossing root is
+  // infinite. Rows repeat 0xAA, 0xAA, 0x55, so some victims sit between a
+  // matching and a striped neighbour (factor 1) and some between two
+  // matching ones (factor 0).
+  std::size_t flips = 0;
+  for (const bool trr : {false, true}) {
+    for (const bool ecc : {false, true}) {
+      DeviceParams p = base_params(trr, ecc);
+      p.same_pattern_coupling = 0.0;
+      const Prepare stripes = [](DramDevice& dev) {
+        for (const std::uint32_t bank : {0u, 1u})
+          fill_bank(dev, bank, [](std::uint32_t row) {
+            return static_cast<std::uint8_t>(row % 3 == 2 ? 0x55 : 0xAA);
+          });
+      };
+      const std::vector<DramAddress> pair = {{0, 0, 0, 19, 0},
+                                             {0, 0, 0, 21, 0}};
+      const std::vector<DramAddress> single = {{0, 0, 1, 30, 0}};
+      flips += run_differential(p, 21, pair, 20'000,
+                                "spc=0 pair " + config_label(trr, ecc), 0,
+                                stripes)
+                   .flips.size();
+      run_differential(p, 21, single, 20'000,
+                       "spc=0 single " + config_label(trr, ecc), 0, stripes);
+    }
+  }
+  EXPECT_GT(flips, 0u);
+}
+
+TEST(HammerBurstDifferential, SingleSidedCellsFromTheUncoupledSide) {
+  // Every cell couples to one side only. A lone aggressor reaches half of
+  // its victims' cells from their uncoupled side, where the per-iteration
+  // slope of the flip condition is 0. In the second case those cells start
+  // the burst already past their threshold from earlier hammering of the
+  // coupled side, done while they were uncharged (row filled 0x00, so only
+  // anti cells were charged), and are charged by a 0xFF fill just before:
+  // without TRR, which would have reset that disturbance, they flip on the
+  // burst's first activation of row 19.
+  DeviceParams p = base_params(false, false);
+  p.weak_cells.single_sided_fraction = 1.0;
+  p.timings.refresh_window_ns = 64 * kMillisecond;
+  const DramAddress above = {0, 0, 0, 19, 0};  // row 20's above-neighbour
+  const DramAddress far = {0, 0, 0, 40, 0};    // same bank, not adjacent
+  for (const bool trr : {false, true}) {
+    p.trr.enabled = trr;
+    run_differential(p, 9, {above, far}, 20'000,
+                     "one side " + config_label(trr, false));
+    const Prepare charged_past_threshold = [&](DramDevice& dev) {
+      const PhysAddr row20 = dev.mapping().encode({0, 0, 0, 20, 0});
+      const PhysAddr below = dev.mapping().encode({0, 0, 0, 21, 0});
+      const PhysAddr away = dev.mapping().encode(far);
+      dev.fill(row20, 0x00, dev.geometry().row_bytes);
+      for (int i = 0; i < 13'000; ++i) {  // past threshold_max
+        dev.access(below);
+        dev.access(away);
+      }
+      dev.fill(row20, 0xFF, dev.geometry().row_bytes);
+    };
+    const Outcome out =
+        run_differential(p, 9, {above, far}, 20'000,
+                         "pre-disturbed " + config_label(trr, false), 0,
+                         charged_past_threshold);
+    if (trr) continue;
+    const DramDevice model(small_geometry(), p, 9);
+    const SimTime burst_start = 13'000 * 2 * p.timings.row_conflict_ns;
+    bool uncoupled_flip = false;
+    for (const FlipEvent& flip : out.flips) {
+      if (flip.time < burst_start || flip.coord.bank != 0 ||
+          flip.coord.row != 20 || cell_of(model, flip).couple_above != 0.0F)
+        continue;  // flipped in the pre-hammer, or reachable from row 19
+      uncoupled_flip = true;
+      EXPECT_EQ(flip.time, burst_start);
+    }
+    EXPECT_TRUE(uncoupled_flip);
+  }
+}
+
+TEST(HammerBurstDifferential, ThresholdsAtTheClampBounds) {
+  // A wide threshold spread clamps most cells to exactly threshold_min or
+  // threshold_max; both kinds must flip, at the same iteration as per
+  // access. The window is long enough for a max-threshold cell to cross.
+  DeviceParams p = base_params(false, false);
+  p.weak_cells.threshold_log_mean = 8.7;  // median ~ 6K activations
+  p.weak_cells.threshold_log_sigma = 3.0;
+  p.timings.refresh_window_ns = 4 * kMillisecond;
+  const std::vector<DramAddress> pairs = {{0, 0, 0, 19, 0}, {0, 0, 0, 21, 0},
+                                          {0, 0, 1, 40, 0}, {0, 0, 1, 42, 0}};
+  for (const bool trr : {false, true}) {
+    for (const bool ecc : {false, true}) {
+      p.trr.enabled = trr;
+      p.ecc.enabled = ecc;
+      const Outcome out = run_differential(
+          p, 21, pairs, 30'000, "clamped " + config_label(trr, ecc));
+      if (trr || ecc) continue;
+      const DramDevice model(small_geometry(), p, 21);
+      bool at_min = false;
+      bool at_max = false;
+      for (const FlipEvent& flip : out.flips) {
+        const std::uint32_t t = cell_of(model, flip).threshold;
+        at_min |= t == p.weak_cells.threshold_min;
+        at_max |= t == p.weak_cells.threshold_max;
+      }
+      EXPECT_TRUE(at_min);
+      EXPECT_TRUE(at_max);
+    }
+  }
+}
+
+TEST(HammerBurstDifferential, FlipOnFirstAndLastRemainingIteration) {
+  // A charged cell fully coupled to the row above, pre-hammered from that
+  // side to `threshold - k` activations, crosses on the burst's k-th
+  // iteration. k = 3 is the first iteration after the two exact warm-up
+  // iterations, the first the analytic path solves for; k = iterations is
+  // the burst's last.
+  DeviceParams p = base_params(false, false);
+  p.data_pattern_sensitivity = false;  // effective = acts_above exactly
+  p.timings.refresh_window_ns = 64 * kMillisecond;
+  const Geometry g = small_geometry();
+  const DramDevice model(g, p, 21);
+  std::uint32_t victim = 0;
+  WeakCell target;
+  for (std::uint32_t row = 2; row < 36 && victim == 0; ++row)
+    for (const WeakCell& cell : model.weak_cells().cells_in_row(row))
+      if (cell.couple_above == 1.0F) {
+        victim = row;
+        target = cell;
+        break;
+      }
+  ASSERT_NE(victim, 0u) << "no fully above-coupled cell in bank 0";
+  const DramAddress above = {0, 0, 0, victim - 1, 0};
+  const DramAddress far = {0, 0, 0, victim + 20, 0};
+  const SimTime iter_latency = 2 * p.timings.row_conflict_ns;
+
+  for (const std::uint64_t iterations : {3ull, 1'000ull}) {
+    const std::uint64_t pre = target.threshold - iterations;
+    const Prepare prehammer = [&](DramDevice& dev) {
+      dev.fill(dev.mapping().encode({0, 0, 0, victim, 0}),
+               target.true_cell ? 0xFF : 0x00, g.row_bytes);
+      const PhysAddr a = dev.mapping().encode(above);
+      const PhysAddr b = dev.mapping().encode(far);
+      for (std::uint64_t i = 0; i < pre; ++i) {
+        dev.access(a);
+        dev.access(b);
+      }
+    };
+    const SimTime burst_start = pre * iter_latency;
+    const PhysAddr at = model.mapping().encode({0, 0, 0, victim, target.col});
+    const Outcome out =
+        run_differential(p, 21, {above, far}, iterations,
+                         "flip on iteration " + std::to_string(iterations), 0,
+                         prehammer);
+    bool seen = false;
+    for (const FlipEvent& flip : out.flips) {
+      if (flip.addr != at || flip.bit != target.bit) continue;
+      seen = true;
+      EXPECT_EQ(flip.time, burst_start + (iterations - 1) * iter_latency);
+    }
+    EXPECT_TRUE(seen) << iterations;
+  }
+}
+
+/// The crossing search the burst used before the closed-form guess: plain
+/// bisection over [1, limit].
+std::uint64_t bisect_first(const FlipCrossing& x, std::uint64_t limit) {
+  if (limit == 0 || !x.crosses(limit)) return limit + 1;
+  std::uint64_t lo = 1;
+  std::uint64_t hi = limit;
+  while (lo < hi) {
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    if (x.crosses(mid)) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return lo;
+}
+
+TEST(FlipCrossing, FirstMatchesBisectionOracle) {
+  // Random crossings, weighted towards the degenerate ones: zero, infinite
+  // and NaN factors, zero slopes and couplings, zero thresholds, counters
+  // near 2^32, and limits from 0 to 2^40. One family puts the threshold
+  // exactly on the value the condition reaches at a random iteration, so
+  // the rounded root lands on or next to the answer. Small limits are also
+  // checked against a linear scan.
+  Rng rng(0xc205);
+  const auto pick = [&](std::initializer_list<double> options) {
+    return *(options.begin() + rng.uniform(options.size()));
+  };
+  for (int trial = 0; trial < 200'000; ++trial) {
+    FlipCrossing x;
+    const auto counter = [&] {
+      switch (rng.uniform(4)) {
+        case 0: return std::uint32_t{0};
+        case 1: return static_cast<std::uint32_t>(rng.uniform(1u << 20));
+        case 2: return static_cast<std::uint32_t>(0xFFFFFFFFu - rng.uniform(64));
+        default: return static_cast<std::uint32_t>(rng.uniform(100'000));
+      }
+    };
+    const auto couple = [&] {
+      switch (rng.uniform(3)) {
+        case 0: return 0.0F;
+        case 1: return 1.0F;
+        default: return static_cast<float>(0.5 + 0.5 * rng.uniform01());
+      }
+    };
+    x.above = counter();
+    x.below = counter();
+    x.per_above = static_cast<std::uint32_t>(pick({0, 1, 2, 3, 7}));
+    x.per_below = static_cast<std::uint32_t>(pick({0, 1, 2, 3, 7}));
+    x.couple_above = couple();
+    x.couple_below = couple();
+    x.factor = pick({1.0, 1.0, 0.6, 0.0, rng.uniform01(),
+                     std::numeric_limits<double>::infinity(),
+                     std::numeric_limits<double>::quiet_NaN()});
+    const std::uint64_t limit = static_cast<std::uint64_t>(
+        pick({0, 1, 2, 3, static_cast<double>(rng.uniform(1'000)),
+              static_cast<double>(rng.uniform(1u << 20)),
+              static_cast<double>(rng.uniform(1ull << 40))}));
+    if (rng.bernoulli(0.3) && limit > 0) {
+      // Exactly on the condition's value at a random iteration.
+      const std::uint64_t i = 1 + rng.uniform(limit);
+      double effective =
+          static_cast<double>(x.above + i * x.per_above) * x.couple_above +
+          static_cast<double>(x.below + i * x.per_below) * x.couple_below;
+      effective *= x.factor;
+      x.threshold = effective;
+    } else {
+      x.threshold = pick({0.0, static_cast<double>(rng.uniform(1u << 19)),
+                          static_cast<double>(1 + rng.uniform(400'000)),
+                          1e18});
+    }
+    const std::uint64_t got = x.first(limit);
+    ASSERT_EQ(got, bisect_first(x, limit))
+        << "trial " << trial << " limit " << limit << " threshold "
+        << x.threshold << " factor " << x.factor;
+    if (limit <= 64) {
+      std::uint64_t linear = 1;
+      while (linear <= limit && !x.crosses(linear)) ++linear;
+      ASSERT_EQ(got, linear) << "trial " << trial;
     }
   }
 }

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -248,8 +249,6 @@ TEST(RowIndexProperty, LookupsMatchSortedVectorOracle) {
 
     for (std::size_t i = 0; i < keys.size(); ++i) {
       ASSERT_EQ(index.find(keys[i]), i);
-      ASSERT_TRUE(index.contains(keys[i]));
-      ASSERT_EQ(index.ordinal(keys[i]), i);
       ASSERT_EQ(index.key_at(i), keys[i]);
     }
 
@@ -258,11 +257,75 @@ TEST(RowIndexProperty, LookupsMatchSortedVectorOracle) {
       const auto it = std::lower_bound(keys.begin(), keys.end(), key);
       const std::size_t lb = static_cast<std::size_t>(it - keys.begin());
       const bool present = it != keys.end() && *it == key;
-      ASSERT_EQ(index.contains(key), present) << "key " << key;
-      ASSERT_EQ(index.find(key), present ? lb : RowIndex::kNpos);
+      ASSERT_EQ(index.find(key), present ? lb : RowIndex::kNpos)
+          << "key " << key;
     }
     // Past-the-universe probes are misses.
-    EXPECT_FALSE(index.contains(limit));
+    EXPECT_EQ(index.find(limit), RowIndex::kNpos);
+  }
+}
+
+/// Dense blocks, checked exhaustively: universes of at most 2^16 keys built
+/// from blocks with a chosen number of occupied 8-key groups — 1, 8 and 9
+/// (a lookup's rank crosses its first whole mask word), 56, 63 and 64 (up
+/// to seven whole words before the cut one), full 512-key blocks, and
+/// random sparse ones — with every key of the universe, and the one past
+/// it, looked up against lower_bound; key_at inverts every hit. Some
+/// rounds end on a full block, so the cut word of the universe's last
+/// keys runs into the mask padding.
+TEST(RowIndexProperty, DenseBlocksMatchLowerBoundExhaustively) {
+  Rng rng(0xb10c);
+  constexpr std::uint64_t kBlock = std::uint64_t{1} << RowIndex::kBlockBits;
+  const unsigned kGroupCounts[] = {1, 8, 9, 56, 63, 64};
+  for (int round = 0; round < 24; ++round) {
+    SCOPED_TRACE(round);
+    const std::uint64_t blocks = 1 + rng.uniform(128);
+    // Even rounds cut the last block short; odd rounds end on a full one.
+    const std::uint64_t limit =
+        round % 2 == 0 ? (blocks - 1) * kBlock + 1 + rng.uniform(kBlock)
+                       : blocks * kBlock;
+    std::vector<std::uint64_t> keys;
+    for (std::uint64_t b = 0; b < blocks; ++b) {
+      const std::uint64_t base = b * kBlock;
+      const bool last = b + 1 == blocks;
+      const std::uint64_t shape = last && round % 2 == 1 ? 7 : rng.uniform(9);
+      if (shape == 0) continue;  // empty block
+      if (shape == 7) {          // full block
+        for (std::uint64_t k = 0; k < kBlock; ++k) keys.push_back(base + k);
+        continue;
+      }
+      if (shape == 8) {  // random sparse
+        for (std::uint64_t k = 0; k < kBlock; ++k)
+          if (rng.bernoulli(0.05)) keys.push_back(base + k);
+        continue;
+      }
+      // Exactly kGroupCounts[shape - 1] occupied groups, each with a random
+      // non-empty mask.
+      std::vector<std::uint64_t> groups(kBlock / 8);
+      for (std::uint64_t g = 0; g < groups.size(); ++g) groups[g] = g;
+      rng.shuffle(std::span(groups));
+      groups.resize(kGroupCounts[shape - 1]);
+      std::sort(groups.begin(), groups.end());
+      for (const std::uint64_t g : groups) {
+        const std::uint64_t mask = 1 + rng.uniform(255);
+        for (unsigned bit = 0; bit < 8; ++bit)
+          if ((mask >> bit) & 1) keys.push_back(base + 8 * g + bit);
+      }
+    }
+    while (!keys.empty() && keys.back() >= limit) keys.pop_back();
+
+    const RowIndex index(keys, limit);
+    ASSERT_EQ(index.size(), keys.size());
+    for (std::uint64_t key = 0; key <= limit; ++key) {
+      const auto it = std::lower_bound(keys.begin(), keys.end(), key);
+      const std::size_t lb = static_cast<std::size_t>(it - keys.begin());
+      const bool present = it != keys.end() && *it == key;
+      ASSERT_EQ(index.find(key), present ? lb : RowIndex::kNpos)
+          << "key " << key;
+      if (present) {
+        ASSERT_EQ(index.key_at(lb), key);
+      }
+    }
   }
 }
 
@@ -271,7 +334,7 @@ TEST(RowIndexProperty, LookupsMatchSortedVectorOracle) {
 TEST(RowIndexProperty, EmptyAndInvalidConstruction) {
   const RowIndex empty({}, 1ull << 30);
   EXPECT_EQ(empty.size(), 0u);
-  EXPECT_FALSE(empty.contains(0));
+  EXPECT_EQ(empty.find(0), RowIndex::kNpos);
   EXPECT_EQ(empty.find(123), RowIndex::kNpos);
 
   const std::uint64_t unsorted[] = {9, 3};
