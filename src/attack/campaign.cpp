@@ -39,7 +39,7 @@ bool CampaignReport::same_outcome(const CampaignReport& o) const {
 
 namespace {
 
-/// Both campaign drivers reject the same invalid (cipher, analysis)
+/// Construction and every fork reject the same invalid (cipher, analysis)
 /// combinations before any simulated work happens.
 void check_analysis_combo(const CampaignConfig& config) {
   EXPLFRAME_CHECK_MSG(config.analysis != fault::AnalysisKind::kDfa,
@@ -298,17 +298,6 @@ void TemplatedCampaign::harvest(const CampaignConfig& config,
 
   report.success =
       report.key_recovered && report.recovered_key == report.victim_key;
-}
-
-ExplFrameCampaign::ExplFrameCampaign(kernel::System& system,
-                                     const CampaignConfig& config)
-    : system_(&system), config_(config) {
-  check_analysis_combo(config);
-}
-
-CampaignReport ExplFrameCampaign::run() const {
-  TemplatedCampaign base(*system_, config_, /*take_snapshot=*/false);
-  return base.run_fork(config_);
 }
 
 }  // namespace explframe::attack

@@ -17,8 +17,8 @@
 //                  plaintexts.
 //   6. ANALYSE   — the fault::Analysis engine (PFA) recovers the master key.
 //
-// One ExplFrameCampaign drives every (cipher, analysis) combination; what
-// used to be two near-duplicate attack classes is now a CampaignConfig.
+// One TemplatedCampaign drives every (cipher, analysis) combination; the
+// pair is a CampaignConfig field.
 // The attacker never reads /proc/<pid>/pagemap; PFNs appear only in the
 // report's ground-truth section, filled in by the harness.
 #pragma once
@@ -39,7 +39,7 @@ namespace explframe::attack {
 
 /// Everything one campaign needs: the (cipher, analysis) pair, per-phase
 /// budgets, the contention knobs and the master seed. Plain data — a
-/// scenario or bench fills it in and hands it to ExplFrameCampaign.
+/// scenario or bench fills it in and hands it to TemplatedCampaign.
 struct CampaignConfig {
   crypto::CipherKind cipher = crypto::CipherKind::kAes128;
   fault::AnalysisKind analysis = fault::AnalysisKind::kPfaMissingValue;
@@ -130,13 +130,14 @@ struct CampaignReport {
 std::string template_key(const kernel::SystemConfig& system,
                          const CampaignConfig& campaign);
 
-/// The campaign split at its natural seam: construction runs setup +
-/// templating (phase 1) exactly as ExplFrameCampaign::run() would, then —
-/// when `take_snapshot` — captures a machine snapshot; run_fork() restores
-/// that snapshot and runs the post-template phases (2-6), so N variants
-/// sharing a templated base cost one templating plus N cheap forks. A
-/// single fork needs no snapshot: without one, run_fork() runs straight
-/// on the templated machine and at most one call is meaningful.
+/// The campaign, split at its natural seam: construction runs setup +
+/// templating (phase 1), then — when `take_snapshot` — captures a machine
+/// snapshot; run_fork() restores that snapshot and runs the post-template
+/// phases (2-6), so N variants sharing a templated base cost one templating
+/// plus N cheap forks. A single fork needs no snapshot: without one,
+/// run_fork() runs straight on the templated machine and at most one call
+/// is meaningful. Derived seeds and the seed-derived victim key live in
+/// members and locals, never in the caller's config.
 ///
 /// Phases 2-6 are public steps (plant, noise, steer, hammer, harvest) that
 /// run_fork() calls in order; scenario::DebugSession steps the same
@@ -215,27 +216,6 @@ class TemplatedCampaign {
   std::uint64_t plaintext_seed_ = 0;
   SimTime start_ = 0;
   std::unique_ptr<snap::Snapshot> post_template_;
-};
-
-/// Drives the six-phase pipeline above over one kernel::System. run() never
-/// mutates the stored config (derived seeds and the seed-derived victim key
-/// live in locals), so a campaign object is re-runnable — though each run()
-/// attacks the same System, whose state the previous run already changed;
-/// for bit-identical repeats, rebuild the System too.
-///
-/// run() is a thin wrapper over TemplatedCampaign: template once, fork
-/// once, with no snapshot (a single fork has nothing to rewind).
-class ExplFrameCampaign {
- public:
-  ExplFrameCampaign(kernel::System& system, const CampaignConfig& config);
-
-  CampaignReport run() const;
-
-  const CampaignConfig& config() const noexcept { return config_; }
-
- private:
-  kernel::System* system_;
-  CampaignConfig config_;
 };
 
 }  // namespace explframe::attack

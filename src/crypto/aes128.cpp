@@ -52,20 +52,10 @@ inline void sub_bytes(State& s,
   for (auto& b : s) b = table[b];
 }
 
-inline void inv_sub_bytes(State& s) noexcept {
-  for (auto& b : s) b = kInvSbox[b];
-}
-
 inline void shift_rows(State& s) noexcept {
   State t = s;
   for (std::size_t r = 1; r < 4; ++r)
     for (std::size_t c = 0; c < 4; ++c) s[r + 4 * c] = t[r + 4 * ((c + r) % 4)];
-}
-
-inline void inv_shift_rows(State& s) noexcept {
-  State t = s;
-  for (std::size_t r = 1; r < 4; ++r)
-    for (std::size_t c = 0; c < 4; ++c) s[r + 4 * ((c + r) % 4)] = t[r + 4 * c];
 }
 
 inline void mix_columns(State& s) noexcept {
@@ -77,21 +67,6 @@ inline void mix_columns(State& s) noexcept {
     col[1] = static_cast<std::uint8_t>(a1 ^ x ^ Aes128::xtime(a1 ^ a2));
     col[2] = static_cast<std::uint8_t>(a2 ^ x ^ Aes128::xtime(a2 ^ a3));
     col[3] = static_cast<std::uint8_t>(a3 ^ x ^ Aes128::xtime(a3 ^ a0));
-  }
-}
-
-inline void inv_mix_columns(State& s) noexcept {
-  for (std::size_t c = 0; c < 4; ++c) {
-    std::uint8_t* col = &s[4 * c];
-    const std::uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
-    col[0] = Aes128::gmul(a0, 14) ^ Aes128::gmul(a1, 11) ^
-             Aes128::gmul(a2, 13) ^ Aes128::gmul(a3, 9);
-    col[1] = Aes128::gmul(a0, 9) ^ Aes128::gmul(a1, 14) ^
-             Aes128::gmul(a2, 11) ^ Aes128::gmul(a3, 13);
-    col[2] = Aes128::gmul(a0, 13) ^ Aes128::gmul(a1, 9) ^
-             Aes128::gmul(a2, 14) ^ Aes128::gmul(a3, 11);
-    col[3] = Aes128::gmul(a0, 11) ^ Aes128::gmul(a1, 13) ^
-             Aes128::gmul(a2, 9) ^ Aes128::gmul(a3, 14);
   }
 }
 
@@ -196,22 +171,6 @@ Aes128::Block Aes128::encrypt_with_transient_fault(
   sub_bytes(s, kSbox);
   shift_rows(s);
   add_round_key(s, rk[10]);
-  return s;
-}
-
-Aes128::Block Aes128::decrypt(const Block& ciphertext,
-                              const RoundKeys& rk) noexcept {
-  State s = ciphertext;
-  add_round_key(s, rk[10]);
-  inv_shift_rows(s);
-  inv_sub_bytes(s);
-  for (std::size_t round = 9; round >= 1; --round) {
-    add_round_key(s, rk[round]);
-    inv_mix_columns(s);
-    inv_shift_rows(s);
-    inv_sub_bytes(s);
-  }
-  add_round_key(s, rk[0]);
   return s;
 }
 

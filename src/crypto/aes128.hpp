@@ -40,7 +40,6 @@ class Aes128 {
   static Key master_key_from_round10(const RoundKey& k10) noexcept;
 
   static Block encrypt(const Block& plaintext, const RoundKeys& rk) noexcept;
-  static Block decrypt(const Block& ciphertext, const RoundKeys& rk) noexcept;
 
   /// Encrypt using `table` for every SubBytes (all 10 rounds), as a
   /// table-based software AES does. `table` may contain faults.

@@ -31,11 +31,6 @@ Aes128T::Tables Aes128T::derive_tables(
   return t;
 }
 
-const Aes128T::Tables& Aes128T::canonical_tables() {
-  static const Tables tables = derive_tables(Aes128::sbox());
-  return tables;
-}
-
 Aes128T::Block Aes128T::encrypt(const Block& plaintext, const RoundKeys& rk,
                                 const Tables& tables,
                                 std::span<const std::uint8_t, 256> sbox) {
@@ -65,10 +60,6 @@ Aes128T::Block Aes128T::encrypt(const Block& plaintext, const RoundKeys& rk,
     }
   }
   return out;
-}
-
-Aes128T::Block Aes128T::encrypt(const Block& plaintext, const RoundKeys& rk) {
-  return encrypt(plaintext, rk, canonical_tables(), Aes128::sbox());
 }
 
 }  // namespace explframe::crypto

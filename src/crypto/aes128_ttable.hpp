@@ -33,15 +33,11 @@ class Aes128T {
 
   /// Derive the tables from an S-box (canonical or faulted).
   static Tables derive_tables(std::span<const std::uint8_t, 256> sbox);
-  static const Tables& canonical_tables();
 
   /// Encrypt with the given tables (rounds 1-9) and S-box (final round).
   static Block encrypt(const Block& plaintext, const RoundKeys& rk,
                        const Tables& tables,
                        std::span<const std::uint8_t, 256> sbox);
-
-  /// Convenience: canonical tables + canonical S-box.
-  static Block encrypt(const Block& plaintext, const RoundKeys& rk);
 };
 
 }  // namespace explframe::crypto

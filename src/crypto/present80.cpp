@@ -31,15 +31,6 @@ inline std::uint64_t sbox_layer(std::uint64_t s,
   return out;
 }
 
-inline std::uint64_t inv_sbox_layer(std::uint64_t s) noexcept {
-  std::uint64_t out = 0;
-  for (int i = 0; i < 16; ++i) {
-    const std::uint64_t nib = (s >> (4 * i)) & 0xF;
-    out |= static_cast<std::uint64_t>(kInvSbox[nib]) << (4 * i);
-  }
-  return out;
-}
-
 // ---- Bitsliced residual key search ----------------------------------------
 // One Lanes word holds one bit position of 256 candidates: lane l (bit l % 64
 // of element l / 64) is candidate low = 256 * block + l, so lane order is
@@ -226,9 +217,6 @@ class KeyRegister {
 }  // namespace
 
 const std::array<std::uint8_t, 16>& Present80::sbox() noexcept { return kSbox; }
-const std::array<std::uint8_t, 16>& Present80::inv_sbox() noexcept {
-  return kInvSbox;
-}
 
 std::uint64_t Present80::p_layer(std::uint64_t s) noexcept {
   std::uint64_t out = 0;
@@ -341,11 +329,6 @@ std::uint64_t Present80::encrypt_with_sbox(
   return state ^ rk[31];
 }
 
-std::uint64_t Present80::encrypt(Block plaintext,
-                                 const RoundKeys& rk) noexcept {
-  return encrypt_with_sbox(plaintext, rk, kSbox);
-}
-
 Present80::SpTables Present80::derive_sp_tables(
     std::span<const std::uint8_t, 16> table) noexcept {
   // pLayer is linear over disjoint bit sets, so a byte's image is the XOR
@@ -375,17 +358,6 @@ std::uint64_t Present80::encrypt_with_sp(Block plaintext, const RoundKeys& rk,
     state = next;
   }
   return state ^ rk[31];
-}
-
-std::uint64_t Present80::decrypt(Block ciphertext,
-                                 const RoundKeys& rk) noexcept {
-  std::uint64_t state = ciphertext ^ rk[31];
-  for (std::size_t round = 31; round-- > 0;) {
-    state = p_layer_inv(state);
-    state = inv_sbox_layer(state);
-    state ^= rk[round];
-  }
-  return state;
 }
 
 }  // namespace explframe::crypto

@@ -26,7 +26,6 @@ class Present80 {
   using RoundKeys = std::array<std::uint64_t, 32>;
 
   static const std::array<std::uint8_t, 16>& sbox() noexcept;
-  static const std::array<std::uint8_t, 16>& inv_sbox() noexcept;
 
   static RoundKeys expand_key(const Key& key) noexcept;
 
@@ -48,9 +47,6 @@ class Present80 {
   static std::optional<std::uint16_t> find_register_low(
       std::uint64_t k32, Block plaintext, Block ciphertext,
       std::span<const std::uint8_t, 16> table) noexcept;
-
-  static Block encrypt(Block plaintext, const RoundKeys& rk) noexcept;
-  static Block decrypt(Block ciphertext, const RoundKeys& rk) noexcept;
 
   /// Encrypt with a caller-supplied (possibly faulty) S-box table.
   static Block encrypt_with_sbox(

@@ -14,16 +14,6 @@ std::uint32_t log2_exact(std::uint64_t v, const char* what) {
 }
 }  // namespace
 
-const char* to_string(MappingScheme scheme) noexcept {
-  switch (scheme) {
-    case MappingScheme::kRowMajor:
-      return "row-major";
-    case MappingScheme::kBankXor:
-      return "bank-xor";
-  }
-  return "?";
-}
-
 AddressMapping::AddressMapping(const Geometry& geometry, MappingScheme scheme)
     : geometry_(geometry),
       scheme_(scheme),
@@ -67,20 +57,6 @@ PhysAddr AddressMapping::encode(const DramAddress& coord) const noexcept {
   v = (v << bank_bits_) | bank_field;
   v = (v << col_bits_) | coord.col;
   return v;
-}
-
-bool AddressMapping::same_bank(PhysAddr a, PhysAddr b) const noexcept {
-  const DramAddress ca = decode(a);
-  const DramAddress cb = decode(b);
-  return ca.channel == cb.channel && ca.rank == cb.rank && ca.bank == cb.bank;
-}
-
-std::int64_t AddressMapping::row_distance(PhysAddr a,
-                                          PhysAddr b) const noexcept {
-  if (!same_bank(a, b)) return std::numeric_limits<std::int64_t>::max();
-  const DramAddress ca = decode(a);
-  const DramAddress cb = decode(b);
-  return static_cast<std::int64_t>(cb.row) - static_cast<std::int64_t>(ca.row);
 }
 
 bool AddressMapping::neighbor_row_addr(PhysAddr addr, std::int32_t delta,

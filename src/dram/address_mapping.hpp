@@ -24,8 +24,6 @@ enum class MappingScheme {
   kBankXor,
 };
 
-const char* to_string(MappingScheme scheme) noexcept;
-
 /// Bijective mapping between physical addresses [0, total_bytes) and DRAM
 /// coordinates. All widths must be powers of two.
 class AddressMapping {
@@ -37,12 +35,6 @@ class AddressMapping {
 
   const Geometry& geometry() const noexcept { return geometry_; }
   MappingScheme scheme() const noexcept { return scheme_; }
-
-  /// True if the two addresses hit the same (channel, rank, bank).
-  bool same_bank(PhysAddr a, PhysAddr b) const noexcept;
-
-  /// Signed row distance if same bank, or a large sentinel otherwise.
-  std::int64_t row_distance(PhysAddr a, PhysAddr b) const noexcept;
 
   /// Physical address of byte `col` of the row `delta` rows away from the
   /// row containing `addr`, in the same bank. Returns false if out of range.

@@ -182,8 +182,6 @@ void DramDevice::ecc_filter(std::uint64_t flat_row, std::uint32_t col,
   }
 }
 
-void DramDevice::idle(SimTime duration) { advance(duration); }
-
 void DramDevice::read(PhysAddr addr, std::span<std::uint8_t> out) {
   EXPLFRAME_CHECK(addr + out.size() <= geometry_.total_bytes());
   std::size_t done = 0;

@@ -196,8 +196,9 @@ class DramDevice {
                     std::uint64_t iterations);
 
   // ---- Maintenance -----------------------------------------------------
-  /// Advance the device clock without accesses (models the attacker waiting).
-  void idle(SimTime duration);
+  /// Advance the device clock by `dt` without accesses (models the
+  /// attacker waiting), running every refresh that falls due.
+  void advance(SimTime dt);
 
   /// Force a full refresh now (normally triggered by the internal clock).
   void refresh_now();
@@ -238,7 +239,6 @@ class DramDevice {
  private:
   std::uint8_t* row_storage(std::uint64_t flat_row);
   const std::uint8_t* row_view(std::uint64_t flat_row) const;
-  void advance(SimTime dt);
   void apply_disturbance(const DramAddress& aggressor);
   void check_victim_row(std::uint64_t victim_flat, std::size_t weak_ordinal,
                         const DramAddress& victim, const RowDisturbance& d);

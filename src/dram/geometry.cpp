@@ -1,7 +1,5 @@
 #include "dram/geometry.hpp"
 
-#include <sstream>
-
 #include "support/check.hpp"
 
 namespace explframe::dram {
@@ -24,14 +22,6 @@ Geometry Geometry::with_capacity(std::uint64_t bytes) {
   g.ranks = ranks;
   EXPLFRAME_CHECK(g.total_bytes() == bytes);
   return g;
-}
-
-std::string Geometry::describe() const {
-  std::ostringstream os;
-  os << channels << " channel(s) x " << ranks << " rank(s) x " << banks
-     << " bank(s) x " << rows_per_bank << " rows x " << row_bytes
-     << " B/row = " << total_bytes() / kMiB << " MiB";
-  return os.str();
 }
 
 }  // namespace explframe::dram

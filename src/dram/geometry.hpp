@@ -4,7 +4,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 #include "support/units.hpp"
 
@@ -36,8 +35,6 @@ struct Geometry {
 
   /// A geometry of the given capacity (power-of-two bytes), single channel.
   static Geometry with_capacity(std::uint64_t bytes);
-
-  std::string describe() const;
 };
 
 /// Fully decoded DRAM coordinate.

@@ -13,18 +13,6 @@
 
 namespace explframe::fault {
 
-const char* to_string(AnalysisKind kind) noexcept {
-  switch (kind) {
-    case AnalysisKind::kPfaMissingValue:
-      return "pfa-missing-value";
-    case AnalysisKind::kPfaMaxLikelihood:
-      return "pfa-max-likelihood";
-    case AnalysisKind::kDfa:
-      return "dfa";
-  }
-  return "?";
-}
-
 FaultModel fault_model_for(const crypto::TableCipher& cipher,
                            std::size_t index, std::uint8_t bit) noexcept {
   FaultModel f;

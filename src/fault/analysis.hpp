@@ -28,8 +28,6 @@ enum class AnalysisKind {
   kDfa,               ///< Differential fault analysis (AES only; needs pairs).
 };
 
-const char* to_string(AnalysisKind kind) noexcept;
-
 /// The persistent table fault being analysed, as the template phase knows
 /// it: stored entry `table_index` has `mask` XORed in, erasing canonical
 /// S-box output `v` and doubling `v_new`.

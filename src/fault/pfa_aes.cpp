@@ -8,16 +8,6 @@
 
 namespace explframe::fault {
 
-const char* to_string(PfaStrategy strategy) noexcept {
-  switch (strategy) {
-    case PfaStrategy::kMissingValue:
-      return "missing-value";
-    case PfaStrategy::kMaxLikelihood:
-      return "max-likelihood";
-  }
-  return "?";
-}
-
 std::string describe(const SboxByteFault& fault) {
   // Direct formatting — this runs in logging/report paths, where the old
   // std::ostringstream (locale machinery + heap churn) was pure overhead.

@@ -33,8 +33,6 @@ enum class PfaStrategy {
                    ///< simultaneously takes more data (~10K+).
 };
 
-const char* to_string(PfaStrategy strategy) noexcept;
-
 /// Persistent fault analysis on AES-128: a faulted S-box entry skews the
 /// last-round byte distribution; missing-value (or frequency-peak)
 /// tallies over ciphertexts recover the last round key. Tallies are

@@ -222,22 +222,6 @@ Status Status::from_errno(int err, const std::string& context) {
   }
 }
 
-const char* to_string(Op op) noexcept {
-  switch (op) {
-    case Op::kOpen: return "open";
-    case Op::kWrite: return "write";
-    case Op::kSync: return "sync";
-    case Op::kClose: return "close";
-    case Op::kRead: return "read";
-    case Op::kRename: return "rename";
-    case Op::kRemove: return "remove";
-    case Op::kList: return "list";
-    case Op::kTruncate: return "truncate";
-    case Op::kMkdir: return "mkdir";
-  }
-  return "?";
-}
-
 void FileSystem::crash_point(const std::string&) {}
 
 FileSystem& real() {

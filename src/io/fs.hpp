@@ -6,8 +6,8 @@
 // report/golden emitters and `.scn`/`.sweep` file loads — is routed
 // through this small virtual interface instead of touching stdio or
 // std::filesystem directly. Production code uses the passthrough
-// `io::real()`; tests substitute `io::FaultyFs` (faulty_fs.hpp), which
-// executes a scripted failure plan: fail the Nth write/fsync/rename,
+// `io::real()`; tests substitute `io::FaultyFs` (tests/io/faulty_fs.hpp),
+// which executes a scripted failure plan: fail the Nth write/fsync/rename,
 // short writes, ENOSPC after a byte budget, EIO on reads, and named
 // "crash points" that abandon the process state mid-operation. That is
 // what makes the crash-consistency claims in docs/ARCHITECTURE.md
@@ -83,24 +83,6 @@ enum class OpenMode {
   kTruncate,  ///< Create or truncate; writes start at offset 0.
   kAppend,    ///< Create if missing; writes go to the end.
 };
-
-/// The operation vocabulary FaultyFs scripts against (and records in its
-/// trace). One enumerator per FileSystem/File entry point that can fail.
-enum class Op {
-  kOpen,
-  kWrite,
-  kSync,
-  kClose,
-  kRead,
-  kRename,
-  kRemove,
-  kList,
-  kTruncate,
-  kMkdir,
-};
-
-/// Canonical lower-case name ("open", "write", ...), for trace logs.
-const char* to_string(Op op) noexcept;
 
 /// An open file handle. write() buffers or persists bytes; sync() is the
 /// durability barrier (bytes are crash-safe only after a successful

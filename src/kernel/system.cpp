@@ -7,18 +7,6 @@
 
 namespace explframe::kernel {
 
-const char* to_string(TaskState state) noexcept {
-  switch (state) {
-    case TaskState::kRunnable:
-      return "runnable";
-    case TaskState::kSleeping:
-      return "sleeping";
-    case TaskState::kExited:
-      return "exited";
-  }
-  return "?";
-}
-
 namespace {
 
 /// Per-task slice of a machine snapshot. Task id/name are immutable and
@@ -153,15 +141,8 @@ Task& System::spawn(const std::string& name, std::uint32_t cpu) {
 
 Task* System::find_task(std::int32_t id) {
   for (auto& t : tasks_)
-    if (t && t->id() == id && t->state() != TaskState::kExited) return t.get();
+    if (t && t->id() == id) return t.get();
   return nullptr;
-}
-
-void System::exit_task(Task& task) {
-  const std::uint32_t cpu = task.cpu();
-  task.space().release_all(
-      [this, cpu](mm::Pfn pfn) { alloc_->free_pages(pfn, 0, cpu); });
-  task.set_state(TaskState::kExited);
 }
 
 vm::VirtAddr System::sys_mmap(Task& task, std::uint64_t length) {
@@ -174,11 +155,6 @@ bool System::sys_munmap(Task& task, vm::VirtAddr addr, std::uint64_t length) {
     // The freed frame lands at the hot head of this CPU's page frame cache.
     alloc_->free_pages(pfn, 0, cpu);
   });
-}
-
-vm::PagemapEntry System::sys_pagemap(Task& task, vm::VirtAddr va,
-                                     bool cap_sys_admin) const {
-  return vm::pagemap_read(task.space(), va, cap_sys_admin);
 }
 
 mm::Pfn System::alloc_user_frame(Task& task) {

@@ -1,6 +1,6 @@
 // The simulated machine: DRAM device + zoned page allocator + tasks, with
 // the syscall-level operations the attack story is written in (mmap, munmap,
-// memory access, uncached access, pagemap).
+// memory access, and the flush+load hammer burst).
 //
 // Demand paging is the linchpin: mmap only reserves virtual space; the
 // physical frame is allocated on first touch, on the CPU the faulting task
@@ -19,7 +19,6 @@
 #include "mm/page_allocator.hpp"
 #include "kernel/task.hpp"
 #include "snapshot/restorable.hpp"
-#include "vm/pagemap.hpp"
 
 namespace explframe::kernel {
 
@@ -46,9 +45,9 @@ struct SystemStats {
 };
 
 /// The simulated machine: DRAM device + zoned page allocator + tasks,
-/// exposing the syscall-level surface (mmap/munmap/mem access/pagemap),
-/// the uncached hammer path, and exact snapshot/restore of the whole
-/// state (snap::Restorable).
+/// exposing the syscall-level surface (mmap/munmap/mem access), the
+/// flush+load hammer burst, and exact snapshot/restore of the whole state
+/// (snap::Restorable).
 class System : public snap::Restorable {
  public:
   explicit System(const SystemConfig& config);
@@ -75,16 +74,11 @@ class System : public snap::Restorable {
 
   // ---- Process management -----------------------------------------------
   Task& spawn(const std::string& name, std::uint32_t cpu);
-  /// Free all of the task's pages (exit). Frees go through the pcp cache of
-  /// the CPU the task exits on, as in Linux.
-  void exit_task(Task& task);
   Task* find_task(std::int32_t id);
 
   // ---- Syscalls ----------------------------------------------------------
   vm::VirtAddr sys_mmap(Task& task, std::uint64_t length);
   bool sys_munmap(Task& task, vm::VirtAddr addr, std::uint64_t length);
-  vm::PagemapEntry sys_pagemap(Task& task, vm::VirtAddr va,
-                               bool cap_sys_admin) const;
 
   // ---- Memory access (cached data path) ----------------------------------
   /// Copy to/from the task's memory; demand-faults absent pages. Returns
@@ -93,7 +87,7 @@ class System : public snap::Restorable {
   bool mem_read(Task& task, vm::VirtAddr va, std::span<std::uint8_t> out);
   bool touch(Task& task, vm::VirtAddr va);  ///< Fault one page in.
 
-  // ---- Uncached access (timing/hammer path) -------------------------------
+  // ---- Hammer path (flush+load; also the row-conflict timing probe) -------
   /// `iterations` rounds of one flush+load of each of `aggressors` in order:
   /// demand-faults and translates each address once, then drives
   /// DramDevice::hammer_burst (bit-identical to per-access
@@ -118,7 +112,6 @@ class System : public snap::Restorable {
   std::uint32_t num_cpus() const noexcept { return config_.num_cpus; }
 
   SimTime now() const noexcept { return dram_->now(); }
-  void idle(SimTime duration) { dram_->idle(duration); }
 
   /// Memory-mutation epoch of the backing DRAM: changes whenever any stored
   /// byte (or ECC bookkeeping shaping reads) may have changed — hammer

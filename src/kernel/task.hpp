@@ -9,11 +9,11 @@
 
 namespace explframe::kernel {
 
-/// Lifecycle of a simulated process; kExited tasks keep their slot (ids
-/// are never reused while the System lives) but own no pages.
-enum class TaskState : std::uint8_t { kRunnable, kSleeping, kExited };
-
-const char* to_string(TaskState state) noexcept;
+/// Scheduling state of a simulated process. The campaign marks the
+/// attacker kSleeping around the noise phase of the `attacker_sleeps`
+/// ablation; the state is snapshotted with the task, but no simulated
+/// component reads it.
+enum class TaskState : std::uint8_t { kRunnable, kSleeping };
 
 class System;
 

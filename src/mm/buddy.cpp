@@ -7,22 +7,6 @@
 
 namespace explframe::mm {
 
-const char* to_string(PageState state) noexcept {
-  switch (state) {
-    case PageState::kReserved:
-      return "reserved";
-    case PageState::kFreeBuddy:
-      return "free-buddy";
-    case PageState::kFreeTail:
-      return "free-tail";
-    case PageState::kPcp:
-      return "pcp";
-    case PageState::kAllocated:
-      return "allocated";
-  }
-  return "?";
-}
-
 BuddyAllocator::BuddyAllocator(PageFrameDatabase& db, Pfn start_pfn,
                                std::uint64_t pages, std::uint8_t zone_index)
     : db_(&db), start_(start_pfn), pages_(pages), zone_index_(zone_index) {

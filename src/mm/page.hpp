@@ -25,8 +25,6 @@ enum class PageState : std::uint8_t {
   kAllocated,  ///< Handed out to a task or the kernel.
 };
 
-const char* to_string(PageState state) noexcept;
-
 /// Per-frame metadata, mirroring the fields of Linux's struct page that the
 /// allocator needs: state, buddy order (valid for kFreeBuddy heads), owning
 /// zone, and — for experiment ground truth — the id of the task that last

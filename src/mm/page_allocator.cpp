@@ -70,12 +70,6 @@ Zone* PageAllocator::zone_of(Pfn pfn) {
   return nullptr;
 }
 
-Zone* PageAllocator::zone_by_type(ZoneType type) {
-  for (auto& z : zones_)
-    if (z->type() == type) return z.get();
-  return nullptr;
-}
-
 std::vector<std::size_t> PageAllocator::zonelist(
     GfpZonePreference pref) const {
   // Highest permissible zone first, falling back downward.
@@ -236,18 +230,6 @@ std::uint64_t PageAllocator::global_free_pages() const noexcept {
   std::uint64_t total = 0;
   for (const auto& z : zones_) total += z->free_pages();
   return total;
-}
-
-void PageAllocator::drain_all_pcp() {
-  for (auto& z : zones_) {
-    for (std::uint32_t c = 0; c < z->num_cpus(); ++c) {
-      PerCpuPageCache& cache = z->pcp(c);
-      while (!cache.empty()) {
-        for (const Pfn p : cache.pop_cold(cache.config().batch))
-          z->buddy().free_block(p, 0);
-      }
-    }
-  }
 }
 
 void PageAllocator::verify() const {

@@ -86,7 +86,6 @@ class PageAllocator {
   Zone& zone(std::size_t i) { return *zones_[i]; }
   const Zone& zone(std::size_t i) const { return *zones_[i]; }
   Zone* zone_of(Pfn pfn);
-  Zone* zone_by_type(ZoneType type);
 
   /// Fallback order for a zone preference (highest zone first), as indices
   /// into zone(i). Mirrors the x86-64 zonelist.
@@ -97,10 +96,6 @@ class PageAllocator {
 
   /// Total pages free in buddy lists across zones.
   std::uint64_t global_free_pages() const noexcept;
-
-  /// Drain every per-CPU cache back to the buddy allocator (the
-  /// `vm.drop_caches`-adjacent knob; used by tests and ablations).
-  void drain_all_pcp();
 
   /// Consistency check across all zones (tests).
   void verify() const;

@@ -220,8 +220,9 @@ std::optional<Scenario> Scenario::from_scn(const std::string& text,
 
   if (const auto err = r.finish()) return fail(*err);
 
-  // Semantic validation — the constraints ExplFrameCampaign would otherwise
-  // CHECK-fail on mid-run, surfaced as parse errors instead.
+  // Semantic validation — the constraints the campaign and the System
+  // would otherwise CHECK-fail on mid-run, surfaced as parse errors
+  // instead.
   if (s.name.empty() || !KvFile::valid_key(s.name))
     return fail("key 'name': missing or not a valid identifier");
   if (s.title.empty()) return fail("key 'title': missing");

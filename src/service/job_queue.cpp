@@ -145,14 +145,6 @@ std::vector<Job> JobQueue::jobs() const {
   return out;
 }
 
-bool JobQueue::idle() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!queue_.empty()) return false;
-  for (const auto& [id, job] : jobs_)
-    if (job.state == JobState::kRunning) return false;
-  return true;
-}
-
 void JobQueue::wait_idle() const {
   std::unique_lock<std::mutex> lock(mutex_);
   idle_cv_.wait(lock, [&] {

@@ -103,9 +103,7 @@ class JobQueue {
   std::optional<Job> find(const std::string& id) const;
   /// Every tracked job, in submission order.
   std::vector<Job> jobs() const;
-  /// True when nothing is queued or running.
-  bool idle() const;
-  /// Block until idle() (or stop()).
+  /// Block until nothing is queued or running (or stop()).
   void wait_idle() const;
 
  private:

@@ -28,9 +28,10 @@
 // (or a resubmission) completes it byte-identically.
 //
 // Failure model: every spool write goes through io::FileSystem
-// (ServiceOptions::fs — io::real() in production, io::FaultyFs in the
-// torture suites) and reports through the io::Status taxonomy. Transient
-// failures retry deterministically (attempt-counted, no clocks); a
+// (ServiceOptions::fs — io::real() in production, io::FaultyFs from
+// tests/io/faulty_fs.hpp in the torture suites) and reports through the
+// io::Status taxonomy. Transient failures retry deterministically
+// (attempt-counted, no clocks); a
 // *permanent* spool-write failure (ENOSPC, EROFS) flips the service into
 // degraded read-only mode: cached reports keep being served, new
 // submissions are rejected with a structured "unavailable" error, and the
@@ -70,8 +71,8 @@ struct ServiceOptions {
   /// tests exercise the retry cap deterministically.
   std::function<bool(const Job&)> crash_for_test;
   /// The filesystem every spool/report/checkpoint byte goes through
-  /// (nullptr = io::real()). The torture suites substitute io::FaultyFs;
-  /// production never sets this.
+  /// (nullptr = io::real()). The torture suites substitute io::FaultyFs
+  /// (tests/io/faulty_fs.hpp); production never sets this.
   io::FileSystem* fs = nullptr;
 };
 

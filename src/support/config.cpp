@@ -1,8 +1,6 @@
 #include "support/config.hpp"
 
 #include <cctype>
-#include <cerrno>
-#include <cstdlib>
 #include <limits>
 
 #include "support/check.hpp"
@@ -142,19 +140,12 @@ std::uint64_t KvReader::get_u64(const std::string& key,
                                 std::uint64_t fallback) {
   const std::string* v = take(key);
   if (!v) return fallback;
-  // strtoull accepts leading sign/whitespace; the format does not.
-  if (v->empty() || !std::isdigit(static_cast<unsigned char>((*v)[0]))) {
+  const auto parsed = parse_u64(*v);
+  if (!parsed) {
     fail(key, "bad unsigned integer '" + *v + "'");
     return fallback;
   }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v->c_str(), &end, 10);
-  if (errno == ERANGE || end != v->c_str() + v->size()) {
-    fail(key, "bad unsigned integer '" + *v + "'");
-    return fallback;
-  }
-  return parsed;
+  return *parsed;
 }
 
 std::uint32_t KvReader::get_u32(const std::string& key,
@@ -165,23 +156,6 @@ std::uint32_t KvReader::get_u32(const std::string& key,
     return fallback;
   }
   return static_cast<std::uint32_t>(wide);
-}
-
-double KvReader::get_double(const std::string& key, double fallback) {
-  const std::string* v = take(key);
-  if (!v) return fallback;
-  if (v->empty()) {
-    fail(key, "bad number ''");
-    return fallback;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const double parsed = std::strtod(v->c_str(), &end);
-  if (errno == ERANGE || end != v->c_str() + v->size()) {
-    fail(key, "bad number '" + *v + "'");
-    return fallback;
-  }
-  return parsed;
 }
 
 bool KvReader::get_bool(const std::string& key, bool fallback) {

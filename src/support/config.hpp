@@ -85,12 +85,12 @@ class KvReader {
 
   /// Each getter returns the parsed value, or `fallback` when the key is
   /// absent or malformed (the first malformed value is recorded as the
-  /// error). Integer getters reject trailing junk, signs and overflow;
-  /// get_bool accepts true/false/yes/no/1/0.
+  /// error). Integer getters parse with parse_u64, so signs, blanks,
+  /// prefixes, trailing junk and overflow are all malformed; get_bool
+  /// accepts true/false/yes/no/1/0.
   std::string get_string(const std::string& key, const std::string& fallback);
   std::uint64_t get_u64(const std::string& key, std::uint64_t fallback);
   std::uint32_t get_u32(const std::string& key, std::uint32_t fallback);
-  double get_double(const std::string& key, double fallback);
   bool get_bool(const std::string& key, bool fallback);
 
   /// Record a schema-level error against `key` (e.g. an enum name the

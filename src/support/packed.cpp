@@ -26,31 +26,6 @@ std::uint64_t PackedVector::get(std::size_t i) const {
   return value & mask_;
 }
 
-void PackedVector::set(std::size_t i, std::uint64_t value) {
-  EXPLFRAME_CHECK(i < size_);
-  EXPLFRAME_CHECK_MSG(value <= mask_,
-                      "PackedVector: value exceeds field width");
-  const std::size_t off = i * bits_;
-  const std::size_t word = off / 64;
-  const unsigned shift = static_cast<unsigned>(off % 64);
-  words_[word] = (words_[word] & ~(mask_ << shift)) | (value << shift);
-  if (shift + bits_ > 64) {
-    const unsigned spill = static_cast<unsigned>(shift + bits_ - 64);
-    const std::uint64_t high_mask = (1ull << spill) - 1;
-    words_[word + 1] =
-        (words_[word + 1] & ~high_mask) | (value >> (64 - shift));
-  }
-}
-
-void PackedVector::push_back(std::uint64_t value) {
-  EXPLFRAME_CHECK_MSG(value <= mask_,
-                      "PackedVector: value exceeds field width");
-  ++size_;
-  if (words_for(size_, bits_) > words_.size())
-    words_.resize(words_for(size_, bits_), 0);
-  set(size_ - 1, value);
-}
-
 void PackedVector::assign(std::span<const std::uint64_t> values) {
   const std::size_t words = words_for(values.size(), bits_);
   words_.clear();
@@ -67,39 +42,6 @@ void PackedVector::assign(std::span<const std::uint64_t> values) {
     if (shift + bits_ > 64) words_[word + 1] |= value >> (64 - shift);
     off += bits_;
   }
-}
-
-void PackedVector::insert(std::size_t pos, std::uint64_t value) {
-  EXPLFRAME_CHECK(pos <= size_);
-  push_back(0);  // width-checks `value` via the set() below
-  for (std::size_t i = size_ - 1; i > pos; --i) set(i, get(i - 1));
-  set(pos, value);
-}
-
-void PackedVector::erase(std::size_t pos, std::size_t count) {
-  EXPLFRAME_CHECK(pos <= size_ && count <= size_ - pos);
-  for (std::size_t i = pos; i + count < size_; ++i) set(i, get(i + count));
-  size_ -= count;
-  words_.resize(words_for(size_, bits_));
-}
-
-void PackedVector::resize(std::size_t count) {
-  const std::size_t old = size_;
-  size_ = count;
-  words_.resize(words_for(count, bits_), 0);
-  // Zero any tail bits a previous, larger size left behind.
-  for (std::size_t i = old; i < count; ++i) set(i, 0);
-}
-
-void PackedVector::reserve(std::size_t count) {
-  words_.reserve(words_for(count, bits_));
-}
-
-bool operator==(const PackedVector& a, const PackedVector& b) {
-  if (a.bits_ != b.bits_ || a.size_ != b.size_) return false;
-  for (std::size_t i = 0; i < a.size_; ++i)
-    if (a.get(i) != b.get(i)) return false;
-  return true;
 }
 
 // ---- RowIndex --------------------------------------------------------------
@@ -231,13 +173,6 @@ std::uint64_t RowIndex::heap_bytes() const noexcept {
          start_.capacity() * sizeof(std::uint32_t) +
          coarse_.capacity() * sizeof(std::uint64_t) +
          fine_start_.capacity() * sizeof(std::uint32_t) + fine_.capacity();
-}
-
-bool operator==(const RowIndex& a, const RowIndex& b) {
-  if (a.key_limit_ != b.key_limit_ || a.keys_ != b.keys_) return false;
-  for (std::size_t i = 0; i < a.keys_; ++i)
-    if (a.key_at(i) != b.key_at(i)) return false;
-  return true;
 }
 
 }  // namespace explframe

@@ -11,10 +11,10 @@
 // This header provides the two primitives the packed representation is
 // built from (the CXCollections StrideVector idiom, generalised):
 //
-//   PackedVector  a vector of unsigned integers stored in exactly `bits`
-//                 bits each — one heap array, no per-element overhead.
-//                 Out-of-range values are rejected (CHECK), never
-//                 silently truncated.
+//   PackedVector  a build-once vector of unsigned integers stored in
+//                 exactly `bits` bits each — one heap array, no
+//                 per-element overhead. Out-of-range values are rejected
+//                 (CHECK), never silently truncated.
 //
 //   RowIndex      a two-level sparse directory mapping a static sorted
 //                 key set (flat rows) to dense ordinals [0, size): a
@@ -25,8 +25,8 @@
 //                 key. Memory is ~4 bytes per block, ~20 per occupied
 //                 block and 1 per occupied group — no dense per-row floor.
 //
-// Both containers are deterministic value types: equality compares
-// logical contents, and their bytes never depend on insertion history.
+// Both are filled in one pass and never mutated after, so their bytes
+// depend only on the values they hold.
 #pragma once
 
 #include <cstdint>
@@ -36,10 +36,9 @@
 namespace explframe {
 
 /// Vector of unsigned integers, each stored in exactly `bits` bits
-/// (1..64) within one contiguous word array. set/push_back/assign CHECK
-/// that the value fits the field width — saturation is a caller bug, not a
-/// silent truncation. insert/erase shift the tail element-wise (O(n));
-/// intended for small dynamic tables and large build-once arenas.
+/// (1..64) within one contiguous word array, filled by assign() and read
+/// by get(). assign CHECKs that each value fits the field width —
+/// saturation is a caller bug, not a silent truncation.
 class PackedVector {
  public:
   /// An empty 1-bit vector (for default-constructed members; assign a
@@ -59,34 +58,17 @@ class PackedVector {
 
   /// Element at `i` (CHECK: in range).
   std::uint64_t get(std::size_t i) const;
-  /// Overwrite element `i` (CHECK: in range, value fits `bits()`).
-  void set(std::size_t i, std::uint64_t value);
-  /// Append (CHECK: value fits `bits()`).
-  void push_back(std::uint64_t value);
   /// Replace the contents with `values` in one pass (CHECK: each fits
-  /// `bits()`). Leaves the contents and heap_bytes() that clear() +
-  /// reserve() + one push_back per value would, with zeroed tail bits.
+  /// `bits()`), with zeroed tail bits. The word array keeps its capacity
+  /// when that suffices and otherwise reserves exactly what `values`
+  /// needs, so afterwards heap_bytes() ==
+  /// 8 * max(previous word capacity, ceil(values.size() * bits() / 64)).
   void assign(std::span<const std::uint64_t> values);
-  /// Insert before `pos` (CHECK: pos <= size, value fits), shifting the
-  /// tail one slot right.
-  void insert(std::size_t pos, std::uint64_t value);
-  /// Remove `count` elements starting at `pos` (CHECK: range valid),
-  /// shifting the tail left.
-  void erase(std::size_t pos, std::size_t count = 1);
-  /// Drop all elements (capacity retained).
-  void clear() noexcept { size_ = 0; }
-  /// Grow (zero-filled) or shrink to `count` elements.
-  void resize(std::size_t count);
-  /// Pre-allocate backing words for `count` elements.
-  void reserve(std::size_t count);
 
   /// Heap bytes of the backing word array (capacity, not size).
   std::uint64_t heap_bytes() const noexcept {
     return words_.capacity() * sizeof(std::uint64_t);
   }
-
-  /// Logical equality: same width, size and element values.
-  friend bool operator==(const PackedVector& a, const PackedVector& b);
 
  private:
   static std::size_t words_for(std::size_t count, unsigned bits) noexcept {
@@ -142,9 +124,6 @@ class RowIndex {
 
   /// Heap bytes across both levels (capacities).
   std::uint64_t heap_bytes() const noexcept;
-
-  /// Logical equality: same universe and key set.
-  friend bool operator==(const RowIndex& a, const RowIndex& b);
 
  private:
   static constexpr std::uint32_t kAbsentBlock = 0xFFFFFFFFu;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "support/check.hpp"
 
@@ -17,37 +16,7 @@ void RunningStats::add(double x) noexcept {
   }
   ++n_;
   sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-void RunningStats::merge(const RunningStats& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto na = static_cast<double>(n_);
-  const auto nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  n_ += other.n_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-double RunningStats::variance() const noexcept {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
-
-double RunningStats::stderr_mean() const noexcept {
-  return n_ > 0 ? stddev() / std::sqrt(static_cast<double>(n_)) : 0.0;
+  mean_ += (x - mean_) / static_cast<double>(n_);
 }
 
 void Samples::ensure_sorted() const {
@@ -63,14 +32,6 @@ double Samples::mean() const noexcept {
   double s = 0.0;
   for (double x : xs_) s += x;
   return s / static_cast<double>(xs_.size());
-}
-
-double Samples::stddev() const noexcept {
-  if (xs_.size() < 2) return 0.0;
-  const double m = mean();
-  double acc = 0.0;
-  for (double x : xs_) acc += (x - m) * (x - m);
-  return std::sqrt(acc / static_cast<double>(xs_.size() - 1));
 }
 
 double Samples::min() const noexcept {
@@ -91,45 +52,6 @@ double Samples::percentile(double p) const {
   const double frac = rank - static_cast<double>(lo);
   if (lo + 1 >= sorted_.size()) return sorted_.back();
   return sorted_[lo] * (1.0 - frac) + sorted_[lo + 1] * frac;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  EXPLFRAME_CHECK(hi > lo && bins > 0);
-}
-
-void Histogram::add(double x) noexcept {
-  const double span = hi_ - lo_;
-  auto idx = static_cast<std::ptrdiff_t>((x - lo_) / span *
-                                         static_cast<double>(counts_.size()));
-  idx = std::clamp<std::ptrdiff_t>(
-      idx, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bin_lo(std::size_t i) const noexcept {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                   static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_hi(std::size_t i) const noexcept {
-  return bin_lo(i + 1);
-}
-
-std::string Histogram::render(std::size_t width) const {
-  std::ostringstream os;
-  std::size_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    os.setf(std::ios::fixed);
-    os.precision(3);
-    os << "[" << bin_lo(i) << ", " << bin_hi(i) << ") ";
-    const auto bar = counts_[i] * width / peak;
-    for (std::size_t b = 0; b < bar; ++b) os << '#';
-    os << ' ' << counts_[i] << '\n';
-  }
-  return os.str();
 }
 
 ProportionCi wilson_interval(std::size_t successes, std::size_t trials,

@@ -1,25 +1,20 @@
 // Small statistics toolkit used by the experiment harnesses: running
-// moments, percentiles, histograms and binomial confidence intervals.
+// mean/min/max, percentiles and binomial confidence intervals.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace explframe {
 
-/// Streaming mean / variance (Welford) plus min/max.
+/// Streaming (incremental) mean plus min/max and sum.
 class RunningStats {
  public:
   void add(double x) noexcept;
-  void merge(const RunningStats& other) noexcept;
 
   std::size_t count() const noexcept { return n_; }
   double mean() const noexcept { return n_ ? mean_ : 0.0; }
-  double variance() const noexcept;  ///< Sample variance (n-1 denominator).
-  double stddev() const noexcept;
-  double stderr_mean() const noexcept;  ///< Standard error of the mean.
   double min() const noexcept { return n_ ? min_ : 0.0; }
   double max() const noexcept { return n_ ? max_ : 0.0; }
   double sum() const noexcept { return sum_; }
@@ -27,7 +22,6 @@ class RunningStats {
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
   double sum_ = 0.0;
@@ -43,7 +37,6 @@ class Samples {
   std::size_t count() const noexcept { return xs_.size(); }
   bool empty() const noexcept { return xs_.empty(); }
   double mean() const noexcept;
-  double stddev() const noexcept;
   double min() const noexcept;
   double max() const noexcept;
   /// Linear-interpolated percentile, p in [0,100].
@@ -56,29 +49,6 @@ class Samples {
   mutable std::vector<double> sorted_;
   mutable bool sorted_valid_ = false;
   void ensure_sorted() const;
-};
-
-/// Fixed-width-bin histogram over [lo, hi); out-of-range samples clamp to the
-/// edge bins so nothing is silently dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-  std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t bins() const noexcept { return counts_.size(); }
-  std::size_t total() const noexcept { return total_; }
-  double bin_lo(std::size_t i) const noexcept;
-  double bin_hi(std::size_t i) const noexcept;
-
-  /// Render as a compact ASCII bar chart (for experiment logs).
-  std::string render(std::size_t width = 40) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 /// Wilson score interval for a binomial proportion — the right interval for

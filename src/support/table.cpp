@@ -44,10 +44,7 @@ std::string Table::to_cell(double v) {
 
 std::string Table::to_cell(std::size_t v) { return std::to_string(v); }
 std::string Table::to_cell(int v) { return std::to_string(v); }
-std::string Table::to_cell(long v) { return std::to_string(v); }
 std::string Table::to_cell(unsigned v) { return std::to_string(v); }
-std::string Table::to_cell(long long v) { return std::to_string(v); }
-std::string Table::to_cell(unsigned long long v) { return std::to_string(v); }
 std::string Table::to_cell(bool v) { return v ? "yes" : "no"; }
 
 std::string Table::percent(double p, int precision) {

@@ -44,10 +44,7 @@ class Table {
   static std::string to_cell(double v);
   static std::string to_cell(std::size_t v);
   static std::string to_cell(int v);
-  static std::string to_cell(long v);
   static std::string to_cell(unsigned v);
-  static std::string to_cell(long long v);
-  static std::string to_cell(unsigned long long v);
   static std::string to_cell(bool v);
 
   /// "12.3%" rendering of a proportion p in [0, 1].

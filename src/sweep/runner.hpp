@@ -149,8 +149,8 @@ struct SweepRunOptions {
   std::function<void(const SweepPoint&, const PointRecord&, bool resumed)>
       on_point;
   /// The filesystem every checkpoint read/append goes through (nullptr =
-  /// io::real()). Tests substitute io::FaultyFs to torture the
-  /// append→resume pipeline; production never sets this.
+  /// io::real()). Tests substitute io::FaultyFs (tests/io/faulty_fs.hpp)
+  /// to torture the append→resume pipeline; production never sets this.
   io::FileSystem* fs = nullptr;
 };
 

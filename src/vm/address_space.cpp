@@ -60,13 +60,4 @@ bool AddressSpace::munmap(VirtAddr addr, std::uint64_t length,
   return any;
 }
 
-void AddressSpace::release_all(const std::function<void(mm::Pfn)>& release) {
-  std::vector<VirtAddr> mapped;
-  table_.for_each([&](VirtAddr va, const Pte&) { mapped.push_back(va); });
-  for (const VirtAddr va : mapped) {
-    if (const auto pfn = table_.unmap(va)) release(*pfn);
-  }
-  vmas_.clear();
-}
-
 }  // namespace explframe::vm

@@ -63,9 +63,6 @@ class AddressSpace {
   VmCounters& counters() noexcept { return counters_; }
   const VmCounters& counters() const noexcept { return counters_; }
 
-  /// Release every mapped page (process exit).
-  void release_all(const std::function<void(mm::Pfn)>& release);
-
   /// Snapshot of the complete address-space state. Restoring the mmap
   /// cursor is what makes post-restore mmap() return exactly the addresses
   /// a fresh run would have — forked trials see identical VAs.

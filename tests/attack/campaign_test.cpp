@@ -120,7 +120,7 @@ TEST(CampaignRunner, AggregateMatchesSingleTrialRuns) {
 TEST(CampaignRunner, AesAndPresentShareTheCampaignPath) {
   // The same RunnerConfig shape drives both ciphers; only the enum (and the
   // cipher-conditioned knobs) differ. Both must produce cipher-tagged
-  // reports with the right key sizes out of the one ExplFrameCampaign.
+  // reports with the right key sizes out of the one TemplatedCampaign.
   const CampaignAggregate aes =
       CampaignRunner(runner_cfg(crypto::CipherKind::kAes128, 4, 2)).run();
   const CampaignAggregate present =

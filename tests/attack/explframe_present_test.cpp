@@ -1,4 +1,4 @@
-// ExplFrame against PRESENT-80 — the same ExplFrameCampaign code path as
+// ExplFrame against PRESENT-80 — the same TemplatedCampaign code path as
 // the AES tests, differing only in CampaignConfig::cipher, plus the
 // PRESENT-specific victim behaviours (nibble table, dead high bits).
 #include <gtest/gtest.h>
@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <array>
 
+#include "../crypto/reference_ciphers.hpp"
 #include "attack/campaign.hpp"
 #include "attack/victim.hpp"
 #include "crypto/present80.hpp"
@@ -76,7 +77,8 @@ TEST(VictimPresentService, EncryptsCorrectly) {
   Rng rng(3);
   for (int i = 0; i < 16; ++i) {
     const std::uint64_t pt = rng.next();
-    EXPECT_EQ(encrypt_u64(victim, pt), Present80::encrypt(pt, rk));
+    EXPECT_EQ(encrypt_u64(victim, pt),
+              crypto::reference::present_encrypt(pt, rk));
   }
   EXPECT_FALSE(victim.table_corrupted());
 }
@@ -119,7 +121,8 @@ TEST(VictimPresentService, HighNibbleCorruptionIsMaskedOut) {
   const auto rk = Present80::expand_key(to_present_key(vc.key));
   Rng rng(5);
   const std::uint64_t pt = rng.next();
-  EXPECT_EQ(encrypt_u64(victim, pt), Present80::encrypt(pt, rk));
+  EXPECT_EQ(encrypt_u64(victim, pt),
+            crypto::reference::present_encrypt(pt, rk));
 }
 
 TEST(ExplFrameCampaignPresent, EndToEndKeyRecovery) {
@@ -131,8 +134,8 @@ TEST(ExplFrameCampaignPresent, EndToEndKeyRecovery) {
     // campaign's own victim-key bookkeeping.
     CampaignConfig cfg = present_attack_cfg(seed);
     cfg.victim.key = crypto::random_key(present_cipher(), seed * 131 + 17);
-    ExplFrameCampaign attack(sys, cfg);
-    const auto report = attack.run();
+    const auto report =
+        TemplatedCampaign(sys, cfg, false).run_fork(cfg);
     if (!report.template_found) continue;  // 16-byte window: misses happen
     ++attempted;
     EXPECT_TRUE(report.steered) << "seed " << seed;
@@ -154,7 +157,7 @@ TEST(ExplFrameCampaignPresent, MaxLikelihoodIsRejected) {
   kernel::System sys(present_system_cfg(1));
   CampaignConfig cfg = present_attack_cfg(1);
   cfg.analysis = fault::AnalysisKind::kPfaMaxLikelihood;
-  EXPECT_DEATH({ ExplFrameCampaign c(sys, cfg); }, "AES-only");
+  EXPECT_DEATH({ TemplatedCampaign c(sys, cfg, false); }, "AES-only");
 }
 
 TEST(ExplFrameCampaignPresent, OnlyLiveBitsAreUsableTemplates) {
@@ -162,8 +165,9 @@ TEST(ExplFrameCampaignPresent, OnlyLiveBitsAreUsableTemplates) {
   // nibble) bit — dead-bit flips cannot fault the cipher.
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     kernel::System sys(present_system_cfg(seed));
-    ExplFrameCampaign attack(sys, present_attack_cfg(seed));
-    const auto report = attack.run();
+    const CampaignConfig cfg = present_attack_cfg(seed);
+    const auto report =
+        TemplatedCampaign(sys, cfg, false).run_fork(cfg);
     if (!report.template_found) continue;
     EXPECT_LT(report.chosen.bit, 4) << "seed " << seed;
     EXPECT_NE(report.fault_mask & 0x0F, 0) << "seed " << seed;

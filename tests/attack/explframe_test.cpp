@@ -1,5 +1,5 @@
-// The AES-128 end-to-end campaign — what the old ExplFrameAttack tests
-// covered, now through the unified ExplFrameCampaign.
+// The AES-128 end-to-end campaign: one TemplatedCampaign, templated and
+// forked once without a snapshot, as CampaignRunner runs a single trial.
 #include <gtest/gtest.h>
 
 #include "attack/campaign.hpp"
@@ -43,8 +43,8 @@ TEST(ExplFrameCampaignAes, EndToEndKeyRecovery) {
     CampaignConfig cfg = attack_cfg(seed);
     cfg.victim.key = crypto::random_key(
         crypto::cipher_for(cfg.cipher), seed * 1000 + 1);
-    ExplFrameCampaign attack(sys, cfg);
-    const auto report = attack.run();
+    const auto report =
+        TemplatedCampaign(sys, cfg, false).run_fork(cfg);
     if (!report.template_found) continue;  // unlucky weak-cell layout
     EXPECT_TRUE(report.steered) << "seed " << seed;
     EXPECT_TRUE(report.fault_injected) << "seed " << seed;
@@ -62,8 +62,9 @@ TEST(ExplFrameCampaignAes, EndToEndKeyRecovery) {
 TEST(ExplFrameCampaignAes, SteeringIsExactWithoutNoise) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     kernel::System sys(attack_system_cfg(seed));
-    ExplFrameCampaign attack(sys, attack_cfg(seed));
-    const auto report = attack.run();
+    const CampaignConfig cfg = attack_cfg(seed);
+    const auto report =
+        TemplatedCampaign(sys, cfg, false).run_fork(cfg);
     if (!report.template_found) continue;
     // No contention: the planted frame must reach the victim's table page.
     EXPECT_EQ(report.victim_table_pfn, report.planted_pfn) << "seed " << seed;
@@ -93,8 +94,8 @@ TEST(ExplFrameCampaignAes, ExplicitVictimKeyIsUsed) {
     kernel::System sys(attack_system_cfg(seed));
     CampaignConfig cfg = attack_cfg(seed);
     cfg.victim.key.assign(16, 0xA7);
-    ExplFrameCampaign attack(sys, cfg);
-    const auto report = attack.run();
+    const auto report =
+        TemplatedCampaign(sys, cfg, false).run_fork(cfg);
     EXPECT_EQ(report.victim_key, cfg.victim.key);
     if (!report.success) continue;
     EXPECT_EQ(report.recovered_key, cfg.victim.key);
@@ -109,8 +110,8 @@ TEST(ExplFrameCampaignAes, CrossCpuNoiseDoesNotStealFrame) {
     CampaignConfig cfg = attack_cfg(seed);
     cfg.noise_ops = 50;
     cfg.noise_cpu = 1;  // noise on the other CPU: different pcp cache
-    ExplFrameCampaign attack(sys, cfg);
-    const auto report = attack.run();
+    const auto report =
+        TemplatedCampaign(sys, cfg, false).run_fork(cfg);
     if (!report.template_found) continue;
     EXPECT_TRUE(report.steered) << "seed " << seed;
     return;
@@ -128,8 +129,8 @@ TEST(ExplFrameCampaignAes, SameCpuNoiseCanStealFrame) {
     CampaignConfig cfg = attack_cfg(seed);
     cfg.noise_ops = 200;
     cfg.noise_cpu = 0;  // same CPU as the attack
-    ExplFrameCampaign attack(sys, cfg);
-    const auto report = attack.run();
+    const auto report =
+        TemplatedCampaign(sys, cfg, false).run_fork(cfg);
     if (!report.template_found) continue;
     ++attempted;
     steered += report.steered ? 1 : 0;
@@ -142,7 +143,7 @@ TEST(ExplFrameCampaignAes, DfaIsRejected) {
   kernel::System sys(attack_system_cfg(1));
   CampaignConfig cfg = attack_cfg(1);
   cfg.analysis = fault::AnalysisKind::kDfa;
-  EXPECT_DEATH({ ExplFrameCampaign c(sys, cfg); }, "persistent");
+  EXPECT_DEATH({ TemplatedCampaign c(sys, cfg, false); }, "persistent");
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 //    CampaignRunner::run_trial (batched harvest) must report exactly what
 //    the test-side per-call reference (reference_campaign.hpp) reports,
 //    field for field (the optimisation is observation-free);
-//  * ExplFrameCampaign::run() must not mutate its config (templating seed,
+//  * a TemplatedCampaign run must not mutate its config (templating seed,
 //    seed-derived victim key), so campaigns are re-runnable and two fresh
 //    campaigns with the same seed report identically.
 #include <gtest/gtest.h>
@@ -45,8 +45,8 @@ TEST(HarvestDifferential, RunDoesNotMutateConfigAndIsRepeatable) {
     kernel::System sys(sys_cfg);
     CampaignConfig campaign_cfg = cfg.campaign;
     campaign_cfg.seed = 7;
-    ExplFrameCampaign campaign(sys, campaign_cfg);
-    const CampaignReport report = campaign.run();
+    TemplatedCampaign campaign(sys, campaign_cfg, /*take_snapshot=*/false);
+    const CampaignReport report = campaign.run_fork(campaign_cfg);
     // The config must read back exactly as configured: empty victim key
     // (the derived key lives in the report only) and untouched templating
     // seed.

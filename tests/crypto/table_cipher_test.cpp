@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <array>
 
+#include "reference_ciphers.hpp"
 #include "crypto/aes128.hpp"
 #include "crypto/present80.hpp"
 #include "support/bytes.hpp"
@@ -134,7 +135,7 @@ TEST(TableCipher, PresentBatchMatchesReferenceAndIgnoresDeadBits) {
   for (std::size_t off = 0; off < pts.size(); off += 8) {
     const std::uint64_t pt = le_bytes_to_u64(std::span(pts).subspan(off, 8));
     EXPECT_EQ(le_bytes_to_u64(std::span(cts).subspan(off, 8)),
-              Present80::encrypt(pt, ref_rk));
+              reference::present_encrypt(pt, ref_rk));
   }
 }
 

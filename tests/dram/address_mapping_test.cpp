@@ -66,18 +66,12 @@ TEST(AddressMapping, RowMajorConsecutiveRowsAreRowSizeApart) {
   const PhysAddr a = 0;
   PhysAddr up = 0;
   ASSERT_TRUE(map.neighbor_row_addr(a, +1, 0, up));
-  EXPECT_EQ(map.row_distance(a, up), 1);
-  EXPECT_TRUE(map.same_bank(a, up));
-}
-
-TEST(AddressMapping, SameBankDetectsDifferentBanks) {
-  Geometry g;
-  AddressMapping map(g, MappingScheme::kRowMajor);
-  DramAddress a{0, 0, 0, 10, 0};
-  DramAddress b{0, 0, 1, 10, 0};
-  EXPECT_FALSE(map.same_bank(map.encode(a), map.encode(b)));
-  EXPECT_EQ(map.row_distance(map.encode(a), map.encode(b)),
-            std::numeric_limits<std::int64_t>::max());
+  const DramAddress ca = map.decode(a);
+  const DramAddress cu = map.decode(up);
+  EXPECT_EQ(cu.row, ca.row + 1);
+  EXPECT_EQ(cu.channel, ca.channel);
+  EXPECT_EQ(cu.rank, ca.rank);
+  EXPECT_EQ(cu.bank, ca.bank);
 }
 
 TEST(AddressMapping, NeighborRowOutOfRange) {
@@ -106,15 +100,6 @@ TEST(AddressMapping, BankXorChangesBankAcrossRows) {
     }
   }
   EXPECT_GT(changed, 0);
-}
-
-TEST(AddressMapping, RowDistanceSigned) {
-  Geometry g;
-  AddressMapping map(g, MappingScheme::kRowMajor);
-  DramAddress a{0, 0, 3, 100, 0};
-  DramAddress b{0, 0, 3, 97, 0};
-  EXPECT_EQ(map.row_distance(map.encode(a), map.encode(b)), -3);
-  EXPECT_EQ(map.row_distance(map.encode(b), map.encode(a)), 3);
 }
 
 }  // namespace

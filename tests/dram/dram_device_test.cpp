@@ -105,7 +105,7 @@ TEST(DramDevice, ClockAdvancesWithAccesses) {
   const SimTime t0 = dev.now();
   dev.access(0);
   EXPECT_EQ(dev.now(), t0 + p.timings.row_conflict_ns);
-  dev.idle(kMillisecond);
+  dev.advance(kMillisecond);
   EXPECT_EQ(dev.now(), t0 + p.timings.row_conflict_ns + kMillisecond);
 }
 
@@ -114,7 +114,7 @@ TEST(DramDevice, RefreshHappensPeriodically) {
   DeviceParams p = quiet_params();
   DramDevice dev(g, p, 1);
   EXPECT_EQ(dev.refresh_count(), 0u);
-  dev.idle(p.timings.refresh_window_ns * 3 + 10);
+  dev.advance(p.timings.refresh_window_ns * 3 + 10);
   EXPECT_EQ(dev.refresh_count(), 3u);
 }
 

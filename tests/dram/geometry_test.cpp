@@ -26,11 +26,6 @@ TEST(Geometry, WithCapacityLargeAddsRanks) {
   EXPECT_GT(g.ranks, 1u);
 }
 
-TEST(Geometry, DescribeMentionsCapacity) {
-  const auto g = Geometry::with_capacity(256 * kMiB);
-  EXPECT_NE(g.describe().find("256"), std::string::npos);
-}
-
 TEST(Geometry, FlatIndicesAreUniquePerRow) {
   Geometry g;
   g.channels = 2;

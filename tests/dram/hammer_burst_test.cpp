@@ -123,8 +123,8 @@ Outcome run_differential(const DeviceParams& params, std::uint64_t seed,
   for (const DramAddress& c : aggressors)
     addrs.push_back(slow_dev.mapping().encode(c));
 
-  slow_dev.idle(start);
-  burst_dev.idle(start);
+  slow_dev.advance(start);
+  burst_dev.advance(start);
   if (prepare) {
     prepare(slow_dev);
     prepare(burst_dev);
@@ -234,7 +234,8 @@ TEST(HammerBurstDifferential, TimingProbeShapes) {
           for (const std::uint64_t iters : {8ull, 16ull}) {
             for (const SimTime start : {SimTime{0}, near_refresh}) {
               const std::string label =
-                  std::string("probe ") + to_string(mapping) + " " +
+                  std::string("probe mapping ") +
+                  std::to_string(static_cast<int>(mapping)) + " " +
                   config_label(trr, ecc) + " shape " + std::to_string(s) +
                   " x" + std::to_string(iters) + " @" +
                   std::to_string(start);
@@ -529,8 +530,8 @@ TEST(HammerBurstDifferential, ResumesMidWindowWithPriorState) {
     slow_dev.access(i % 2 ? warm_a : warm_b);
     burst_dev.access(i % 2 ? warm_a : warm_b);
   }
-  slow_dev.idle(100 * kMicrosecond);
-  burst_dev.idle(100 * kMicrosecond);
+  slow_dev.advance(100 * kMicrosecond);
+  burst_dev.advance(100 * kMicrosecond);
 
   const std::vector<PhysAddr> pair = {warm_a, warm_b};
   for (std::uint64_t i = 0; i < 18'000; ++i)

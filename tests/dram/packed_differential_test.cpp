@@ -146,7 +146,7 @@ class DevicePair {
     ref_.hammer(aggressors, iterations);
   }
   void idle_both(SimTime duration) {
-    dev_.idle(duration);
+    dev_.advance(duration);
     ref_.idle(duration);
   }
   void refresh_both() {

@@ -208,10 +208,10 @@ TEST(Analysis, PerBlockForwarderMatchesBatchOverRandomSplits) {
       ASSERT_EQ(per_block->ciphertext_count(), batched->ciphertext_count());
       ASSERT_EQ(per_block->remaining_keyspace_log2(),
                 batched->remaining_keyspace_log2())
-          << to_string(c.kind) << " after " << fed;
+          << static_cast<int>(c.kind) << " after " << fed;
     }
     const auto key = batched->recover_key();
-    ASSERT_TRUE(key.has_value()) << to_string(c.kind);
+    ASSERT_TRUE(key.has_value()) << static_cast<int>(c.kind);
     EXPECT_EQ(per_block->recover_key(), key);
     EXPECT_EQ(per_block->residual_search(), batched->residual_search());
   }
@@ -232,13 +232,6 @@ TEST(Analysis, FactoryRejectsUnsupportedCombinations) {
   EXPECT_DEATH(make_analysis(AnalysisKind::kPfaMaxLikelihood,
                              cipher_for(CipherKind::kPresent80), {}),
                "AES-only");
-}
-
-TEST(Analysis, Names) {
-  EXPECT_STREQ(to_string(AnalysisKind::kPfaMissingValue), "pfa-missing-value");
-  EXPECT_STREQ(to_string(AnalysisKind::kPfaMaxLikelihood),
-               "pfa-max-likelihood");
-  EXPECT_STREQ(to_string(AnalysisKind::kDfa), "dfa");
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <optional>
 
+#include "../crypto/reference_ciphers.hpp"
 #include "crypto/present80.hpp"
 #include "fault/injection.hpp"
 #include "fault/pfa_present.hpp"
@@ -24,7 +25,7 @@ using Table = std::array<std::uint8_t, 16>;
 /// Round-32 key register back to the master key, one inverse step at a time.
 Present80::Key reference_invert_schedule(__uint128_t reg32) {
   const __uint128_t mask80 = (static_cast<__uint128_t>(1) << 80) - 1;
-  const auto& inv = Present80::inv_sbox();
+  const auto& inv = crypto::reference::present_inv_sbox();
   __uint128_t reg = reg32 & mask80;
   for (std::uint32_t round = 31; round >= 1; --round) {
     reg ^= static_cast<__uint128_t>(round) << 15;

@@ -81,8 +81,8 @@ TEST(Integration, ExplFrameBeatsSprayBaseline) {
       cfg.templating.hammer_iterations = 100'000;
       cfg.ciphertext_budget = 1;  // corruption only; skip full PFA here
       cfg.seed = seed;
-      attack::ExplFrameCampaign attack(sys, cfg);
-      const auto r = attack.run();
+      const auto r =
+          attack::TemplatedCampaign(sys, cfg, false).run_fork(cfg);
       if (!r.template_found) continue;
       ++attempts;
       explframe_hits += r.fault_injected ? 1 : 0;
@@ -170,7 +170,7 @@ TEST(Integration, RefreshPreventsFlipsAtLowRate) {
   const vm::VirtAddr pair[2] = {lo, hi};
   for (int w = 0; w < 20; ++w) {
     sys.hammer_burst(t, pair, 700);
-    sys.idle(70 * kMillisecond);
+    sys.dram().advance(70 * kMillisecond);
   }
   EXPECT_GT(sys.dram().total_activations(), acts_before + 20000);
   EXPECT_EQ(sys.dram().drain_flips().size(), 0u);

@@ -4,7 +4,7 @@
 // crash-at-point semantics (un-synced bytes dropped, torn half-flush at a
 // sync, everything failing afterwards), and the in-order operation trace
 // the torture harnesses replay against.
-#include "io/faulty_fs.hpp"
+#include "faulty_fs.hpp"
 
 #include <gtest/gtest.h>
 

@@ -141,29 +141,6 @@ TEST(System, UncachedAccessReturnsLatencyAndFaults) {
   EXPECT_EQ(t.space().page_table().mapped_pages(), 1u);
 }
 
-TEST(System, ExitTaskReleasesEverything) {
-  System sys(small_cfg());
-  Task& t = sys.spawn("mortal", 0);
-  // Snapshot after spawn: the page-table root frame stays charged until the
-  // task struct itself is destroyed, as in Linux.
-  const auto free0 = sys.allocator().global_free_pages() +
-                     sys.allocator().zone(0).pcp_pages() +
-                     sys.allocator().zone(1).pcp_pages();
-  const vm::VirtAddr va = sys.sys_mmap(t, 16 * kPageSize);
-  for (int p = 0; p < 16; ++p) {
-    const std::uint8_t b = 3;
-    ASSERT_TRUE(sys.mem_write(t, va + p * kPageSize, {&b, 1}));
-  }
-  sys.exit_task(t);
-  EXPECT_EQ(t.state(), TaskState::kExited);
-  EXPECT_EQ(sys.find_task(t.id()), nullptr);
-  const auto free1 = sys.allocator().global_free_pages() +
-                     sys.allocator().zone(0).pcp_pages() +
-                     sys.allocator().zone(1).pcp_pages();
-  EXPECT_EQ(free0, free1);
-  sys.allocator().verify();
-}
-
 TEST(System, PageTableFramesCharged) {
   SystemConfig cfg = small_cfg();
   cfg.charge_page_tables = true;
@@ -175,16 +152,6 @@ TEST(System, PageTableFramesCharged) {
   const std::uint8_t b = 1;
   ASSERT_TRUE(sys.mem_write(t, va, {&b, 1}));
   EXPECT_GE(sys.stats().table_frames, before + 4);
-}
-
-TEST(System, PagemapCapabilityGate) {
-  System sys(small_cfg());
-  Task& t = sys.spawn("proc", 0);
-  const vm::VirtAddr va = sys.sys_mmap(t, kPageSize);
-  const std::uint8_t b = 1;
-  ASSERT_TRUE(sys.mem_write(t, va, {&b, 1}));
-  EXPECT_EQ(sys.sys_pagemap(t, va, false).pfn, 0u);
-  EXPECT_EQ(sys.sys_pagemap(t, va, true).pfn, sys.translate(t, va));
 }
 
 TEST(System, PhysOfMatchesTranslate) {

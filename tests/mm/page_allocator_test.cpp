@@ -163,18 +163,6 @@ TEST(PageAllocator, AtomicDipsBelowMinWatermark) {
   EXPECT_TRUE(alloc.alloc_pages(0, atomic, 0, 1).has_value());
 }
 
-TEST(PageAllocator, DrainAllPcpReturnsFramesToBuddy) {
-  PageAllocator alloc(default_cfg());
-  const auto a = alloc.alloc_pages(0, GfpFlags::user(), 0, 1);
-  ASSERT_TRUE(a);
-  alloc.free_pages(a->pfn, 0, 0);
-  const auto free_before = alloc.global_free_pages();
-  alloc.drain_all_pcp();
-  EXPECT_GT(alloc.global_free_pages(), free_before);
-  EXPECT_EQ(alloc.frames().at(a->pfn).state, PageState::kFreeBuddy);
-  alloc.verify();
-}
-
 TEST(PageAllocator, ChurnKeepsAccountingConsistent) {
   PageAllocator alloc(default_cfg());
   Rng rng(99);

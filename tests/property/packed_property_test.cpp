@@ -31,137 +31,76 @@ namespace {
 
 // ---- PackedVector ----------------------------------------------------------
 
-/// Random op storm (push_back / set / insert / erase / resize) against a
-/// std::vector oracle, at every interesting field width including the
-/// cross-word-spill widths.
-TEST(PackedVectorProperty, StormMatchesVectorOracle) {
+/// Random assign storm against a std::vector oracle, at every interesting
+/// field width including the cross-word-spill widths. Each round
+/// re-assigns the same vector, growing or shrinking it over the stale
+/// words of the previous round; every element must read back exactly.
+TEST(PackedVectorProperty, AssignStormMatchesVectorOracle) {
   for (const unsigned bits :
        {1u, 3u, 7u, 8u, 19u, 27u, 28u, 33u, 40u, 63u, 64u}) {
     SCOPED_TRACE(bits);
     Rng rng(0xbead + bits);
     PackedVector packed(bits);
-    std::vector<std::uint64_t> oracle;
     const std::uint64_t mask =
         bits == 64 ? ~0ull : (1ull << bits) - 1;
     EXPECT_EQ(packed.max_value(), mask);
+    EXPECT_TRUE(packed.empty());
 
-    for (int step = 0; step < 2000; ++step) {
-      switch (rng.uniform(6)) {
-        case 0:
-        case 1: {  // push_back (weighted: containers should grow)
-          const std::uint64_t v = rng.next() & mask;
-          packed.push_back(v);
-          oracle.push_back(v);
-          break;
-        }
-        case 2: {  // set
-          if (oracle.empty()) break;
-          const std::size_t i = rng.uniform(oracle.size());
-          const std::uint64_t v = rng.next() & mask;
-          packed.set(i, v);
-          oracle[i] = v;
-          break;
-        }
-        case 3: {  // insert
-          const std::size_t pos = rng.uniform(oracle.size() + 1);
-          const std::uint64_t v = rng.next() & mask;
-          packed.insert(pos, v);
-          oracle.insert(oracle.begin() + static_cast<std::ptrdiff_t>(pos), v);
-          break;
-        }
-        case 4: {  // erase a short run
-          if (oracle.empty()) break;
-          const std::size_t pos = rng.uniform(oracle.size());
-          const std::size_t count =
-              std::min<std::size_t>(1 + rng.uniform(4), oracle.size() - pos);
-          packed.erase(pos, count);
-          oracle.erase(oracle.begin() + static_cast<std::ptrdiff_t>(pos),
-                       oracle.begin() +
-                           static_cast<std::ptrdiff_t>(pos + count));
-          break;
-        }
-        case 5: {  // resize (shrink or zero-extend)
-          const std::size_t count = rng.uniform(oracle.size() + 16);
-          packed.resize(count);
-          oracle.resize(count, 0);
-          break;
+    for (int round = 0; round < 60; ++round) {
+      std::vector<std::uint64_t> oracle(rng.uniform(300));
+      // Mostly random values, with all-ones and zero runs so that spill
+      // words and stale bits are both exercised.
+      for (std::uint64_t& v : oracle) {
+        switch (rng.uniform(4)) {
+          case 0: v = mask; break;
+          case 1: v = 0; break;
+          default: v = rng.next() & mask; break;
         }
       }
+      packed.assign(oracle);
       ASSERT_EQ(packed.size(), oracle.size());
-      if (step % 61 == 0) {
-        for (std::size_t i = 0; i < oracle.size(); ++i)
-          ASSERT_EQ(packed.get(i), oracle[i]) << "index " << i;
-      }
-    }
-    for (std::size_t i = 0; i < oracle.size(); ++i)
-      ASSERT_EQ(packed.get(i), oracle[i]);
-
-    // Content equality is width-sensitive and content-exact.
-    PackedVector copy(bits);
-    for (const std::uint64_t v : oracle) copy.push_back(v);
-    EXPECT_TRUE(packed == copy);
-    if (!oracle.empty()) {
-      copy.set(0, oracle[0] ^ 1u);
-      EXPECT_FALSE(packed == copy);
+      ASSERT_EQ(packed.empty(), oracle.empty());
+      for (std::size_t i = 0; i < oracle.size(); ++i)
+        ASSERT_EQ(packed.get(i), oracle[i])
+            << "round " << round << " index " << i;
     }
   }
 }
 
-/// A value one past the field's maximum must CHECK, not truncate — for
-/// every store path.
+/// A value one past the field's maximum must CHECK, not truncate; so must
+/// a read past the end.
 TEST(PackedVectorProperty, OverWidthValuesDieInsteadOfTruncating) {
   PackedVector packed(19);
-  packed.push_back(packed.max_value());  // in range: fine
-  EXPECT_DEATH(packed.push_back(1ull << 19), "exceeds field width");
-  EXPECT_DEATH(packed.set(0, 1ull << 19), "exceeds field width");
-  EXPECT_DEATH(packed.insert(0, 1ull << 19), "exceeds field width");
+  const std::uint64_t in_range[] = {packed.max_value()};
+  packed.assign(in_range);  // in range: fine
+  EXPECT_EQ(packed.get(0), packed.max_value());
   const std::uint64_t over[] = {1, 1ull << 19, 2};
   EXPECT_DEATH(packed.assign(over), "exceeds field width");
+  EXPECT_DEATH(packed.get(1), "");
 }
 
-/// The bulk store leaves what clear() + reserve() + one push_back per value
-/// leaves: the same contents and the same heap_bytes(), whether the vector
-/// is fresh, was cleared or was erased (the last two keep stale words past
-/// the end), and at every width including the cross-word-spill ones.
-TEST(PackedVectorProperty, AssignMatchesPushBackOracle) {
+/// heap_bytes() after assign is 8 * max(previous word capacity,
+/// ceil(n * bits / 64)): a fresh vector holds exactly the words its values
+/// need, a larger re-assign grows to that, and a smaller one keeps the
+/// capacity it had.
+TEST(PackedVectorProperty, AssignHeapBytesFormula) {
   for (const unsigned bits : {1u, 3u, 19u, 27u, 28u, 33u, 63u, 64u}) {
-    const std::uint64_t mask = bits == 64 ? ~0ull : (1ull << bits) - 1;
     Rng rng(0xa55 + bits);
+    const auto words = [bits](std::size_t n) -> std::uint64_t {
+      return (n * bits + 63) / 64;
+    };
+    PackedVector packed(bits);
+    EXPECT_EQ(packed.heap_bytes(), 0u);
+    std::uint64_t capacity = 0;
     for (int trial = 0; trial < 60; ++trial) {
       SCOPED_TRACE(testing::Message() << bits << " bits, trial " << trial);
-      PackedVector bulk(bits);
-      PackedVector oracle(bits);
-      // The same history on both sides: a prefix, then clear() or erase().
-      const std::size_t prefix = rng.uniform(200);
-      for (std::size_t i = 0; i < prefix; ++i) {
-        const std::uint64_t v = rng.next() & mask;
-        bulk.push_back(v);
-        oracle.push_back(v);
-      }
-      if (trial % 3 == 1) {
-        bulk.clear();
-        oracle.clear();
-      } else if (trial % 3 == 2 && prefix > 0) {
-        const std::size_t pos = rng.uniform(prefix);
-        bulk.erase(pos, prefix - pos);
-        oracle.erase(pos, prefix - pos);
-      }
-
       std::vector<std::uint64_t> values(rng.uniform(300));
-      for (std::uint64_t& v : values) v = rng.next() & mask;
-      bulk.assign(values);
-      oracle.clear();
-      oracle.reserve(values.size());
-      for (const std::uint64_t v : values) oracle.push_back(v);
-
-      ASSERT_TRUE(bulk == oracle);
-      EXPECT_EQ(bulk.heap_bytes(), oracle.heap_bytes());
-      for (std::size_t i = 0; i < values.size(); ++i)
-        ASSERT_EQ(bulk.get(i), values[i]) << "index " << i;
-      // Growth past the assigned tail reads zeros, as after push_back.
-      bulk.resize(values.size() + 5);
-      oracle.resize(values.size() + 5);
-      EXPECT_TRUE(bulk == oracle);
+      packed.assign(values);
+      capacity = std::max(capacity, words(values.size()));
+      EXPECT_EQ(packed.heap_bytes(), 8 * capacity);
+      PackedVector fresh(bits);
+      fresh.assign(values);
+      EXPECT_EQ(fresh.heap_bytes(), 8 * words(values.size()));
     }
   }
 }

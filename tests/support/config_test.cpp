@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <utility>
+
 namespace explframe {
 namespace {
 
@@ -86,11 +90,10 @@ TEST(KvFile, LastLineWithoutNewlineParses) {
 
 TEST(KvReader, TypedGettersAndFallbacks) {
   const auto kv = KvFile::parse(
-      "u = 18446744073709551615\nd = 2.5\nb1 = yes\nb0 = 0\ns = text\n");
+      "u = 18446744073709551615\nb1 = yes\nb0 = 0\ns = text\n");
   ASSERT_TRUE(kv.has_value());
   KvReader r(*kv);
   EXPECT_EQ(r.get_u64("u", 0), 18446744073709551615ULL);
-  EXPECT_DOUBLE_EQ(r.get_double("d", 0.0), 2.5);
   EXPECT_TRUE(r.get_bool("b1", false));
   EXPECT_FALSE(r.get_bool("b0", true));
   EXPECT_EQ(r.get_string("s", ""), "text");
@@ -112,6 +115,24 @@ TEST(KvReader, MalformedUnsignedIsAnError) {
   }
 }
 
+/// The edge cases of the integer grammar: digits only, full uint64 range.
+TEST(KvReader, U64AcceptsExactlyTheDecimalDigits) {
+  const std::pair<const char*, std::optional<std::uint64_t>> cases[] = {
+      {"+1", std::nullopt},
+      {"-1", std::nullopt},
+      {"0x10", std::nullopt},
+      {"18446744073709551615", 18446744073709551615ULL},
+      {"18446744073709551616", std::nullopt},
+  };
+  for (const auto& [text, want] : cases) {
+    const auto kv = KvFile::parse(std::string("n = ") + text + "\n");
+    ASSERT_TRUE(kv.has_value()) << text;
+    KvReader r(*kv);
+    EXPECT_EQ(r.get_u64("n", 5), want.value_or(5)) << text;
+    EXPECT_EQ(r.finish().has_value(), !want.has_value()) << text;
+  }
+}
+
 TEST(KvReader, U32RejectsOverflow) {
   const auto kv = KvFile::parse("trials = 4294967296\n");
   ASSERT_TRUE(kv.has_value());
@@ -120,12 +141,12 @@ TEST(KvReader, U32RejectsOverflow) {
   EXPECT_TRUE(r.finish().has_value());
 }
 
-TEST(KvReader, MalformedBoolAndDoubleAreErrors) {
+TEST(KvReader, MalformedBoolIsAnErrorAndTheFirstErrorWins) {
   const auto kv = KvFile::parse("flag = maybe\nratio = 1.2.3\n");
   ASSERT_TRUE(kv.has_value());
   KvReader r(*kv);
   EXPECT_TRUE(r.get_bool("flag", true));  // fallback
-  EXPECT_DOUBLE_EQ(r.get_double("ratio", 9.0), 9.0);
+  EXPECT_EQ(r.get_u64("ratio", 9), 9u);
   const auto err = r.finish();
   ASSERT_TRUE(err.has_value());
   // First error wins: the bool came first.

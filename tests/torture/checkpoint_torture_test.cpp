@@ -26,7 +26,7 @@
 #include <string>
 #include <vector>
 
-#include "io/faulty_fs.hpp"
+#include "../io/faulty_fs.hpp"
 #include "io/fs.hpp"
 #include "scenario/registry.hpp"
 #include "support/check.hpp"

@@ -31,7 +31,7 @@
 #include <utility>
 #include <vector>
 
-#include "io/faulty_fs.hpp"
+#include "../io/faulty_fs.hpp"
 #include "io/fs.hpp"
 #include "scenario/registry.hpp"
 #include "service/service.hpp"

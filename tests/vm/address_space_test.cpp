@@ -82,19 +82,5 @@ TEST(AddressSpace, MunmapSpanningTwoVmas) {
   EXPECT_TRUE(space.vmas().empty());
 }
 
-TEST(AddressSpace, ReleaseAllReturnsEveryFrame) {
-  AddressSpace space;
-  const VirtAddr a = space.mmap(3 * kPageSize);
-  const VirtAddr b = space.mmap(2 * kPageSize);
-  space.page_table().map(a, 1);
-  space.page_table().map(a + 2 * kPageSize, 2);
-  space.page_table().map(b, 3);
-  std::vector<mm::Pfn> released;
-  space.release_all([&](mm::Pfn p) { released.push_back(p); });
-  EXPECT_EQ(released.size(), 3u);
-  EXPECT_TRUE(space.vmas().empty());
-  EXPECT_EQ(space.page_table().mapped_pages(), 0u);
-}
-
 }  // namespace
 }  // namespace explframe::vm

@@ -5,6 +5,10 @@
 #   tools/check_handbook.sh       handbook covers every scenario/sweep
 #   tools/lint_determinism.sh     determinism contract (+ its self-test
 #                                 against the committed negative fixture)
+#   tools/lint_reachability.sh    every src/ function is reached by a
+#                                 shipped binary (+ its self-test on a
+#                                 planted unreached function); builds
+#                                 its own -O0 tree in build-reach/
 #   tools/lint_tidy.sh            NOLINT hygiene + clang-tidy when installed
 #
 # Usage: tools/lint_all.sh [build-dir]   (build-dir is forwarded to the
@@ -28,6 +32,8 @@ run tools/lint_headers.sh
 run tools/check_handbook.sh
 run tools/lint_determinism.sh
 run tools/lint_determinism.sh --self-test
+run tools/lint_reachability.sh
+run tools/lint_reachability.sh --self-test
 run tools/lint_tidy.sh "$build_dir"
 
 if [ "$status" -ne 0 ]; then
