@@ -1,7 +1,7 @@
 // PERF — snapshot/fork amortized templating.
 //
 // The whole point of the CoW snapshot engine: campaign variants that agree
-// on every template-shaping field (attack::template_key) should pay for
+// on every template-shaping field (attack::shares_template) should pay for
 // templating ONCE and fork the post-template machine state per variant,
 // instead of re-templating from scratch. This bench builds the
 // representative workload — one base scenario and a family of variants
@@ -44,7 +44,7 @@ std::string speedup_label(double speedup) {
 }
 
 /// The variant family: the quickstart machine with a ciphertext-budget
-/// curve (a post-template knob, so every variant shares one template_key).
+/// curve (a post-template knob, so every variant shares one template).
 std::vector<attack::CampaignConfig> make_variants(
     const attack::RunnerConfig& base) {
   std::vector<attack::CampaignConfig> variants;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <sstream>
 
 #include "kernel/noise.hpp"
 #include "support/check.hpp"
@@ -20,21 +19,23 @@ std::string CampaignReport::failure_stage() const {
   return "key-mismatch";
 }
 
-bool CampaignReport::same_outcome(const CampaignReport& o) const {
-  return cipher == o.cipher && template_found == o.template_found &&
-         rows_scanned == o.rows_scanned && flips_found == o.flips_found &&
-         chosen == o.chosen && table_index == o.table_index &&
-         fault_mask == o.fault_mask && steered == o.steered &&
-         planted_pfn == o.planted_pfn &&
-         victim_table_pfn == o.victim_table_pfn &&
-         fault_injected == o.fault_injected &&
-         fault_as_predicted == o.fault_as_predicted &&
-         ciphertexts_used == o.ciphertexts_used &&
-         residual_search == o.residual_search &&
-         key_recovered == o.key_recovered &&
-         recovered_key == o.recovered_key && victim_key == o.victim_key &&
-         success == o.success && total_time == o.total_time &&
-         template_time == o.template_time;
+bool CampaignReport::same_outcome(const CampaignReport& other) const {
+  CampaignReport self = *this;
+  self.template_wall_seconds = other.template_wall_seconds;
+  return self == other;
+}
+
+bool shares_template(const CampaignConfig& a, const CampaignConfig& b) {
+  CampaignConfig shaped = a;
+  shaped.analysis = b.analysis;
+  shaped.ciphertext_budget = b.ciphertext_budget;
+  shaped.analysis_check_interval = b.analysis_check_interval;
+  shaped.noise_ops = b.noise_ops;
+  shaped.noise_cpu = b.noise_cpu;
+  shaped.attacker_sleeps = b.attacker_sleeps;
+  shaped.seed = b.seed;
+  shaped.templating.seed = b.templating.seed;
+  return shaped == b;
 }
 
 namespace {
@@ -42,9 +43,6 @@ namespace {
 /// Construction and every fork reject the same invalid (cipher, analysis)
 /// combinations before any simulated work happens.
 void check_analysis_combo(const CampaignConfig& config) {
-  EXPLFRAME_CHECK_MSG(config.analysis != fault::AnalysisKind::kDfa,
-                      "the campaign injects persistent faults; DFA needs "
-                      "transient (correct, faulty) pairs");
   EXPLFRAME_CHECK_MSG(
       config.analysis != fault::AnalysisKind::kPfaMaxLikelihood ||
           config.cipher == crypto::CipherKind::kAes128,
@@ -52,45 +50,6 @@ void check_analysis_combo(const CampaignConfig& config) {
 }
 
 }  // namespace
-
-std::string template_key(const kernel::SystemConfig& system,
-                         const CampaignConfig& campaign) {
-  std::ostringstream out;
-  out.precision(17);
-  const dram::DeviceParams& d = system.dram;
-  out << "mem=" << system.memory_bytes << " cpus=" << system.num_cpus
-      << " seed=" << system.seed << " zero=" << system.zero_on_alloc
-      << " charge_pt=" << system.charge_page_tables << '\n'
-      << "pcp=" << system.pcp.high << ',' << system.pcp.batch << ','
-      << system.pcp.lifo << '\n'
-      << "timings=" << d.timings.row_hit_ns << ',' << d.timings.row_conflict_ns
-      << ',' << d.timings.refresh_window_ns << '\n'
-      << "weak=" << d.weak_cells.cells_per_mib << ','
-      << d.weak_cells.threshold_log_mean << ','
-      << d.weak_cells.threshold_log_sigma << ','
-      << d.weak_cells.threshold_min << ',' << d.weak_cells.threshold_max << ','
-      << d.weak_cells.true_cell_fraction << ','
-      << d.weak_cells.single_sided_fraction << '\n'
-      << "mapping=" << static_cast<int>(d.mapping)
-      << " dps=" << d.data_pattern_sensitivity
-      << " spc=" << d.same_pattern_coupling << '\n'
-      << "trr=" << d.trr.enabled << ',' << d.trr.threshold << ','
-      << d.trr.sampler_entries << " ecc=" << d.ecc.enabled << '\n'
-      << "cipher=" << static_cast<int>(campaign.cipher)
-      << " cpu=" << campaign.cpu << '\n'
-      << "tmpl=" << static_cast<int>(campaign.templating.strategy) << ','
-      << campaign.templating.buffer_bytes << ','
-      << campaign.templating.hammer_iterations << ','
-      << campaign.templating.both_polarities << ','
-      << campaign.templating.stop_after << ',' << campaign.templating.max_rows
-      << '\n'
-      << "victim=" << campaign.victim.sbox_offset << ','
-      << campaign.victim.data_pages << ',' << campaign.victim.warm_up
-      << " key=";
-  for (const std::uint8_t b : campaign.victim.key)
-    out << static_cast<int>(b) << '.';
-  return out.str();
-}
 
 TemplatedCampaign::TemplatedCampaign(kernel::System& system,
                                      const CampaignConfig& config,
@@ -181,9 +140,7 @@ TemplatedCampaign::TemplatedCampaign(kernel::System& system,
 CampaignReport TemplatedCampaign::run_fork(const CampaignConfig& config) {
   check_analysis_combo(config);
   EXPLFRAME_CHECK_MSG(
-      config.seed == config_.seed &&
-          template_key(system_->config(), config) ==
-              template_key(system_->config(), config_),
+      config.seed == config_.seed && shares_template(config, config_),
       "run_fork config diverges from the templated base on a "
       "template-shaping field");
 

@@ -66,6 +66,8 @@ struct CampaignConfig {
   /// distinct values share no RNG stream. TemplateConfig::seed is
   /// overridden by the derived value.
   std::uint64_t seed = 42;
+
+  bool operator==(const CampaignConfig&) const = default;
 };
 
 /// Every phase outcome, for the experiment tables — one struct for all
@@ -117,18 +119,19 @@ struct CampaignReport {
   /// True when `other` reports the same outcome: every field equal except
   /// template_wall_seconds (host wall clock, never deterministic).
   bool same_outcome(const CampaignReport& other) const;
+  /// Every field equal, template_wall_seconds included.
+  bool operator==(const CampaignReport&) const = default;
 };
 
-/// Canonical serialization of every (system, campaign) field that shapes
-/// the templating phase's outcome — geometry/timings/weak cells/defences,
-/// the full templating config, the victim allocation shape, the CPU —
-/// and nothing that only matters after templating (analysis kind, budgets,
-/// noise, the campaign master seed). Two configs with equal keys and equal
-/// master seeds template identically, so their trials may fork from one
-/// shared post-templating snapshot (SweepRunner groups grid points by this
-/// key).
-std::string template_key(const kernel::SystemConfig& system,
-                         const CampaignConfig& campaign);
+/// True when `a` and `b` template identically on one machine: they may
+/// differ only in what phases 2-6 read (analysis, ciphertext_budget,
+/// analysis_check_interval, noise_ops, noise_cpu, attacker_sleeps) and in
+/// the two seeds the campaign overrides (the master seed, which callers
+/// compare on their own, and TemplateConfig::seed, derived from it). Every
+/// other field shapes the template, a field added later included.
+/// run_fork CHECKs it against the templated base; SweepRunner groups grid
+/// points with it.
+bool shares_template(const CampaignConfig& a, const CampaignConfig& b);
 
 /// The campaign, split at its natural seam: construction runs setup +
 /// templating (phase 1), then — when `take_snapshot` — captures a machine
@@ -148,7 +151,7 @@ std::string template_key(const kernel::SystemConfig& system,
 /// restore makes the victim's post-fork VAs match a fresh run), and
 /// (b) every post-template knob comes from the run_fork argument while
 /// every template-shaping field is CHECKed equal to the templated base
-/// (template_key + master seed).
+/// (shares_template + master seed).
 class TemplatedCampaign {
  public:
   /// Runs setup + templating immediately on `system` (which must be
@@ -156,8 +159,8 @@ class TemplatedCampaign {
   TemplatedCampaign(kernel::System& system, const CampaignConfig& config,
                     bool take_snapshot);
 
-  /// Run phases 2-6 under `config`. CHECK: `config` agrees with the
-  /// templated base on template_key and master seed. Restores the
+  /// Run phases 2-6 under `config`. CHECK: `config` shares the templated
+  /// base's template (shares_template) and master seed. Restores the
   /// post-template snapshot first when one was taken, so calls are
   /// independent; without one, at most a single call is meaningful.
   CampaignReport run_fork(const CampaignConfig& config);

@@ -52,8 +52,8 @@ std::vector<CampaignReport> CampaignRunner::run_trial_group(
   CampaignConfig first = variants.front();
   first.seed = campaign_seed;
   // Template once; with more than one variant, every variant forks from
-  // the shared snapshot (run_fork CHECKs that each variant matches the
-  // base's template_key). A lone variant has nothing to rewind.
+  // the shared snapshot (run_fork CHECKs that each variant shares the
+  // base's template). A lone variant has nothing to rewind.
   TemplatedCampaign templated(sys, first,
                               /*take_snapshot=*/variants.size() > 1);
   std::vector<CampaignReport> reports;

@@ -90,12 +90,12 @@ class CampaignRunner {
                                   std::uint32_t trial);
 
   /// Run one trial of several campaign variants that agree on every
-  /// template-shaping field (attack::template_key; CHECKed) over ONE
+  /// template-shaping field (attack::shares_template; CHECKed) over ONE
   /// machine: template once, then fork each variant from a snapshot of
   /// the post-templating state (taken only when there are several).
   /// Element i corresponds to variants[i] and is byte-identical to
   /// run_trial with that campaign config — this is the sweep amortization
-  /// (SweepRunner groups grid points by template_key).
+  /// (SweepRunner groups grid points by shares_template).
   static std::vector<CampaignReport> run_trial_group(
       const RunnerConfig& base, const std::vector<CampaignConfig>& variants,
       std::uint32_t trial);

@@ -62,6 +62,8 @@ struct TemplateConfig {
   std::uint64_t max_rows = 0;
   /// Seed for the random-pair strategy.
   std::uint64_t seed = 1;
+
+  bool operator==(const TemplateConfig&) const = default;
 };
 
 /// What a scan found, plus the cost accounting the experiments report.

@@ -38,6 +38,8 @@ struct VictimConfig {
   /// Touch a warm-up region before installation so page-table nodes for the
   /// mmap area already exist and do not consume the planted frame.
   bool warm_up = true;
+
+  bool operator==(const VictimConfig&) const = default;
 };
 
 /// The victim process: installs its table + round keys into demand-faulted

@@ -33,19 +33,19 @@ DramDevice::DramDevice(const Geometry& geometry, const DeviceParams& params,
       mapping_(geometry, params.mapping),
       weak_cells_(geometry, params.weak_cells, seed),
       zero_row_(std::make_unique<std::uint8_t[]>(geometry.row_bytes)),
-      open_row_(geometry.total_banks(), -1),
-      disturbance_(weak_cells_.row_index().size()),
-      trr_sampler_(params.trr.sampler_entries),
-      next_refresh_(params.timings.refresh_window_ns) {
+      disturbance_(weak_cells_.row_index().size()) {
   std::memset(zero_row_.get(), 0, geometry_.row_bytes);
+  state_.open_row.assign(geometry.total_banks(), -1);
+  state_.trr_sampler = TrrSampler(params.trr.sampler_entries);
+  state_.next_refresh = params.timings.refresh_window_ns;
 }
 
 std::uint8_t* DramDevice::row_storage(std::uint64_t flat_row) {
-  auto it = rows_.find(flat_row);
-  if (it == rows_.end()) {
+  auto it = state_.rows.find(flat_row);
+  if (it == state_.rows.end()) {
     std::shared_ptr<std::uint8_t[]> buf(new std::uint8_t[geometry_.row_bytes]);
     std::memset(buf.get(), 0, geometry_.row_bytes);
-    it = rows_.emplace(flat_row, std::move(buf)).first;
+    it = state_.rows.emplace(flat_row, std::move(buf)).first;
   } else if (it->second.use_count() > 1) {
     // The payload is shared with at least one snapshot Image: clone before
     // handing out a mutable pointer (copy-on-write).
@@ -57,79 +57,54 @@ std::uint8_t* DramDevice::row_storage(std::uint64_t flat_row) {
 }
 
 const std::uint8_t* DramDevice::row_view(std::uint64_t flat_row) const {
-  const auto it = rows_.find(flat_row);
+  const auto it = state_.rows.find(flat_row);
   // Untouched rows hold zeros; serve them from the shared zero row instead
   // of allocating (keeps pure reads allocation- and clone-free).
-  return it != rows_.end() ? it->second.get() : zero_row_.get();
+  return it != state_.rows.end() ? it->second.get() : zero_row_.get();
 }
 
 DramDevice::Image DramDevice::capture_image() const {
-  Image image;
-  image.rows = rows_;  // refcount bumps only — payloads stay shared
-  image.open_row = open_row_;
-  image.disturbance = disturbance_.capture();  // O(touched this window)
-  image.flips = flips_;
-  image.live_flips = live_flips_;
-  image.trr_sampler = trr_sampler_;
-  image.now = now_;
-  image.next_refresh = next_refresh_;
-  image.mutation_epoch = mutation_epoch_;
-  image.total_flips = total_flips_;
-  image.total_acts = total_acts_;
-  image.refreshes = refreshes_;
-  image.trr_hits = trr_hits_;
-  image.ecc_corrected = ecc_corrected_;
-  image.ecc_uncorrectable = ecc_uncorrectable_;
-  return image;
+  // Copying the row map bumps refcounts only: payloads stay shared.
+  return {state_, disturbance_.capture()};
 }
 
 void DramDevice::restore_image(const Image& image) {
-  rows_ = image.rows;  // share again; the image stays valid for re-restore
-  open_row_ = image.open_row;
+  const std::uint64_t epoch = state_.mutation_epoch;
+  state_ = image.state;  // shares the rows again; the image stays reusable
   disturbance_.restore(image.disturbance);
-  flips_ = image.flips;
-  live_flips_ = image.live_flips;
-  trr_sampler_ = image.trr_sampler;
-  now_ = image.now;
-  next_refresh_ = image.next_refresh;
-  total_flips_ = image.total_flips;
-  total_acts_ = image.total_acts;
-  refreshes_ = image.refreshes;
-  trr_hits_ = image.trr_hits;
-  ecc_corrected_ = image.ecc_corrected;
-  ecc_uncorrectable_ = image.ecc_uncorrectable;
   // The epoch must move strictly FORWARD across a rollback: a cache keyed
   // on the pre-restore epoch (victim batch-encrypt context) would otherwise
   // collide with a revived value and serve stale bytes.
-  mutation_epoch_ = std::max(mutation_epoch_, image.mutation_epoch) + 1;
+  state_.mutation_epoch = std::max(epoch, image.state.mutation_epoch) + 1;
 }
 
 void DramDevice::advance(SimTime dt) {
-  now_ += dt;
-  while (now_ >= next_refresh_) {
+  state_.now += dt;
+  while (state_.now >= state_.next_refresh) {
     disturbance_.clear_window();
-    trr_sampler_.clear();
-    ++refreshes_;
-    next_refresh_ += params_.timings.refresh_window_ns;
+    state_.trr_sampler.clear();
+    ++state_.refreshes;
+    state_.next_refresh += params_.timings.refresh_window_ns;
   }
 }
 
 void DramDevice::refresh_now() {
   // An explicit refresh also restarts the retention window.
   disturbance_.clear_window();
-  trr_sampler_.clear();
-  ++refreshes_;
-  next_refresh_ = now_ + params_.timings.refresh_window_ns;
+  state_.trr_sampler.clear();
+  ++state_.refreshes;
+  state_.next_refresh = state_.now + params_.timings.refresh_window_ns;
 }
 
 void DramDevice::trr_observe(std::uint64_t aggressor_flat) {
-  std::size_t slot = trr_sampler_.find(aggressor_flat);
-  if (slot == TrrSampler::kNpos) slot = trr_sampler_.insert(aggressor_flat);
-  trr_sampler_.add(slot, 1);
-  if (trr_sampler_.count(slot) < params_.trr.threshold) return;
+  std::size_t slot = state_.trr_sampler.find(aggressor_flat);
+  if (slot == TrrSampler::kNpos)
+    slot = state_.trr_sampler.insert(aggressor_flat);
+  state_.trr_sampler.add(slot, 1);
+  if (state_.trr_sampler.count(slot) < params_.trr.threshold) return;
   // Targeted refresh of both neighbours: their disturbance is reset.
-  ++trr_hits_;
-  trr_sampler_.set_count(slot, 0);
+  ++state_.trr_hits;
+  state_.trr_sampler.set_count(slot, 0);
   const std::uint64_t row_in_bank =
       aggressor_flat % geometry_.rows_per_bank;
   const RowIndex& weak = weak_cells_.row_index();
@@ -145,12 +120,12 @@ void DramDevice::trr_observe(std::uint64_t aggressor_flat) {
 
 void DramDevice::clear_live_flips(std::uint64_t flat_row, std::uint32_t col,
                                   std::uint64_t len) {
-  live_flips_.erase_cols(flat_row, col, len);
+  state_.live_flips.erase_cols(flat_row, col, len);
 }
 
 void DramDevice::ecc_filter(std::uint64_t flat_row, std::uint32_t col,
                             std::span<std::uint8_t> chunk) {
-  const LiveFlipTable::Range range = live_flips_.row_range(flat_row);
+  const LiveFlipTable::Range range = state_.live_flips.row_range(flat_row);
   if (range.begin == range.end) return;
   // Act per 64-bit word on the row's live flips: one flip in a word is
   // corrected if the read covers it, two or more in a word that the read
@@ -159,7 +134,8 @@ void DramDevice::ecc_filter(std::uint64_t flat_row, std::uint32_t col,
   std::vector<std::pair<std::uint32_t, std::uint8_t>> flips;
   flips.reserve(range.end - range.begin);
   for (std::size_t i = range.begin; i < range.end; ++i)
-    flips.emplace_back(live_flips_.col_at(i), live_flips_.bit_at(i));
+    flips.emplace_back(state_.live_flips.col_at(i),
+                       state_.live_flips.bit_at(i));
   std::sort(flips.begin(), flips.end());
   for (std::size_t i = 0; i < flips.size();) {
     const std::uint32_t word = flips[i].first / 8;
@@ -172,10 +148,10 @@ void DramDevice::ecc_filter(std::uint64_t flat_row, std::uint32_t col,
         const auto [fcol, fbit] = flips[i];
         if (fcol >= col && fcol < col + chunk.size()) {
           chunk[fcol - col] ^= static_cast<std::uint8_t>(1u << fbit);
-          ++ecc_corrected_;
+          ++state_.ecc_corrected;
         }
       } else {
-        ++ecc_uncorrectable_;  // Detected, not corrected (machine check).
+        ++state_.ecc_uncorrectable;  // Detected, not corrected (machine check).
       }
     }
     i = j;
@@ -199,7 +175,7 @@ void DramDevice::read(PhysAddr addr, std::span<std::uint8_t> out) {
 
 void DramDevice::write(PhysAddr addr, std::span<const std::uint8_t> in) {
   EXPLFRAME_CHECK(addr + in.size() <= geometry_.total_bytes());
-  ++mutation_epoch_;
+  ++state_.mutation_epoch;
   std::size_t done = 0;
   while (done < in.size()) {
     const DramAddress c = mapping_.decode(addr + done);
@@ -224,7 +200,7 @@ void DramDevice::write_byte(PhysAddr addr, std::uint8_t value) {
 
 void DramDevice::fill(PhysAddr addr, std::uint8_t value, std::uint64_t len) {
   EXPLFRAME_CHECK(addr + len <= geometry_.total_bytes());
-  ++mutation_epoch_;
+  ++state_.mutation_epoch;
   std::uint64_t done = 0;
   while (done < len) {
     const DramAddress c = mapping_.decode(addr + done);
@@ -290,10 +266,10 @@ void DramDevice::check_victim_row(std::uint64_t victim_flat,
     mut[ccol] = static_cast<std::uint8_t>(mut[ccol] ^ (1u << cbit));
     DramAddress at = victim;
     at.col = ccol;
-    flips_.append(mapping_.encode(at), cbit, !stored, now_);
-    live_flips_.add(victim_flat, ccol, cbit);
-    ++total_flips_;
-    ++mutation_epoch_;
+    state_.flips.append(mapping_.encode(at), cbit, !stored, state_.now);
+    state_.live_flips.add(victim_flat, ccol, cbit);
+    ++state_.total_flips;
+    ++state_.mutation_epoch;
   }
 }
 
@@ -332,12 +308,12 @@ SimTime DramDevice::access(PhysAddr addr) {
   const DramAddress c = mapping_.decode(addr);
   const std::uint64_t bank = flat_bank(geometry_, c);
   SimTime latency;
-  if (open_row_[bank] == static_cast<std::int64_t>(c.row)) {
+  if (state_.open_row[bank] == static_cast<std::int64_t>(c.row)) {
     latency = params_.timings.row_hit_ns;
   } else {
     latency = params_.timings.row_conflict_ns;
-    open_row_[bank] = static_cast<std::int64_t>(c.row);
-    ++total_acts_;
+    state_.open_row[bank] = static_cast<std::int64_t>(c.row);
+    ++state_.total_acts;
     apply_disturbance(c);
   }
   advance(latency);
@@ -389,7 +365,7 @@ void DramDevice::hammer_burst(std::span<const PhysAddr> aggressors,
   for (const PhysAddr a : aggressors) {
     const DramAddress coord = mapping_.decode(a);
     const std::uint64_t flat = flat_row(geometry_, coord);
-    const bool activates = open_row_[flat_bank(geometry_, coord)] !=
+    const bool activates = state_.open_row[flat_bank(geometry_, coord)] !=
                            static_cast<std::int64_t>(coord.row);
     access(a);
     iter_latency += activates ? params_.timings.row_conflict_ns
@@ -435,7 +411,8 @@ void DramDevice::hammer_burst(std::span<const PhysAddr> aggressors,
   if (fast && params_.trr.enabled) {
     if (agg_rows.size() > params_.trr.sampler_entries) fast = false;
     for (const AggressorActs& r : agg_rows)
-      if (fast && trr_sampler_.find(r.flat) == TrrSampler::kNpos) fast = false;
+      if (fast && state_.trr_sampler.find(r.flat) == TrrSampler::kNpos)
+        fast = false;
   }
   if (!fast) {
     for (; done < iterations; ++done)
@@ -447,8 +424,8 @@ void DramDevice::hammer_burst(std::span<const PhysAddr> aggressors,
   // like the slow path's, and touch() validates absent entries exactly
   // where the per-access increments would have created them.
   const auto bulk_apply = [&](std::uint64_t n) {
-    now_ += n * iter_latency;
-    total_acts_ += n * acts_per_iter;
+    state_.now += n * iter_latency;
+    state_.total_acts += n * acts_per_iter;
     for (const VictimDelta& v : victims) {
       const DisturbanceTable::Counters c = disturbance_.touch(v.ordinal);
       c.above += static_cast<std::uint32_t>(n * v.above);
@@ -456,9 +433,10 @@ void DramDevice::hammer_burst(std::span<const PhysAddr> aggressors,
     }
     if (params_.trr.enabled)
       for (const AggressorActs& r : agg_rows) {
-        std::size_t slot = trr_sampler_.find(r.flat);
-        if (slot == TrrSampler::kNpos) slot = trr_sampler_.insert(r.flat);
-        trr_sampler_.add(slot, static_cast<std::uint32_t>(n * r.per_iter));
+        std::size_t slot = state_.trr_sampler.find(r.flat);
+        if (slot == TrrSampler::kNpos) slot = state_.trr_sampler.insert(r.flat);
+        state_.trr_sampler.add(slot,
+                               static_cast<std::uint32_t>(n * r.per_iter));
       }
   };
 
@@ -472,9 +450,9 @@ void DramDevice::hammer_burst(std::span<const PhysAddr> aggressors,
     std::uint64_t next_event = rem + 1;
 
     // (a) Refresh: first iteration whose running clock reaches the window
-    // boundary (advance() guarantees now_ < next_refresh_ here).
+    // boundary (advance() guarantees state_.now < state_.next_refresh here).
     {
-      const SimTime until = next_refresh_ - now_;
+      const SimTime until = state_.next_refresh - state_.now;
       const std::uint64_t i = (until + iter_latency - 1) / iter_latency;
       next_event = std::min(next_event, std::max<std::uint64_t>(i, 1));
     }
@@ -484,9 +462,9 @@ void DramDevice::hammer_burst(std::span<const PhysAddr> aggressors,
     // crossing iteration follows from the per-iteration multiplicity.
     if (params_.trr.enabled) {
       for (const AggressorActs& r : agg_rows) {
-        const std::size_t slot = trr_sampler_.find(r.flat);
+        const std::size_t slot = state_.trr_sampler.find(r.flat);
         const std::uint64_t count =
-            slot != TrrSampler::kNpos ? trr_sampler_.count(slot) : 0;
+            slot != TrrSampler::kNpos ? state_.trr_sampler.count(slot) : 0;
         const std::uint64_t needed =
             params_.trr.threshold > count ? params_.trr.threshold - count : 1;
         next_event =
@@ -601,35 +579,35 @@ void DramDevice::inject_flip(PhysAddr addr, std::uint8_t bit) {
   std::uint8_t* data = row_storage(fr);
   const bool was_set = (data[c.col] >> bit) & 1u;
   data[c.col] = static_cast<std::uint8_t>(data[c.col] ^ (1u << bit));
-  flips_.append(addr, bit, !was_set, now_);
-  live_flips_.add(fr, c.col, bit);
-  ++total_flips_;
-  ++mutation_epoch_;
+  state_.flips.append(addr, bit, !was_set, state_.now);
+  state_.live_flips.add(fr, c.col, bit);
+  ++state_.total_flips;
+  ++state_.mutation_epoch;
 }
 
 std::vector<FlipEvent> DramDevice::drain_flips() {
   // Index-sorted emit: events leave in append order, coordinates
   // re-derived from the bijective mapping — no map iteration anywhere.
   std::vector<FlipEvent> out;
-  out.reserve(flips_.size());
-  for (std::size_t i = 0; i < flips_.size(); ++i) {
+  out.reserve(state_.flips.size());
+  for (std::size_t i = 0; i < state_.flips.size(); ++i) {
     FlipEvent ev;
-    ev.addr = flips_.addr_at(i);
+    ev.addr = state_.flips.addr_at(i);
     ev.coord = mapping_.decode(ev.addr);
-    ev.bit = flips_.bit_at(i);
-    ev.to_one = flips_.to_one_at(i);
-    ev.time = flips_.time_at(i);
+    ev.bit = state_.flips.bit_at(i);
+    ev.to_one = state_.flips.to_one_at(i);
+    ev.time = state_.flips.time_at(i);
     out.push_back(ev);
   }
-  flips_.clear();
+  state_.flips.clear();
   return out;
 }
 
 std::uint64_t DramDevice::state_bytes() const noexcept {
   return weak_cells_.state_bytes() + disturbance_.heap_bytes() +
-         trr_sampler_.heap_bytes() + live_flips_.heap_bytes() +
-         flips_.heap_bytes() +
-         open_row_.capacity() * sizeof(std::int64_t);
+         state_.trr_sampler.heap_bytes() + state_.live_flips.heap_bytes() +
+         state_.flips.heap_bytes() +
+         state_.open_row.capacity() * sizeof(std::int64_t);
 }
 
 }  // namespace explframe::dram

@@ -26,6 +26,8 @@ struct DramTimings {
   SimTime row_hit_ns = 50;       ///< Load served from an open row.
   SimTime row_conflict_ns = 90;  ///< Precharge + activate + read.
   SimTime refresh_window_ns = 64 * kMillisecond;  ///< tREFW.
+
+  bool operator==(const DramTimings&) const = default;
 };
 
 /// Target Row Refresh: the in-DRAM mitigation on post-2014 parts. A small
@@ -37,6 +39,8 @@ struct TrrParams {
   bool enabled = false;
   std::uint32_t threshold = 20'000;    ///< Activations before intervention.
   std::uint32_t sampler_entries = 32;  ///< Rows tracked concurrently.
+
+  bool operator==(const TrrParams&) const = default;
 };
 
 /// SECDED ECC at 64-bit word granularity: one flipped bit per word is
@@ -44,6 +48,8 @@ struct TrrParams {
 /// check on real hardware). Rewriting a word clears its flip records.
 struct EccParams {
   bool enabled = false;
+
+  bool operator==(const EccParams&) const = default;
 };
 
 /// Everything configurable about the simulated module: timings, weak-cell
@@ -59,6 +65,8 @@ struct DeviceParams {
   double same_pattern_coupling = 0.6;
   TrrParams trr;
   EccParams ecc;
+
+  bool operator==(const DeviceParams&) const = default;
 };
 
 /// Record of one induced bit flip.
@@ -126,20 +134,19 @@ class DramDevice {
     std::uint8_t bit;
   };
 
-  /// Complete mutable device state, captured copy-on-write: row payloads
-  /// are shared with the live device (refcounted) and cloned only when one
-  /// side writes, so capturing is O(rows touched), not O(bytes stored);
-  /// the packed bookkeeping tables are captured at O(entries touched this
-  /// window) likewise. The immutable members (geometry, params, mapping,
-  /// weak-cell model) are not part of the image — an image only ever goes
-  /// back into the device that produced it.
-  struct Image {
+  /// Every mutable member except the disturbance counters: a snapshot
+  /// copies it whole. Row payloads are refcounted, so the copy shares them
+  /// with the live device and a row is cloned only when one side writes
+  /// (see row_storage()); capturing is O(rows touched), not O(bytes
+  /// stored). The immutable members (geometry, params, mapping, weak-cell
+  /// model) stay out of it: an image only ever goes back into the device
+  /// that produced it.
+  struct State {
     std::unordered_map<std::uint64_t, std::shared_ptr<std::uint8_t[]>> rows;
-    std::vector<std::int64_t> open_row;
-    std::vector<DisturbanceTable::Entry> disturbance;
-    FlipLog flips;
-    LiveFlipTable live_flips;
-    TrrSampler trr_sampler;
+    std::vector<std::int64_t> open_row;  ///< Per flat bank; -1 = closed.
+    FlipLog flips;              ///< Flip events since the last drain.
+    LiveFlipTable live_flips;   ///< Flipped, not yet rewritten (ECC).
+    TrrSampler trr_sampler;     ///< Tracked rows' activations this window.
     SimTime now = 0;
     SimTime next_refresh = 0;
     std::uint64_t mutation_epoch = 0;
@@ -149,6 +156,13 @@ class DramDevice {
     std::uint64_t trr_hits = 0;
     std::uint64_t ecc_corrected = 0;
     std::uint64_t ecc_uncorrectable = 0;
+  };
+  /// A snapshot of the device: the State plus the disturbance entries
+  /// touched this window (captured in O(entries touched), not O(weak
+  /// rows)).
+  struct Image {
+    State state;
+    std::vector<DisturbanceTable::Entry> disturbance;
   };
 
   /// Capture the full mutable state (CoW; see Image).
@@ -208,7 +222,7 @@ class DramDevice {
   /// registers it with the ECC bookkeeping exactly like a disturbance flip.
   void inject_flip(PhysAddr addr, std::uint8_t bit);
 
-  SimTime now() const noexcept { return now_; }
+  SimTime now() const noexcept { return state_.now; }
 
   /// Memory-mutation epoch: increments whenever stored bytes (or the ECC
   /// bookkeeping that shapes what read() returns) may have changed — every
@@ -216,18 +230,22 @@ class DramDevice {
   /// the same range bracketed by an unchanged epoch return identical bytes,
   /// which is the invalidation contract the victim service's batched
   /// encrypt snapshot cache is built on.
-  std::uint64_t mutation_epoch() const noexcept { return mutation_epoch_; }
+  std::uint64_t mutation_epoch() const noexcept {
+    return state_.mutation_epoch;
+  }
 
   // ---- Flip log / statistics -------------------------------------------
   /// All flips since the last drain (in occurrence order).
   std::vector<FlipEvent> drain_flips();
-  std::uint64_t total_flips() const noexcept { return total_flips_; }
-  std::uint64_t total_activations() const noexcept { return total_acts_; }
-  std::uint64_t refresh_count() const noexcept { return refreshes_; }
-  std::uint64_t trr_interventions() const noexcept { return trr_hits_; }
-  std::uint64_t ecc_corrected_bits() const noexcept { return ecc_corrected_; }
+  std::uint64_t total_flips() const noexcept { return state_.total_flips; }
+  std::uint64_t total_activations() const noexcept { return state_.total_acts; }
+  std::uint64_t refresh_count() const noexcept { return state_.refreshes; }
+  std::uint64_t trr_interventions() const noexcept { return state_.trr_hits; }
+  std::uint64_t ecc_corrected_bits() const noexcept {
+    return state_.ecc_corrected;
+  }
   std::uint64_t ecc_uncorrectable_words() const noexcept {
-    return ecc_uncorrectable_;
+    return state_.ecc_uncorrectable;
   }
 
   /// Heap bytes of the representation-dependent bookkeeping (weak-cell
@@ -267,16 +285,8 @@ class DramDevice {
   AddressMapping mapping_;
   WeakCellModel weak_cells_;
 
-  // Lazily allocated row storage (zero-filled on first touch). Payloads
-  // are refcounted so snapshots share them copy-on-write: row_storage()
-  // clones a row iff an outstanding Image still references it.
-  std::unordered_map<std::uint64_t, std::shared_ptr<std::uint8_t[]>> rows_;
-
   // Canonical all-zeros row, backing row_view() for untouched rows.
   std::unique_ptr<std::uint8_t[]> zero_row_;
-
-  // Row-buffer state: open row per flat bank (-1 = closed).
-  std::vector<std::int64_t> open_row_;
 
   // Disturbance counters for rows that contain weak cells, this window —
   // flat arrays over weak-row ordinals, allocated on the first activation
@@ -285,24 +295,7 @@ class DramDevice {
   // floor).
   DisturbanceTable disturbance_;
 
-  // Flip event log (SoA; coordinates re-derived at drain).
-  FlipLog flips_;
-
-  // Flipped-but-not-yet-rewritten bits (ECC bookkeeping), row-sorted SoA.
-  LiveFlipTable live_flips_;
-
-  // TRR sampler: activation counts of tracked rows this window.
-  TrrSampler trr_sampler_;
-
-  SimTime now_ = 0;
-  SimTime next_refresh_ = 0;
-  std::uint64_t mutation_epoch_ = 0;
-  std::uint64_t total_flips_ = 0;
-  std::uint64_t total_acts_ = 0;
-  std::uint64_t refreshes_ = 0;
-  std::uint64_t trr_hits_ = 0;
-  std::uint64_t ecc_corrected_ = 0;
-  std::uint64_t ecc_uncorrectable_ = 0;
+  State state_;
 };
 
 }  // namespace explframe::dram

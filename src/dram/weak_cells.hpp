@@ -65,6 +65,8 @@ struct WeakCellParams {
   double true_cell_fraction = 0.55;
   /// Fraction of weak cells coupled to only one neighbour side.
   double single_sided_fraction = 0.30;
+
+  bool operator==(const WeakCellParams&) const = default;
 };
 
 class WeakCellModel;

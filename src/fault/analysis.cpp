@@ -1,11 +1,8 @@
 #include "fault/analysis.hpp"
 
-#include <algorithm>
 #include <array>
 
-#include "crypto/aes128.hpp"
 #include "crypto/present80.hpp"
-#include "fault/dfa_aes.hpp"
 #include "fault/pfa_aes.hpp"
 #include "fault/pfa_present.hpp"
 #include "support/bytes.hpp"
@@ -26,20 +23,7 @@ FaultModel fault_model_for(const crypto::TableCipher& cipher,
 void Analysis::set_known_pair(std::span<const std::uint8_t> /*plaintext*/,
                               std::span<const std::uint8_t> /*ciphertext*/) {}
 
-bool Analysis::add_pair(std::span<const std::uint8_t> /*correct*/,
-                        std::span<const std::uint8_t> /*faulty*/) {
-  EXPLFRAME_CHECK_MSG(false, "this analysis engine does not consume pairs");
-  return false;
-}
-
 namespace {
-
-crypto::Aes128::Block to_aes_block(std::span<const std::uint8_t> bytes) {
-  EXPLFRAME_CHECK(bytes.size() == 16);
-  crypto::Aes128::Block b;
-  std::copy(bytes.begin(), bytes.end(), b.begin());
-  return b;
-}
 
 std::uint64_t to_present_block(std::span<const std::uint8_t> bytes) {
   EXPLFRAME_CHECK(bytes.size() == 8);
@@ -144,41 +128,6 @@ class PresentPfaAnalysis final : public Analysis {
   std::uint32_t residual_ = 0;
 };
 
-class AesDfaAnalysis final : public Analysis {
- public:
-  AnalysisKind kind() const noexcept override { return AnalysisKind::kDfa; }
-  const char* name() const noexcept override { return "DFA/AES-128"; }
-  bool wants_pairs() const noexcept override { return true; }
-
-  void add_ciphertext_batch(std::span<const std::uint8_t> /*cts*/,
-                            std::size_t /*block_size*/) override {
-    EXPLFRAME_CHECK_MSG(false, "DFA consumes (correct, faulty) pairs");
-  }
-  bool add_pair(std::span<const std::uint8_t> correct,
-                std::span<const std::uint8_t> faulty) override {
-    const bool ok = dfa_.add_pair(to_aes_block(correct), to_aes_block(faulty));
-    pairs_ += ok ? 1 : 0;
-    return ok;
-  }
-  std::size_t ciphertext_count() const noexcept override { return pairs_; }
-  double remaining_keyspace_log2() const override {
-    return dfa_.remaining_keyspace_log2();
-  }
-  std::optional<std::vector<std::uint8_t>> recover_key() override {
-    const auto key = dfa_.recover_master_key();
-    if (!key) return std::nullopt;
-    return std::vector<std::uint8_t>(key->begin(), key->end());
-  }
-  void reset() override {
-    dfa_ = AesDfa{};
-    pairs_ = 0;
-  }
-
- private:
-  AesDfa dfa_;
-  std::size_t pairs_ = 0;
-};
-
 }  // namespace
 
 std::unique_ptr<Analysis> make_analysis(AnalysisKind kind,
@@ -194,9 +143,6 @@ std::unique_ptr<Analysis> make_analysis(AnalysisKind kind,
       EXPLFRAME_CHECK_MSG(aes, "max-likelihood PFA is AES-only");
       return std::make_unique<AesPfaAnalysis>(PfaStrategy::kMaxLikelihood,
                                               fault);
-    case AnalysisKind::kDfa:
-      EXPLFRAME_CHECK_MSG(aes, "DFA engine is AES-only");
-      return std::make_unique<AesDfaAnalysis>();
   }
   EXPLFRAME_CHECK_MSG(false, "unknown AnalysisKind");
   return nullptr;

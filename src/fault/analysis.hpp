@@ -1,12 +1,12 @@
 // fault::Analysis — one interface over the key-recovery engines (PFA-AES,
-// PFA-PRESENT, DFA-AES), so the campaign driver and the benches can feed
+// PFA-PRESENT), so the campaign driver and the benches can feed
 // ciphertexts, watch the remaining key space collapse and ask for the master
 // key without knowing which cryptanalysis is running underneath.
 //
-// PFA engines consume bare faulty ciphertexts of unknown plaintexts (what a
-// persistent Rowhammer flip naturally provides). The DFA engine instead
-// consumes (correct, faulty) ciphertext pairs of the same plaintext — it
-// exists as the transient-fault comparison point and reports wants_pairs().
+// Both engines consume bare faulty ciphertexts of unknown plaintexts (what
+// a persistent Rowhammer flip naturally provides). DFA, which needs
+// (correct, faulty) pairs of one plaintext, is no campaign analysis: the
+// `fault-techniques` experiment drives fault::AesDfa directly.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +25,6 @@ enum class AnalysisKind {
   kPfaMissingValue,   ///< Persistent fault, missing-value statistic.
   kPfaMaxLikelihood,  ///< Persistent fault, frequency-peak statistic
                       ///< (AES only; PRESENT always uses missing-value).
-  kDfa,               ///< Differential fault analysis (AES only; needs pairs).
 };
 
 /// The persistent table fault being analysed, as the template phase knows
@@ -44,8 +43,8 @@ FaultModel fault_model_for(const crypto::TableCipher& cipher,
                            std::size_t index, std::uint8_t bit) noexcept;
 
 /// Cipher-generic key-recovery interface: feed harvested ciphertexts,
-/// ask whether the key is pinned. Adapters wrap AesPfa/PresentPfa/AesDfa
-/// behind one seam so campaigns stay cipher-agnostic.
+/// ask whether the key is pinned. Adapters wrap AesPfa/PresentPfa behind
+/// one seam so campaigns stay cipher-agnostic.
 class Analysis {
  public:
   virtual ~Analysis() = default;
@@ -53,9 +52,6 @@ class Analysis {
   virtual AnalysisKind kind() const noexcept = 0;
   virtual const char* name() const noexcept = 0;
 
-  /// True for engines that need (correct, faulty) pairs instead of bare
-  /// faulty ciphertexts (DFA).
-  virtual bool wants_pairs() const noexcept { return false; }
   /// True for engines that need one known plaintext/ciphertext pair to
   /// finish (PRESENT's residual key-schedule search).
   virtual bool wants_known_pair() const noexcept { return false; }
@@ -65,18 +61,13 @@ class Analysis {
                               std::span<const std::uint8_t> ciphertext);
 
   /// Feed ciphertexts.size() / block_size concatenated faulty ciphertexts
-  /// in one call — the only absorb engines implement. Invalid on
-  /// wants_pairs() engines.
+  /// in one call — the only absorb engines implement.
   virtual void add_ciphertext_batch(std::span<const std::uint8_t> ciphertexts,
                                     std::size_t block_size) = 0;
   /// Feed one faulty ciphertext: a one-block add_ciphertext_batch.
   void add_ciphertext(std::span<const std::uint8_t> ciphertext) {
     add_ciphertext_batch(ciphertext, ciphertext.size());
   }
-  /// Feed one (correct, faulty) pair. Returns false if the pair is
-  /// inconsistent with the engine's fault model. Default: unsupported.
-  virtual bool add_pair(std::span<const std::uint8_t> correct,
-                        std::span<const std::uint8_t> faulty);
 
   virtual std::size_t ciphertext_count() const noexcept = 0;
 
@@ -94,7 +85,7 @@ class Analysis {
 };
 
 /// Build the analysis engine for (kind, cipher, fault). Checks that the
-/// combination is supported (kDfa and kPfaMaxLikelihood are AES-only).
+/// combination is supported (kPfaMaxLikelihood is AES-only).
 std::unique_ptr<Analysis> make_analysis(AnalysisKind kind,
                                         const crypto::TableCipher& cipher,
                                         const FaultModel& fault);

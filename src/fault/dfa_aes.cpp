@@ -1,7 +1,6 @@
 #include "fault/dfa_aes.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "support/check.hpp"
 
@@ -89,20 +88,6 @@ std::size_t AesDfa::pairs_for_column(std::size_t col) const {
   return seen_[col];
 }
 
-double AesDfa::remaining_keyspace_log2() const {
-  double bits = 0.0;
-  for (std::size_t c = 0; c < 4; ++c) {
-    if (seen_[c] == 0) {
-      bits += 32.0;  // Column untouched: all 2^32 tuples possible.
-    } else if (cand_[c].empty()) {
-      return 128.0;  // Contradiction (should not happen with valid pairs).
-    } else {
-      bits += std::log2(static_cast<double>(cand_[c].size()));
-    }
-  }
-  return bits;
-}
-
 std::optional<AesDfa::RoundKey> AesDfa::recover_round10() const {
   RoundKey key{};
   for (std::size_t c = 0; c < 4; ++c) {
@@ -112,12 +97,6 @@ std::optional<AesDfa::RoundKey> AesDfa::recover_round10() const {
     for (std::size_t rr = 0; rr < 4; ++rr) key[pos[rr]] = tuple[rr];
   }
   return key;
-}
-
-std::optional<crypto::Aes128::Key> AesDfa::recover_master_key() const {
-  const auto k10 = recover_round10();
-  if (!k10) return std::nullopt;
-  return Aes128::master_key_from_round10(*k10);
 }
 
 }  // namespace explframe::fault

@@ -40,19 +40,9 @@ class AesDfa {
 
   std::size_t pairs_for_column(std::size_t col) const;
 
-  /// Candidate 4-byte key tuples per column (in ciphertext-position order).
-  const std::set<std::array<std::uint8_t, 4>>& column_candidates(
-      std::size_t col) const {
-    return cand_[col];
-  }
-
-  /// log2 of remaining K10 keyspace across all columns.
-  double remaining_keyspace_log2() const;
-
-  /// Unique K10 once every column has exactly one surviving tuple.
+  /// Unique K10 once every column has exactly one surviving tuple (the
+  /// master key follows by Aes128::master_key_from_round10).
   std::optional<RoundKey> recover_round10() const;
-
-  std::optional<crypto::Aes128::Key> recover_master_key() const;
 
   /// Ciphertext byte positions affected by a fault that lands in MC input
   /// column `col` of round 9 (row order 0..3).

@@ -7,30 +7,21 @@
 
 namespace explframe::kernel {
 
-namespace {
-
-/// Per-task slice of a machine snapshot. Task id/name are immutable and
-/// identify the slot; everything mutable is the CPU, scheduling state and
-/// the address space.
-struct TaskImage {
-  std::int32_t id = 0;
-  std::uint32_t cpu = 0;
-  TaskState state = TaskState::kRunnable;
-  vm::AddressSpace::Image space;
-};
-
-}  // namespace
-
-/// The concrete snapshot System produces: one image per subsystem, bound
-/// to the owning System so a foreign snapshot is rejected on restore.
+/// The concrete snapshot System produces: one image per layer, bound to
+/// the owning System so a foreign snapshot is rejected on restore. Task id
+/// and name are immutable and identify each task's slot.
 class MachineSnapshot final : public snap::Snapshot {
  public:
+  struct TaskImage {
+    std::int32_t id = 0;
+    Task::State state;
+    vm::AddressSpace::Image space;
+  };
   const System* owner = nullptr;
   dram::DramDevice::Image dram;
   mm::PageAllocator::Image alloc;
   std::vector<TaskImage> tasks;
-  SystemStats stats;
-  std::int32_t next_task_id = 1;
+  System::State state;
 };
 
 std::unique_ptr<snap::Snapshot> System::snapshot() const {
@@ -38,16 +29,9 @@ std::unique_ptr<snap::Snapshot> System::snapshot() const {
   snap->owner = this;
   snap->dram = dram_->capture_image();
   snap->alloc = alloc_->capture_image();
-  for (const auto& t : tasks_) {
-    TaskImage ti;
-    ti.id = t->id();
-    ti.cpu = t->cpu();
-    ti.state = t->state();
-    ti.space = t->space().capture_image();
-    snap->tasks.push_back(std::move(ti));
-  }
-  snap->stats = stats_;
-  snap->next_task_id = next_task_id_;
+  for (const auto& t : tasks_)
+    snap->tasks.push_back({t->id(), t->state(), t->space().capture_image()});
+  snap->state = state_;
   return snap;
 }
 
@@ -74,12 +58,10 @@ void System::restore(const snap::Snapshot& state) {
   // Surviving tasks restore in place: Task addresses (held by campaign
   // components as Task&) stay valid across the rollback.
   for (std::size_t i = 0; i < snap->tasks.size(); ++i) {
-    tasks_[i]->set_cpu(snap->tasks[i].cpu);
-    tasks_[i]->set_state(snap->tasks[i].state);
+    tasks_[i]->restore(snap->tasks[i].state);
     tasks_[i]->space().restore_image(snap->tasks[i].space);
   }
-  stats_ = snap->stats;
-  next_task_id_ = snap->next_task_id;
+  state_ = snap->state;
 }
 
 System::System(const SystemConfig& config) : config_(config) {
@@ -119,20 +101,20 @@ vm::FrameClient System::table_frame_client(std::int32_t task_id,
         const auto a =
             alloc_->alloc_pages(0, mm::GfpFlags::kernel(), cpu, task_id);
         if (!a) return mm::kInvalidPfn;
-        ++stats_.table_frames;
+        ++state_.stats.table_frames;
         return a->pfn;
       },
       [this, task_id, spawn_cpu](mm::Pfn pfn) {
         Task* task = find_task(task_id);
         const std::uint32_t cpu = task ? task->cpu() : spawn_cpu;
         alloc_->free_pages(pfn, 0, cpu);
-        --stats_.table_frames;
+        --state_.stats.table_frames;
       }};
 }
 
 Task& System::spawn(const std::string& name, std::uint32_t cpu) {
   EXPLFRAME_CHECK(cpu < config_.num_cpus);
-  const std::int32_t id = next_task_id_++;
+  const std::int32_t id = state_.next_task_id++;
   tasks_.push_back(
       std::make_unique<Task>(id, name, cpu, table_frame_client(id, cpu)));
   EXPLFRAME_LOG_DEBUG("spawn task ", id, " '", name, "' on cpu ", cpu);
@@ -172,16 +154,16 @@ bool System::handle_fault(Task& task, vm::VirtAddr page_va) {
   // As in Linux's do_anonymous_page: the page-table path is allocated
   // (pte_alloc) before the data page itself.
   if (!task.space().page_table().prepare(page_va)) {
-    ++stats_.oom_kills;
+    ++state_.stats.oom_kills;
     return false;
   }
   const mm::Pfn pfn = alloc_user_frame(task);
   if (pfn == mm::kInvalidPfn) {
-    ++stats_.oom_kills;
+    ++state_.stats.oom_kills;
     return false;
   }
   EXPLFRAME_CHECK(task.space().page_table().map(page_va, pfn));
-  ++stats_.page_faults;
+  ++state_.stats.page_faults;
   ++task.space().counters().minor_faults;
   return true;
 }

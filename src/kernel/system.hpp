@@ -35,6 +35,8 @@ struct SystemConfig {
   /// Charge page-table node pages to the allocator (realistic; see the
   /// `design-ablations` experiment).
   bool charge_page_tables = true;
+
+  bool operator==(const SystemConfig&) const = default;
 };
 
 /// Kernel-side event counters (faults, OOM kills, charged table frames).
@@ -42,6 +44,8 @@ struct SystemStats {
   std::uint64_t page_faults = 0;
   std::uint64_t oom_kills = 0;
   std::uint64_t table_frames = 0;
+
+  bool operator==(const SystemStats&) const = default;
 };
 
 /// The simulated machine: DRAM device + zoned page allocator + tasks,
@@ -71,6 +75,12 @@ class System : public snap::Restorable {
   /// a rollback). The memory epoch strictly advances so epoch-keyed caches
   /// (victim batch-encrypt) can never serve pre-rollback state.
   void restore(const snap::Snapshot& state) override;
+  /// The machine's own mutable state beside its layers (DRAM, allocator,
+  /// tasks); a snapshot copies it whole.
+  struct State {
+    SystemStats stats;
+    std::int32_t next_task_id = 1;
+  };
 
   // ---- Process management -----------------------------------------------
   Task& spawn(const std::string& name, std::uint32_t cpu);
@@ -108,7 +118,7 @@ class System : public snap::Restorable {
   mm::PageAllocator& allocator() noexcept { return *alloc_; }
   const mm::PageAllocator& allocator() const noexcept { return *alloc_; }
   const SystemConfig& config() const noexcept { return config_; }
-  const SystemStats& stats() const noexcept { return stats_; }
+  const SystemStats& stats() const noexcept { return state_.stats; }
   std::uint32_t num_cpus() const noexcept { return config_.num_cpus; }
 
   SimTime now() const noexcept { return dram_->now(); }
@@ -132,8 +142,7 @@ class System : public snap::Restorable {
   std::unique_ptr<dram::DramDevice> dram_;
   std::unique_ptr<mm::PageAllocator> alloc_;
   std::vector<std::unique_ptr<Task>> tasks_;
-  SystemStats stats_;
-  std::int32_t next_task_id_ = 1;
+  State state_;
 };
 
 }  // namespace explframe::kernel

@@ -24,7 +24,7 @@ class Task {
        vm::FrameClient table_frames)
       : id_(id),
         name_(std::move(name)),
-        cpu_(cpu),
+        state_{cpu},
         space_(std::move(table_frames)) {}
 
   std::int32_t id() const noexcept { return id_; }
@@ -32,20 +32,29 @@ class Task {
 
   /// The CPU this task currently runs on. The paper's exploit requires
   /// attacker and victim to share a CPU; migration is modelled by set_cpu.
-  std::uint32_t cpu() const noexcept { return cpu_; }
-  void set_cpu(std::uint32_t cpu) noexcept { cpu_ = cpu; }
+  std::uint32_t cpu() const noexcept { return state_.cpu; }
+  void set_cpu(std::uint32_t cpu) noexcept { state_.cpu = cpu; }
 
-  TaskState state() const noexcept { return state_; }
-  void set_state(TaskState s) noexcept { state_ = s; }
+  /// Set the scheduling state (State::sched).
+  void set_state(TaskState s) noexcept { state_.sched = s; }
 
   vm::AddressSpace& space() noexcept { return space_; }
   const vm::AddressSpace& space() const noexcept { return space_; }
 
+  /// Everything mutable about the task except its address space; a
+  /// snapshot copies it whole (id and name are immutable).
+  struct State {
+    std::uint32_t cpu = 0;
+    TaskState sched = TaskState::kRunnable;
+  };
+  const State& state() const noexcept { return state_; }
+  /// Restore a previously captured state exactly.
+  void restore(const State& state) noexcept { state_ = state; }
+
  private:
   std::int32_t id_;
   std::string name_;
-  std::uint32_t cpu_;
-  TaskState state_ = TaskState::kRunnable;
+  State state_;
   vm::AddressSpace space_;
 };
 

@@ -30,7 +30,7 @@ BuddyAllocator::BuddyAllocator(PageFrameDatabase& db, Pfn start_pfn,
 }
 
 void BuddyAllocator::insert_free(Pfn rel, std::uint32_t order) {
-  const auto [it, inserted] = free_lists_[order].insert(rel);
+  const auto [it, inserted] = state_.free_lists[order].insert(rel);
   EXPLFRAME_CHECK(inserted);
   PageFrame& head = db_->at(start_ + rel);
   head.state = PageState::kFreeBuddy;
@@ -38,13 +38,13 @@ void BuddyAllocator::insert_free(Pfn rel, std::uint32_t order) {
   const Pfn n = Pfn{1} << order;
   for (Pfn i = 1; i < n; ++i)
     db_->at(start_ + rel + i).state = PageState::kFreeTail;
-  free_pages_ += n;
+  state_.free_pages += n;
 }
 
 void BuddyAllocator::remove_free(Pfn rel, std::uint32_t order) {
-  const auto erased = free_lists_[order].erase(rel);
+  const auto erased = state_.free_lists[order].erase(rel);
   EXPLFRAME_CHECK(erased == 1);
-  free_pages_ -= Pfn{1} << order;
+  state_.free_pages -= Pfn{1} << order;
 }
 
 void BuddyAllocator::mark_allocated(Pfn rel, std::uint32_t order) {
@@ -57,12 +57,12 @@ Pfn BuddyAllocator::alloc_block(std::uint32_t order,
                                 std::vector<SplitTraceEntry>* trace) {
   EXPLFRAME_CHECK(order < kMaxOrder);
   std::uint32_t o = order;
-  while (o < kMaxOrder && free_lists_[o].empty()) ++o;
+  while (o < kMaxOrder && state_.free_lists[o].empty()) ++o;
   if (o == kMaxOrder) {
-    ++stats_.failed;
+    ++state_.stats.failed;
     return kInvalidPfn;
   }
-  const Pfn rel = *free_lists_[o].begin();
+  const Pfn rel = *state_.free_lists[o].begin();
   remove_free(rel, o);
   if (trace != nullptr && o != order)
     trace->push_back({start_ + rel, o, order});
@@ -72,10 +72,10 @@ Pfn BuddyAllocator::alloc_block(std::uint32_t order,
     --o;
     const Pfn upper = rel + (Pfn{1} << o);
     insert_free(upper, o);
-    ++stats_.splits;
+    ++state_.stats.splits;
   }
   mark_allocated(rel, order);
-  ++stats_.allocs;
+  ++state_.stats.allocs;
   return start_ + rel;
 }
 
@@ -88,7 +88,7 @@ void BuddyAllocator::free_block(Pfn pfn, std::uint32_t order) {
   EXPLFRAME_CHECK_MSG(db_->at(pfn).state == PageState::kAllocated ||
                           db_->at(pfn).state == PageState::kPcp,
                       "double free");
-  ++stats_.frees;
+  ++state_.stats.frees;
   // Coalesce with the buddy while it is free and the same order
   // (Fig. 1, right panel).
   std::uint32_t o = order;
@@ -100,20 +100,20 @@ void BuddyAllocator::free_block(Pfn pfn, std::uint32_t order) {
     remove_free(buddy, o);
     rel = std::min(rel, buddy);
     ++o;
-    ++stats_.coalesces;
+    ++state_.stats.coalesces;
   }
   insert_free(rel, o);
 }
 
 std::uint64_t BuddyAllocator::free_blocks(std::uint32_t order) const {
   EXPLFRAME_CHECK(order < kMaxOrder);
-  return free_lists_[order].size();
+  return state_.free_lists[order].size();
 }
 
 std::array<std::uint64_t, kMaxOrder> BuddyAllocator::buddyinfo() const {
   std::array<std::uint64_t, kMaxOrder> info{};
   for (std::uint32_t o = 0; o < kMaxOrder; ++o)
-    info[o] = free_lists_[o].size();
+    info[o] = state_.free_lists[o].size();
   return info;
 }
 
@@ -121,7 +121,7 @@ void BuddyAllocator::verify() const {
   std::uint64_t counted = 0;
   std::vector<bool> covered(pages_, false);
   for (std::uint32_t o = 0; o < kMaxOrder; ++o) {
-    for (const Pfn rel : free_lists_[o]) {
+    for (const Pfn rel : state_.free_lists[o]) {
       const Pfn n = Pfn{1} << o;
       EXPLFRAME_CHECK_MSG((rel & (n - 1)) == 0, "unaligned free block");
       EXPLFRAME_CHECK_MSG(rel + n <= pages_, "free block out of range");
@@ -149,7 +149,8 @@ void BuddyAllocator::verify() const {
       }
     }
   }
-  EXPLFRAME_CHECK_MSG(counted == free_pages_, "free page accounting drift");
+  EXPLFRAME_CHECK_MSG(counted == state_.free_pages,
+                      "free page accounting drift");
 }
 
 }  // namespace explframe::mm

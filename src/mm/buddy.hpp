@@ -24,6 +24,8 @@ struct BuddyStats {
   std::uint64_t splits = 0;     ///< Block split events (Fig. 1 left-to-right).
   std::uint64_t coalesces = 0;  ///< Buddy merge events (Fig. 1 right-to-left).
   std::uint64_t failed = 0;
+
+  bool operator==(const BuddyStats&) const = default;
 };
 
 /// One step of the split path taken by an allocation, for the Fig. 1
@@ -56,9 +58,9 @@ class BuddyAllocator {
   /// Free a 2^order block previously returned by alloc_block.
   void free_block(Pfn pfn, std::uint32_t order);
 
-  std::uint64_t free_pages() const noexcept { return free_pages_; }
+  std::uint64_t free_pages() const noexcept { return state_.free_pages; }
   std::uint64_t free_blocks(std::uint32_t order) const;
-  const BuddyStats& stats() const noexcept { return stats_; }
+  const BuddyStats& stats() const noexcept { return state_.stats; }
 
   Pfn start_pfn() const noexcept { return start_; }
   std::uint64_t managed_pages() const noexcept { return pages_; }
@@ -70,22 +72,21 @@ class BuddyAllocator {
   /// overlapping blocks, free page accounting. Aborts on violation.
   void verify() const;
 
-  /// Snapshot of the allocator's mutable state (the page-frame states live
-  /// in the shared PageFrameDatabase and are captured there).
-  struct Image {
+  /// The allocator's mutable state; a snapshot copies it whole (the
+  /// page-frame states live in the shared PageFrameDatabase and are
+  /// captured there).
+  struct State {
+    /// Zone-relative pfns of free block heads, ordered by address. Linux
+    /// uses FIFO/LIFO lists; address order is deterministic and makes the
+    /// split traces stable across runs (the pcp cache, not buddy order,
+    /// carries the paper's exploit).
     std::array<std::set<Pfn>, kMaxOrder> free_lists;
     std::uint64_t free_pages = 0;
     BuddyStats stats;
   };
-
-  /// Capture the mutable state for a snapshot.
-  Image capture_image() const { return {free_lists_, free_pages_, stats_}; }
-  /// Restore a previously captured image exactly.
-  void restore_image(const Image& image) {
-    free_lists_ = image.free_lists;
-    free_pages_ = image.free_pages;
-    stats_ = image.stats;
-  }
+  const State& state() const noexcept { return state_; }
+  /// Restore a previously captured state exactly.
+  void restore(const State& state) { state_ = state; }
 
  private:
   Pfn buddy_of(Pfn rel, std::uint32_t order) const noexcept {
@@ -99,13 +100,7 @@ class BuddyAllocator {
   Pfn start_;
   std::uint64_t pages_;
   std::uint8_t zone_index_;
-  // Zone-relative pfns of free block heads, ordered by address. Linux uses
-  // FIFO/LIFO lists; address order is deterministic and makes the split
-  // traces stable across runs (the pcp cache, not buddy order, carries the
-  // paper's exploit).
-  std::array<std::set<Pfn>, kMaxOrder> free_lists_;
-  std::uint64_t free_pages_ = 0;
-  BuddyStats stats_;
+  State state_;
 };
 
 }  // namespace explframe::mm

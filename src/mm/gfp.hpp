@@ -16,23 +16,13 @@ enum class GfpZonePreference : std::uint8_t {
   kDma,       ///< GFP_DMA: DMA only.
 };
 
-/// Allocation context flags (zone preference, hot/cold placement,
-/// atomicity) — the subset of Linux gfp_t the simulation distinguishes.
+/// Allocation context flags — the subset of Linux gfp_t the simulation
+/// distinguishes: only the zone preference.
 struct GfpFlags {
   GfpZonePreference zone = GfpZonePreference::kNormal;
-  /// Cold allocation: take from the tail of the per-CPU cache (page-cache
-  /// readahead style) instead of the hot head.
-  bool cold = false;
-  /// Atomic allocation: may dip below the min watermark, never falls back to
-  /// reclaim (which the simulation models as failure).
-  bool atomic = false;
 
   static GfpFlags kernel() { return {}; }
-  static GfpFlags user() {
-    return {GfpZonePreference::kHighUser, false, false};
-  }
-  static GfpFlags dma() { return {GfpZonePreference::kDma, false, false}; }
-  static GfpFlags dma32() { return {GfpZonePreference::kDma32, false, false}; }
+  static GfpFlags user() { return {GfpZonePreference::kHighUser}; }
 };
 
 }  // namespace explframe::mm

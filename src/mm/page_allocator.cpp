@@ -98,22 +98,17 @@ std::vector<std::size_t> PageAllocator::zonelist(
   return order;
 }
 
-bool PageAllocator::watermark_ok(const Zone& zone, std::uint32_t order,
-                                 const GfpFlags& gfp) const {
+bool PageAllocator::watermark_ok(const Zone& zone, std::uint32_t order) const {
   const std::uint64_t need = Pfn{1} << order;
-  std::uint64_t mark = zone.watermarks().min;
-  if (gfp.atomic) mark /= 2;  // ALLOC_HARDER
-  return zone.free_pages() >= need + mark;
+  return zone.free_pages() >= need + zone.watermarks().min;
 }
 
-Pfn PageAllocator::rmqueue_pcp(Zone& zone, std::uint32_t cpu,
-                               const GfpFlags& gfp) {
+Pfn PageAllocator::rmqueue_pcp(Zone& zone, std::uint32_t cpu) {
   PerCpuPageCache& cache = zone.pcp(cpu);
   if (cache.empty()) {
     // Bulk-refill from buddy (rmqueue_bulk): up to `batch` order-0 blocks,
-    // never draining the zone below its (alloc-flag adjusted) reserve.
-    std::uint64_t reserve = zone.watermarks().min;
-    if (gfp.atomic) reserve /= 2;
+    // never draining the zone below its min watermark.
+    const std::uint64_t reserve = zone.watermarks().min;
     std::vector<Pfn> refill;
     refill.reserve(cache.config().batch);
     for (std::uint32_t i = 0; i < cache.config().batch; ++i) {
@@ -125,9 +120,9 @@ Pfn PageAllocator::rmqueue_pcp(Zone& zone, std::uint32_t cpu,
     }
     if (refill.empty()) return kInvalidPfn;
     cache.refill(refill);
-    ++vmstat_.pcp_refills;
+    ++state_.vmstat.pcp_refills;
   }
-  return cache.take(gfp.cold);
+  return cache.take();
 }
 
 Pfn PageAllocator::rmqueue_buddy(Zone& zone, std::uint32_t order) {
@@ -137,15 +132,15 @@ Pfn PageAllocator::rmqueue_buddy(Zone& zone, std::uint32_t order) {
 void PageAllocator::finish_alloc(Allocation& alloc, std::uint32_t cpu,
                                  std::int32_t task) {
   (void)cpu;
-  ++alloc_seq_;
+  ++state_.alloc_seq;
   const Pfn n = Pfn{1} << alloc.order;
   for (Pfn i = 0; i < n; ++i) {
     PageFrame& f = db_.at(alloc.pfn + i);
     f.state = PageState::kAllocated;
     f.owner_task = task;
-    f.alloc_seq = alloc_seq_;
+    f.alloc_seq = state_.alloc_seq;
   }
-  ++vmstat_.pgalloc;
+  ++state_.vmstat.pgalloc;
 }
 
 std::optional<Allocation> PageAllocator::alloc_pages(std::uint32_t order,
@@ -166,22 +161,22 @@ std::optional<Allocation> PageAllocator::alloc_pages(std::uint32_t order,
     // itself may hold pages even when the zone is below its watermark.
     if (order == 0) {
       const bool cache_has_pages = !zone.pcp(cpu).empty();
-      if (!cache_has_pages && !watermark_ok(zone, order, gfp)) {
-        ++vmstat_.watermark_skips;
+      if (!cache_has_pages && !watermark_ok(zone, order)) {
+        ++state_.vmstat.watermark_skips;
         preferred = false;
         continue;
       }
-      const Pfn pfn = rmqueue_pcp(zone, cpu, gfp);
+      const Pfn pfn = rmqueue_pcp(zone, cpu);
       if (pfn != kInvalidPfn) {
         Allocation a{pfn, 0, zone.index(), true};
         finish_alloc(a, cpu, task);
-        ++vmstat_.pcp_alloc_hits;
-        if (!preferred) ++vmstat_.zone_fallbacks;
+        ++state_.vmstat.pcp_alloc_hits;
+        if (!preferred) ++state_.vmstat.zone_fallbacks;
         return a;
       }
     } else {
-      if (!watermark_ok(zone, order, gfp)) {
-        ++vmstat_.watermark_skips;
+      if (!watermark_ok(zone, order)) {
+        ++state_.vmstat.watermark_skips;
         preferred = false;
         continue;
       }
@@ -189,14 +184,14 @@ std::optional<Allocation> PageAllocator::alloc_pages(std::uint32_t order,
       if (pfn != kInvalidPfn) {
         Allocation a{pfn, order, zone.index(), false};
         finish_alloc(a, cpu, task);
-        ++vmstat_.buddy_direct;
-        if (!preferred) ++vmstat_.zone_fallbacks;
+        ++state_.vmstat.buddy_direct;
+        if (!preferred) ++state_.vmstat.zone_fallbacks;
         return a;
       }
     }
     preferred = false;
   }
-  ++vmstat_.failures;
+  ++state_.vmstat.failures;
   return std::nullopt;
 }
 
@@ -212,7 +207,7 @@ void PageAllocator::free_pages(Pfn pfn, std::uint32_t order, std::uint32_t cpu,
   EXPLFRAME_CHECK(cpu < config_.num_cpus);
   Zone* zone = zone_of(pfn);
   EXPLFRAME_CHECK_MSG(zone != nullptr, "free of unmanaged pfn");
-  ++vmstat_.pgfree;
+  ++state_.vmstat.pgfree;
   if (order == 0) {
     PageFrame& f = db_.at(pfn);
     EXPLFRAME_CHECK_MSG(f.state == PageState::kAllocated,

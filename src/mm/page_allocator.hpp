@@ -43,6 +43,8 @@ struct VmStats {
   std::uint64_t zone_fallbacks = 0;   ///< Served by a non-preferred zone.
   std::uint64_t watermark_skips = 0;  ///< Zone skipped on watermark.
   std::uint64_t failures = 0;         ///< Complete allocation failures.
+
+  bool operator==(const VmStats&) const = default;
 };
 
 /// Result of a successful allocation.
@@ -91,8 +93,7 @@ class PageAllocator {
   /// into zone(i). Mirrors the x86-64 zonelist.
   std::vector<std::size_t> zonelist(GfpZonePreference pref) const;
 
-  const VmStats& stats() const noexcept { return vmstat_; }
-  std::uint64_t alloc_sequence() const noexcept { return alloc_seq_; }
+  const VmStats& stats() const noexcept { return state_.vmstat; }
 
   /// Total pages free in buddy lists across zones.
   std::uint64_t global_free_pages() const noexcept;
@@ -100,30 +101,31 @@ class PageAllocator {
   /// Consistency check across all zones (tests).
   void verify() const;
 
+  /// The allocator's own mutable counters.
+  struct State {
+    VmStats vmstat;
+    std::uint64_t alloc_seq = 0;  ///< Stamped on every allocated frame.
+  };
   /// Snapshot of the allocator's complete mutable state: the page-frame
-  /// database plus, per zone, the buddy free lists and every CPU's page
-  /// cache. Zone layout/watermarks are config-derived and immutable.
+  /// database, its own State and, per zone, the buddy State and every
+  /// CPU's page cache State. Zone layout/watermarks are config-derived and
+  /// immutable.
   struct Image {
     std::vector<PageFrame> frames;
-    std::vector<BuddyAllocator::Image> buddies;          ///< Per zone.
-    std::vector<std::vector<PerCpuPageCache::Image>> pcps;  ///< [zone][cpu].
-    VmStats vmstat;
-    std::uint64_t alloc_seq = 0;
+    State state;
+    std::vector<BuddyAllocator::State> buddies;             ///< Per zone.
+    std::vector<std::vector<PerCpuPageCache::State>> pcps;  ///< [zone][cpu].
   };
 
   /// Capture the full mutable state for a snapshot.
   Image capture_image() const {
-    Image image;
-    image.frames = db_.all_frames();
+    Image image{db_.all_frames(), state_, {}, {}};
     for (const auto& z : zones_) {
-      image.buddies.push_back(z->buddy().capture_image());
-      std::vector<PerCpuPageCache::Image> cpus;
+      image.buddies.push_back(z->buddy().state());
+      image.pcps.emplace_back();
       for (std::uint32_t c = 0; c < z->num_cpus(); ++c)
-        cpus.push_back(z->pcp(c).capture_image());
-      image.pcps.push_back(std::move(cpus));
+        image.pcps.back().push_back(z->pcp(c).state());
     }
-    image.vmstat = vmstat_;
-    image.alloc_seq = alloc_seq_;
     return image;
   }
 
@@ -131,28 +133,25 @@ class PageAllocator {
   void restore_image(const Image& image) {
     EXPLFRAME_CHECK(image.buddies.size() == zones_.size());
     db_.restore_frames(image.frames);
+    state_ = image.state;
     for (std::size_t i = 0; i < zones_.size(); ++i) {
-      zones_[i]->buddy().restore_image(image.buddies[i]);
+      zones_[i]->buddy().restore(image.buddies[i]);
       for (std::uint32_t c = 0; c < zones_[i]->num_cpus(); ++c)
-        zones_[i]->pcp(c).restore_image(image.pcps[i][c]);
+        zones_[i]->pcp(c).restore(image.pcps[i][c]);
     }
-    vmstat_ = image.vmstat;
-    alloc_seq_ = image.alloc_seq;
   }
 
  private:
-  Pfn rmqueue_pcp(Zone& zone, std::uint32_t cpu, const GfpFlags& gfp);
+  Pfn rmqueue_pcp(Zone& zone, std::uint32_t cpu);
   Pfn rmqueue_buddy(Zone& zone, std::uint32_t order);
-  bool watermark_ok(const Zone& zone, std::uint32_t order,
-                    const GfpFlags& gfp) const;
+  bool watermark_ok(const Zone& zone, std::uint32_t order) const;
   void drain_pcp(Zone& zone, std::uint32_t cpu);
   void finish_alloc(Allocation& alloc, std::uint32_t cpu, std::int32_t task);
 
   AllocatorConfig config_;
   PageFrameDatabase db_;
   std::vector<std::unique_ptr<Zone>> zones_;
-  VmStats vmstat_;
-  std::uint64_t alloc_seq_ = 0;
+  State state_;
 };
 
 }  // namespace explframe::mm

@@ -4,55 +4,46 @@
 
 namespace explframe::mm {
 
-Pfn PerCpuPageCache::take(bool cold) {
-  EXPLFRAME_CHECK(!pages_.empty());
-  Pfn pfn;
-  // Hot allocations always come from the front; in LIFO mode that is where
-  // hot frees land (Linux), in FIFO mode it is the oldest entry.
-  const bool from_front = !cold;
-  if (from_front) {
-    pfn = pages_.front();
-    pages_.pop_front();
-  } else {
-    pfn = pages_.back();
-    pages_.pop_back();
-  }
-  ++stats_.alloc_hits;
+Pfn PerCpuPageCache::take() {
+  EXPLFRAME_CHECK(!state_.pages.empty());
+  const Pfn pfn = state_.pages.front();
+  state_.pages.pop_front();
+  ++state_.stats.alloc_hits;
   return pfn;
 }
 
 bool PerCpuPageCache::put(Pfn pfn, bool cold) {
   const bool to_front = config_.lifo ? !cold : cold;
   if (to_front) {
-    pages_.push_front(pfn);
+    state_.pages.push_front(pfn);
   } else {
-    pages_.push_back(pfn);
+    state_.pages.push_back(pfn);
   }
-  ++stats_.frees;
-  return pages_.size() > config_.high;
+  ++state_.stats.frees;
+  return state_.pages.size() > config_.high;
 }
 
 std::vector<Pfn> PerCpuPageCache::pop_cold(std::uint32_t n) {
   std::vector<Pfn> out;
   out.reserve(n);
-  while (n-- != 0 && !pages_.empty()) {
-    out.push_back(pages_.back());
-    pages_.pop_back();
+  while (n-- != 0 && !state_.pages.empty()) {
+    out.push_back(state_.pages.back());
+    state_.pages.pop_back();
   }
   if (!out.empty()) {
-    ++stats_.drains;
-    stats_.drained_pages += out.size();
+    ++state_.stats.drains;
+    state_.stats.drained_pages += out.size();
   }
   return out;
 }
 
 void PerCpuPageCache::refill(const std::vector<Pfn>& pfns) {
-  for (const Pfn p : pfns) pages_.push_back(p);
-  if (!pfns.empty()) ++stats_.refills;
+  for (const Pfn p : pfns) state_.pages.push_back(p);
+  if (!pfns.empty()) ++state_.stats.refills;
 }
 
 std::vector<Pfn> PerCpuPageCache::peek() const {
-  return {pages_.begin(), pages_.end()};
+  return {state_.pages.begin(), state_.pages.end()};
 }
 
 }  // namespace explframe::mm

@@ -25,6 +25,8 @@ struct PcpConfig {
   /// LIFO (Linux behaviour): allocate hottest = most recently freed first.
   /// Setting this false gives FIFO, used by the `design-ablations` experiment.
   bool lifo = true;
+
+  bool operator==(const PcpConfig&) const = default;
 };
 
 /// Activity counters of one per-CPU cache.
@@ -34,6 +36,8 @@ struct PcpStats {
   std::uint64_t frees = 0;         ///< Frames pushed into the cache.
   std::uint64_t drains = 0;        ///< Bulk drains back to buddy.
   std::uint64_t drained_pages = 0;
+
+  bool operator==(const PcpStats&) const = default;
 };
 
 /// The cache itself: a deque of pfns. Hot end = front.
@@ -41,15 +45,15 @@ class PerCpuPageCache {
  public:
   explicit PerCpuPageCache(const PcpConfig& config) : config_(config) {}
 
-  bool empty() const noexcept { return pages_.empty(); }
+  bool empty() const noexcept { return state_.pages.empty(); }
   std::uint32_t count() const noexcept {
-    return static_cast<std::uint32_t>(pages_.size());
+    return static_cast<std::uint32_t>(state_.pages.size());
   }
   const PcpConfig& config() const noexcept { return config_; }
 
-  /// Take one frame (hot end unless cold requested). Caller must check
-  /// !empty().
-  Pfn take(bool cold = false);
+  /// Take one frame from the front: the hot end in LIFO mode, the oldest
+  /// entry in FIFO mode. Caller must check !empty().
+  Pfn take();
 
   /// Insert one freed frame (hot end unless cold). Returns true if the
   /// cache is now over `high` and the caller must drain.
@@ -65,27 +69,22 @@ class PerCpuPageCache {
   /// Non-destructive view, hot end first (experiment ground truth).
   std::vector<Pfn> peek() const;
 
-  PcpStats& stats() noexcept { return stats_; }
-  const PcpStats& stats() const noexcept { return stats_; }
+  PcpStats& stats() noexcept { return state_.stats; }
+  const PcpStats& stats() const noexcept { return state_.stats; }
 
-  /// Snapshot of the cache's mutable state (config is immutable).
-  struct Image {
-    std::deque<Pfn> pages;
+  /// The cache's mutable state (config is immutable); a snapshot copies
+  /// it whole.
+  struct State {
+    std::deque<Pfn> pages;  ///< Hot end = front.
     PcpStats stats;
   };
-
-  /// Capture the mutable state for a snapshot.
-  Image capture_image() const { return {pages_, stats_}; }
-  /// Restore a previously captured image exactly.
-  void restore_image(const Image& image) {
-    pages_ = image.pages;
-    stats_ = image.stats;
-  }
+  const State& state() const noexcept { return state_; }
+  /// Restore a previously captured state exactly.
+  void restore(const State& state) { state_ = state; }
 
  private:
   PcpConfig config_;
-  std::deque<Pfn> pages_;
-  PcpStats stats_;
+  State state_;
 };
 
 }  // namespace explframe::mm

@@ -63,7 +63,6 @@ std::optional<fault::AnalysisKind> analysis_from_string(
   if (name == "pfa-missing-value") return fault::AnalysisKind::kPfaMissingValue;
   if (name == "pfa-max-likelihood")
     return fault::AnalysisKind::kPfaMaxLikelihood;
-  if (name == "dfa") return fault::AnalysisKind::kDfa;
   return std::nullopt;
 }
 
@@ -99,8 +98,6 @@ const char* analysis_scn_name(fault::AnalysisKind kind) noexcept {
       return "pfa-missing-value";
     case fault::AnalysisKind::kPfaMaxLikelihood:
       return "pfa-max-likelihood";
-    case fault::AnalysisKind::kDfa:
-      return "dfa";
   }
   return "?";
 }
@@ -236,10 +233,6 @@ std::optional<Scenario> Scenario::from_scn(const std::string& text,
   // larger buffers abort mid-run in allocation.
   if (s.buffer_mib == 0 || s.buffer_mib > s.memory_mib / 2)
     return fail("key 'buffer_mib': must be in [1, memory_mib / 2]");
-  if (s.analysis == fault::AnalysisKind::kDfa)
-    return fail(
-        "key 'analysis': dfa needs transient (correct, faulty) pairs; the "
-        "persistent-fault campaign cannot drive it");
   if (s.analysis == fault::AnalysisKind::kPfaMaxLikelihood &&
       s.cipher != crypto::CipherKind::kAes128)
     return fail("key 'analysis': pfa-max-likelihood is AES-only");

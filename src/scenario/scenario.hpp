@@ -63,8 +63,8 @@ void apply_weak_cell_profile(WeakCellProfile profile,
 std::optional<crypto::CipherKind> cipher_from_string(
     const std::string& name) noexcept;
 
-/// Canonical analysis name ("pfa-missing-value" | "pfa-max-likelihood" |
-/// "dfa") for `.scn` files.
+/// Canonical analysis name ("pfa-missing-value" | "pfa-max-likelihood")
+/// for `.scn` files.
 std::optional<fault::AnalysisKind> analysis_from_string(
     const std::string& name) noexcept;
 
@@ -112,8 +112,8 @@ struct Scenario {
 
   /// Parse `.scn` text. Returns nullopt and fills `error` (when non-null)
   /// on malformed lines, duplicate keys, malformed values, unknown keys,
-  /// out-of-range values or unsupported combinations (e.g. DFA, which needs
-  /// transient fault pairs the campaign cannot provide).
+  /// out-of-range values or unsupported combinations (e.g. max-likelihood
+  /// PFA on PRESENT).
   static std::optional<Scenario> from_scn(const std::string& text,
                                           std::string* error = nullptr);
 

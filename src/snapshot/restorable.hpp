@@ -18,9 +18,8 @@
 //     of times, in any order with other snapshots of the same object,
 //     always reproduces the same state.
 //
-// fork() is restore() by another name: campaigns "fork a trial from the
-// post-templating snapshot" by restoring the machine and re-running the
-// per-trial phases. The alias exists to keep call sites self-describing.
+// Campaigns "fork a trial from the post-templating snapshot" by restoring
+// the machine and re-running the per-trial phases.
 #pragma once
 
 #include <memory>
@@ -52,10 +51,6 @@ class Restorable {
   /// object's snapshot() (CHECK-fails otherwise). Exact, per the contract
   /// in the file comment.
   virtual void restore(const Snapshot& state) = 0;
-
-  /// Alias of restore() for the campaign trial loop: "fork" a fresh trial
-  /// off a shared templated base.
-  void fork(const Snapshot& base) { restore(base); }
 };
 
 }  // namespace explframe::snap

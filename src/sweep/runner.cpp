@@ -1,14 +1,13 @@
 #include "sweep/runner.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <limits>
-#include <map>
 #include <mutex>
 #include <sstream>
 #include <thread>
 
-#include "attack/campaign_runner.hpp"
 #include "support/check.hpp"
 
 namespace explframe::sweep {
@@ -351,6 +350,26 @@ std::optional<std::vector<PointRecord>> load_checkpoint(
   return records;
 }
 
+std::vector<std::vector<std::size_t>> template_groups(
+    const std::vector<attack::RunnerConfig>& configs) {
+  std::vector<std::vector<std::size_t>> groups;
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    const attack::RunnerConfig& config = configs[i];
+    const auto shares = [&](const std::vector<std::size_t>& group) {
+      const attack::RunnerConfig& base = configs[group.front()];
+      return base.system == config.system && base.seed == config.seed &&
+             base.trials == config.trials &&
+             attack::shares_template(base.campaign, config.campaign);
+    };
+    const auto it = std::find_if(groups.begin(), groups.end(), shares);
+    if (it == groups.end())
+      groups.push_back({i});
+    else
+      it->push_back(i);
+  }
+  return groups;
+}
+
 std::optional<SweepResult> run_sweep(const SweepSpec& spec,
                                      const scenario::Registry& registry,
                                      const SweepRunOptions& options,
@@ -441,21 +460,15 @@ std::optional<SweepResult> run_sweep(const SweepSpec& spec,
   // determinism: allow(steady-clock) sweep wall_seconds diagnostic, stdout only
   const auto start = std::chrono::steady_clock::now();
   if (!pending.empty()) {
-    // Group points that share a templated base: same template-shaping
-    // fields (attack::template_key), same master seed, same trial count.
     // A group templates once per trial and forks every member from the
     // snapshot; grouping never changes a reported byte, only wall clock.
-    std::vector<std::vector<std::size_t>> groups;
-    std::map<std::string, std::size_t> group_index;
-    for (const std::size_t index : pending) {
-      const attack::RunnerConfig rc = (*points)[index].scenario.runner_config();
-      const std::string key = attack::template_key(rc.system, rc.campaign) +
-                              "|seed=" + std::to_string(rc.seed) +
-                              "|trials=" + std::to_string(rc.trials);
-      const auto [it, inserted] = group_index.emplace(key, groups.size());
-      if (inserted) groups.emplace_back();
-      groups[it->second].push_back(index);
-    }
+    std::vector<attack::RunnerConfig> configs;
+    configs.reserve(pending.size());
+    for (const std::size_t index : pending)
+      configs.push_back((*points)[index].scenario.runner_config());
+    std::vector<std::vector<std::size_t>> groups = template_groups(configs);
+    for (std::vector<std::size_t>& group : groups)
+      for (std::size_t& member : group) member = pending[member];
 
     std::uint32_t threads = options.threads;
     if (threads == 0) {

@@ -2,8 +2,9 @@
 // pool, with a crash-safe checkpoint so interrupted sweeps resume.
 //
 // Execution model: the expanded points form a shared work queue of
-// *groups* — points whose (attack::template_key, master seed, trial
-// count) coincide share one templated machine state, so each trial of a
+// *groups* — points whose machine, master seed and trial count coincide
+// and whose campaigns share a template (attack::shares_template) share
+// one templated machine state, so each trial of a
 // group templates once and every member forks from the snapshot
 // (CampaignRunner::run_trial_group); a point that shares with nobody is a
 // one-member group with no snapshot at all. Each worker thread
@@ -45,7 +46,7 @@
 #include <string>
 #include <vector>
 
-#include "attack/campaign.hpp"
+#include "attack/campaign_runner.hpp"
 #include "io/fs.hpp"
 #include "scenario/registry.hpp"
 #include "support/units.hpp"
@@ -185,6 +186,14 @@ std::optional<SweepResult> run_sweep(const SweepSpec& spec,
                                      const scenario::Registry& registry,
                                      const SweepRunOptions& options = {},
                                      std::string* error = nullptr);
+
+/// Partition `configs` into template-sharing groups, as run_sweep does
+/// with its pending points: two configs share a group when their machines,
+/// master seeds and trial counts are equal and their campaigns share a
+/// template (attack::shares_template). Each group lists indices into
+/// `configs` in order; groups appear in order of their first member.
+std::vector<std::vector<std::size_t>> template_groups(
+    const std::vector<attack::RunnerConfig>& configs);
 
 /// Reassemble one complete SweepResult from shard checkpoint files.
 /// Every file must carry `spec`'s hash (foreign checkpoints are refused),

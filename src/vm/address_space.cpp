@@ -13,17 +13,17 @@ VirtAddr AddressSpace::mmap(std::uint64_t length) {
   EXPLFRAME_CHECK(length > 0);
   const std::uint64_t bytes =
       bytes_to_pages(length) * static_cast<std::uint64_t>(kPageSize);
-  const VirtAddr start = mmap_cursor_;
+  const VirtAddr start = state_.mmap_cursor;
   // One guard page between mappings keeps ranges unambiguous.
-  mmap_cursor_ += bytes + kPageSize;
-  vmas_.emplace(start, Vma{start, start + bytes});
-  ++counters_.mmap_calls;
+  state_.mmap_cursor += bytes + kPageSize;
+  state_.vmas.emplace(start, Vma{start, start + bytes});
+  ++state_.counters.mmap_calls;
   return start;
 }
 
 bool AddressSpace::valid(VirtAddr va) const {
-  auto it = vmas_.upper_bound(va);
-  if (it == vmas_.begin()) return false;
+  auto it = state_.vmas.upper_bound(va);
+  if (it == state_.vmas.begin()) return false;
   --it;
   return it->second.contains(va);
 }
@@ -38,25 +38,25 @@ bool AddressSpace::munmap(VirtAddr addr, std::uint64_t length,
   bool any = false;
   // Collect overlapping VMAs, then rewrite them (split / trim / drop).
   std::vector<Vma> overlapped;
-  for (auto it = vmas_.begin(); it != vmas_.end();) {
+  for (auto it = state_.vmas.begin(); it != state_.vmas.end();) {
     if (it->second.end <= addr || it->second.start >= end) {
       ++it;
       continue;
     }
     overlapped.push_back(it->second);
-    it = vmas_.erase(it);
+    it = state_.vmas.erase(it);
     any = true;
   }
   for (const Vma& vma : overlapped) {
-    if (vma.start < addr) vmas_.emplace(vma.start, Vma{vma.start, addr});
-    if (vma.end > end) vmas_.emplace(end, Vma{end, vma.end});
+    if (vma.start < addr) state_.vmas.emplace(vma.start, Vma{vma.start, addr});
+    if (vma.end > end) state_.vmas.emplace(end, Vma{end, vma.end});
     const VirtAddr lo = std::max(vma.start, addr);
     const VirtAddr hi = std::min(vma.end, end);
     for (VirtAddr va = lo; va < hi; va += kPageSize) {
       if (const auto pfn = table_.unmap(va)) release(*pfn);
     }
   }
-  if (any) ++counters_.munmap_calls;
+  if (any) ++state_.counters.munmap_calls;
   return any;
 }
 

@@ -28,6 +28,8 @@ struct VmCounters {
   std::uint64_t mmap_calls = 0;
   std::uint64_t munmap_calls = 0;
   std::uint64_t mapped_peak = 0;
+
+  bool operator==(const VmCounters&) const = default;
 };
 
 /// One task's virtual memory: VMA list plus the 4-level page table,
@@ -59,37 +61,36 @@ class AddressSpace {
   PageTable& page_table() noexcept { return table_; }
   const PageTable& page_table() const noexcept { return table_; }
 
-  const std::map<VirtAddr, Vma>& vmas() const noexcept { return vmas_; }
-  VmCounters& counters() noexcept { return counters_; }
-  const VmCounters& counters() const noexcept { return counters_; }
+  const std::map<VirtAddr, Vma>& vmas() const noexcept { return state_.vmas; }
+  VmCounters& counters() noexcept { return state_.counters; }
+  const VmCounters& counters() const noexcept { return state_.counters; }
 
-  /// Snapshot of the complete address-space state. Restoring the mmap
-  /// cursor is what makes post-restore mmap() return exactly the addresses
-  /// a fresh run would have — forked trials see identical VAs.
-  struct Image {
-    std::map<VirtAddr, Vma> vmas;
-    PageTable::TableImage table;
+  /// Everything mutable except the page table; a snapshot copies it
+  /// whole. Restoring the mmap cursor is what makes post-restore mmap()
+  /// return exactly the addresses a fresh run would have — forked trials
+  /// see identical VAs.
+  struct State {
+    std::map<VirtAddr, Vma> vmas;  ///< Keyed by start address.
     VirtAddr mmap_cursor = kMmapBase;
     VmCounters counters;
   };
+  /// Snapshot of the complete address-space state.
+  struct Image {
+    State state;
+    PageTable::TableImage table;
+  };
 
   /// Capture the full state for a snapshot.
-  Image capture_image() const {
-    return {vmas_, table_.capture_image(), mmap_cursor_, counters_};
-  }
+  Image capture_image() const { return {state_, table_.capture_image()}; }
   /// Restore a previously captured image exactly.
   void restore_image(const Image& image) {
-    vmas_ = image.vmas;
+    state_ = image.state;
     table_.restore_image(image.table);
-    mmap_cursor_ = image.mmap_cursor;
-    counters_ = image.counters;
   }
 
  private:
-  std::map<VirtAddr, Vma> vmas_;  ///< Keyed by start address.
   PageTable table_;
-  VirtAddr mmap_cursor_ = kMmapBase;
-  VmCounters counters_;
+  State state_;
 };
 
 }  // namespace explframe::vm

@@ -139,12 +139,5 @@ TEST(ExplFrameCampaignAes, SameCpuNoiseCanStealFrame) {
   EXPECT_LT(steered, attempted);  // noise must spoil at least one run
 }
 
-TEST(ExplFrameCampaignAes, DfaIsRejected) {
-  kernel::System sys(attack_system_cfg(1));
-  CampaignConfig cfg = attack_cfg(1);
-  cfg.analysis = fault::AnalysisKind::kDfa;
-  EXPECT_DEATH({ TemplatedCampaign c(sys, cfg, false); }, "persistent");
-}
-
 }  // namespace
 }  // namespace explframe::attack

@@ -1,13 +1,15 @@
-// EXPECT_REPORTS_EQUAL — field-for-field attack::CampaignReport equality
-// for the differential tests (fork ≡ fresh, batched ≡ per-call harvest,
-// debugger ≡ runner). Compares every deterministic field; only
-// template_wall_seconds (host wall clock) is left out.
+// EXPECT_REPORTS_EQUAL — attack::CampaignReport equality for the
+// differential tests (fork ≡ fresh, batched ≡ per-call harvest, debugger ≡
+// runner): CampaignReport::same_outcome, which compares every field but
+// template_wall_seconds (host wall clock), plus one EXPECT_EQ per field so
+// a mismatch names the field.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #define EXPECT_REPORTS_EQUAL(a, b, label)                                   \
   do {                                                                      \
+    EXPECT_TRUE((a).same_outcome(b)) << (label);                            \
     EXPECT_EQ((a).cipher, (b).cipher) << (label);                           \
     EXPECT_EQ((a).template_found, (b).template_found) << (label);           \
     EXPECT_EQ((a).rows_scanned, (b).rows_scanned) << (label);               \

@@ -182,15 +182,15 @@ class DevicePair {
   /// and every scalar.
   void expect_same_image(const DramDevice::Image& p,
                          const refdram::RefDevice::Image& r) {
-    ASSERT_EQ(p.rows.size(), r.rows.size());
+    ASSERT_EQ(p.state.rows.size(), r.rows.size());
     for (const auto& [row, bytes] : r.rows) {
-      const auto it = p.rows.find(row);
-      ASSERT_NE(it, p.rows.end()) << "row " << row;
+      const auto it = p.state.rows.find(row);
+      ASSERT_NE(it, p.state.rows.end()) << "row " << row;
       EXPECT_EQ(0, std::memcmp(it->second.get(), bytes.get(),
                                geometry_.row_bytes))
           << "row " << row;
     }
-    EXPECT_EQ(p.open_row, r.open_row);
+    EXPECT_EQ(p.state.open_row, r.open_row);
 
     using Dist = std::tuple<std::uint64_t, std::uint32_t, std::uint32_t>;
     std::vector<Dist> pd, rd;
@@ -205,42 +205,42 @@ class DevicePair {
     std::sort(rd.begin(), rd.end());
     EXPECT_EQ(pd, rd);
 
-    ASSERT_EQ(p.flips.size(), r.flips.size());
+    ASSERT_EQ(p.state.flips.size(), r.flips.size());
     for (std::size_t i = 0; i < r.flips.size(); ++i) {
-      EXPECT_EQ(p.flips.addr_at(i), r.flips[i].addr);
-      EXPECT_EQ(p.flips.bit_at(i), r.flips[i].bit);
-      EXPECT_EQ(p.flips.to_one_at(i), r.flips[i].to_one);
-      EXPECT_EQ(p.flips.time_at(i), r.flips[i].time);
+      EXPECT_EQ(p.state.flips.addr_at(i), r.flips[i].addr);
+      EXPECT_EQ(p.state.flips.bit_at(i), r.flips[i].bit);
+      EXPECT_EQ(p.state.flips.to_one_at(i), r.flips[i].to_one);
+      EXPECT_EQ(p.state.flips.time_at(i), r.flips[i].time);
     }
 
     std::size_t ref_live = 0;
     for (const auto& [row, flips] : r.live_flips) {
       ref_live += flips.size();
-      const auto range = p.live_flips.row_range(row);
+      const auto range = p.state.live_flips.row_range(row);
       ASSERT_EQ(range.end - range.begin, flips.size()) << "row " << row;
       for (std::size_t i = 0; i < flips.size(); ++i) {
-        EXPECT_EQ(p.live_flips.col_at(range.begin + i), flips[i].col);
-        EXPECT_EQ(p.live_flips.bit_at(range.begin + i), flips[i].bit);
+        EXPECT_EQ(p.state.live_flips.col_at(range.begin + i), flips[i].col);
+        EXPECT_EQ(p.state.live_flips.bit_at(range.begin + i), flips[i].bit);
       }
     }
-    EXPECT_EQ(p.live_flips.size(), ref_live);
+    EXPECT_EQ(p.state.live_flips.size(), ref_live);
 
-    ASSERT_EQ(p.trr_sampler.size(), r.trr_sampler.size());
+    ASSERT_EQ(p.state.trr_sampler.size(), r.trr_sampler.size());
     for (const auto& [row, count] : r.trr_sampler) {
-      const std::size_t slot = p.trr_sampler.find(row);
+      const std::size_t slot = p.state.trr_sampler.find(row);
       ASSERT_NE(slot, TrrSampler::kNpos) << "row " << row;
-      EXPECT_EQ(p.trr_sampler.count(slot), count);
+      EXPECT_EQ(p.state.trr_sampler.count(slot), count);
     }
 
-    EXPECT_EQ(p.now, r.now);
-    EXPECT_EQ(p.next_refresh, r.next_refresh);
-    EXPECT_EQ(p.mutation_epoch, r.mutation_epoch);
-    EXPECT_EQ(p.total_flips, r.total_flips);
-    EXPECT_EQ(p.total_acts, r.total_acts);
-    EXPECT_EQ(p.refreshes, r.refreshes);
-    EXPECT_EQ(p.trr_hits, r.trr_hits);
-    EXPECT_EQ(p.ecc_corrected, r.ecc_corrected);
-    EXPECT_EQ(p.ecc_uncorrectable, r.ecc_uncorrectable);
+    EXPECT_EQ(p.state.now, r.now);
+    EXPECT_EQ(p.state.next_refresh, r.next_refresh);
+    EXPECT_EQ(p.state.mutation_epoch, r.mutation_epoch);
+    EXPECT_EQ(p.state.total_flips, r.total_flips);
+    EXPECT_EQ(p.state.total_acts, r.total_acts);
+    EXPECT_EQ(p.state.refreshes, r.refreshes);
+    EXPECT_EQ(p.state.trr_hits, r.trr_hits);
+    EXPECT_EQ(p.state.ecc_corrected, r.ecc_corrected);
+    EXPECT_EQ(p.state.ecc_uncorrectable, r.ecc_uncorrectable);
   }
 
  private:

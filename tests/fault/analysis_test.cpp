@@ -49,7 +49,6 @@ TEST(Analysis, AesPfaRecoversKeyThroughInterface) {
       make_analysis(AnalysisKind::kPfaMissingValue,
                     cipher_for(CipherKind::kAes128),
                     FaultModel{fault.index, fault.mask, v, v_new});
-  EXPECT_FALSE(analysis->wants_pairs());
   EXPECT_FALSE(analysis->wants_known_pair());
   EXPECT_EQ(analysis->residual_search(), 0u);
 
@@ -110,33 +109,6 @@ TEST(Analysis, PresentPfaRecoversKeyThroughInterface) {
                          key.end()));
   EXPECT_GT(analysis->residual_search(), 0u);
   EXPECT_LE(analysis->residual_search(), 1u << 16);
-}
-
-TEST(Analysis, DfaConsumesPairsThroughInterface) {
-  Rng rng(103);
-  Aes128::Key key;
-  rng.fill_bytes(key);
-  const auto rk = Aes128::expand_key(key);
-
-  const auto analysis = make_analysis(AnalysisKind::kDfa,
-                                      cipher_for(CipherKind::kAes128), {});
-  EXPECT_TRUE(analysis->wants_pairs());
-
-  std::optional<std::vector<std::uint8_t>> recovered;
-  for (int i = 0; i < 64 && !recovered; ++i) {
-    // Random round-9 fault in a random state byte: covers all 4 columns.
-    Aes128::Block pt;
-    rng.fill_bytes(pt);
-    const auto byte_index = static_cast<std::size_t>(rng.uniform(16));
-    const auto mask = static_cast<std::uint8_t>(1 + rng.uniform(255));
-    analysis->add_pair(
-        Aes128::encrypt(pt, rk),
-        Aes128::encrypt_with_transient_fault(pt, rk, 9, byte_index, mask));
-    recovered = analysis->recover_key();
-  }
-  ASSERT_TRUE(recovered.has_value());
-  EXPECT_TRUE(std::equal(recovered->begin(), recovered->end(), key.begin(),
-                         key.end()));
 }
 
 TEST(Analysis, PerBlockForwarderMatchesBatchOverRandomSplits) {
@@ -217,18 +189,7 @@ TEST(Analysis, PerBlockForwarderMatchesBatchOverRandomSplits) {
   }
 }
 
-TEST(Analysis, DfaRejectsBareCiphertexts) {
-  const auto analysis = make_analysis(AnalysisKind::kDfa,
-                                      cipher_for(CipherKind::kAes128), {});
-  const std::vector<std::uint8_t> ct(16, 0x3c);
-  EXPECT_DEATH(analysis->add_ciphertext(ct), "DFA consumes");
-  EXPECT_DEATH(analysis->add_ciphertext_batch(ct, 16), "DFA consumes");
-}
-
 TEST(Analysis, FactoryRejectsUnsupportedCombinations) {
-  EXPECT_DEATH(make_analysis(AnalysisKind::kDfa,
-                             cipher_for(CipherKind::kPresent80), {}),
-               "AES-only");
   EXPECT_DEATH(make_analysis(AnalysisKind::kPfaMaxLikelihood,
                              cipher_for(CipherKind::kPresent80), {}),
                "AES-only");

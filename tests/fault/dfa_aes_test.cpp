@@ -53,16 +53,6 @@ class DfaRecovery : public ::testing::Test {
   Aes128::RoundKeys rk_;
 };
 
-TEST_F(DfaRecovery, SinglePairNarrowsColumn) {
-  AesDfa dfa;
-  const auto [good, bad] = make_pair(0);
-  ASSERT_TRUE(dfa.add_pair(good, bad));
-  // One pair cannot pin the column uniquely but must narrow it hugely.
-  double bits = dfa.remaining_keyspace_log2();
-  EXPECT_LT(bits, 3 * 32 + 16);  // far below 2^128
-  EXPECT_GT(bits, 3 * 32 - 1e-9);  // other columns untouched
-}
-
 TEST_F(DfaRecovery, FullKeyFromTwoPairsPerColumn) {
   AesDfa dfa;
   // Faults in bytes 0..3 of the round-9 state input cover, after ShiftRows,
@@ -78,21 +68,7 @@ TEST_F(DfaRecovery, FullKeyFromTwoPairsPerColumn) {
   const auto k10 = dfa.recover_round10();
   ASSERT_TRUE(k10.has_value());
   EXPECT_EQ(*k10, rk_[10]);
-  const auto master = dfa.recover_master_key();
-  ASSERT_TRUE(master.has_value());
-  EXPECT_EQ(*master, key_);
-}
-
-TEST_F(DfaRecovery, KeyspaceDecreasesWithPairs) {
-  AesDfa dfa;
-  double last = 128.0;
-  for (int i = 0; i < 6; ++i) {
-    const auto [good, bad] = make_pair(0);
-    ASSERT_TRUE(dfa.add_pair(good, bad));
-    const double now = dfa.remaining_keyspace_log2();
-    EXPECT_LE(now, last + 1e-9);
-    last = now;
-  }
+  EXPECT_EQ(Aes128::master_key_from_round10(*k10), key_);
 }
 
 TEST_F(DfaRecovery, PairsCountedPerColumn) {

@@ -114,7 +114,8 @@ TEST(PageAllocator, HighOrderBypassesPcp) {
 
 TEST(PageAllocator, DmaPreferenceServedFromDmaZone) {
   PageAllocator alloc(default_cfg());
-  const auto a = alloc.alloc_pages(0, GfpFlags::dma(), 0, 1);
+  const auto a =
+      alloc.alloc_pages(0, GfpFlags{GfpZonePreference::kDma}, 0, 1);
   ASSERT_TRUE(a);
   EXPECT_EQ(alloc.zone(a->zone_index).type(), ZoneType::kDma);
 }
@@ -149,18 +150,6 @@ TEST(PageAllocator, OomReturnsNullopt) {
   EXPECT_GT(alloc.stats().failures, 0u);
   // Watermarks keep a reserve: we can't take literally everything.
   EXPECT_LT(got, alloc.total_pages());
-}
-
-TEST(PageAllocator, AtomicDipsBelowMinWatermark) {
-  AllocatorConfig cfg;
-  cfg.total_bytes = 32 * kMiB;
-  cfg.num_cpus = 1;
-  PageAllocator alloc(cfg);
-  while (alloc.alloc_pages(0, GfpFlags::user(), 0, 1)) {
-  }
-  GfpFlags atomic;
-  atomic.atomic = true;
-  EXPECT_TRUE(alloc.alloc_pages(0, atomic, 0, 1).has_value());
 }
 
 TEST(PageAllocator, ChurnKeepsAccountingConsistent) {

@@ -35,13 +35,6 @@ TEST(PerCpuPageCache, ColdFreesGoToTail) {
   EXPECT_EQ(cache.take(), 2u);
 }
 
-TEST(PerCpuPageCache, ColdAllocTakesFromTail) {
-  PerCpuPageCache cache(small_cfg());
-  cache.put(1);
-  cache.put(2);
-  EXPECT_EQ(cache.take(/*cold=*/true), 1u);
-}
-
 TEST(PerCpuPageCache, FifoModeForAblation) {
   PcpConfig cfg = small_cfg();
   cfg.lifo = false;

@@ -581,24 +581,25 @@ TEST(PackedImageProperty, DeviceSnapshotRoundTripFixedPoint) {
   dev.restore_image(first);
   const auto second = dev.capture_image();
 
-  EXPECT_EQ(first.open_row, second.open_row);
+  EXPECT_EQ(first.state.open_row, second.state.open_row);
   EXPECT_EQ(first.disturbance, second.disturbance);
-  EXPECT_TRUE(first.flips == second.flips);
-  EXPECT_TRUE(first.live_flips == second.live_flips);
-  EXPECT_TRUE(first.trr_sampler == second.trr_sampler);
-  EXPECT_EQ(first.now, second.now);
-  EXPECT_EQ(first.next_refresh, second.next_refresh);
-  EXPECT_EQ(first.total_flips, second.total_flips);
-  EXPECT_EQ(first.total_acts, second.total_acts);
-  EXPECT_EQ(first.refreshes, second.refreshes);
-  EXPECT_EQ(first.trr_hits, second.trr_hits);
-  EXPECT_EQ(first.ecc_corrected, second.ecc_corrected);
-  EXPECT_EQ(first.ecc_uncorrectable, second.ecc_uncorrectable);
-  EXPECT_GT(second.mutation_epoch, first.mutation_epoch);  // strict advance
-  ASSERT_EQ(first.rows.size(), second.rows.size());
-  for (const auto& [row, bytes] : first.rows) {
-    const auto it = second.rows.find(row);
-    ASSERT_NE(it, second.rows.end());
+  EXPECT_TRUE(first.state.flips == second.state.flips);
+  EXPECT_TRUE(first.state.live_flips == second.state.live_flips);
+  EXPECT_TRUE(first.state.trr_sampler == second.state.trr_sampler);
+  EXPECT_EQ(first.state.now, second.state.now);
+  EXPECT_EQ(first.state.next_refresh, second.state.next_refresh);
+  EXPECT_EQ(first.state.total_flips, second.state.total_flips);
+  EXPECT_EQ(first.state.total_acts, second.state.total_acts);
+  EXPECT_EQ(first.state.refreshes, second.state.refreshes);
+  EXPECT_EQ(first.state.trr_hits, second.state.trr_hits);
+  EXPECT_EQ(first.state.ecc_corrected, second.state.ecc_corrected);
+  EXPECT_EQ(first.state.ecc_uncorrectable, second.state.ecc_uncorrectable);
+  // The epoch strictly advances.
+  EXPECT_GT(second.state.mutation_epoch, first.state.mutation_epoch);
+  ASSERT_EQ(first.state.rows.size(), second.state.rows.size());
+  for (const auto& [row, bytes] : first.state.rows) {
+    const auto it = second.state.rows.find(row);
+    ASSERT_NE(it, second.state.rows.end());
     EXPECT_EQ(0, std::memcmp(bytes.get(), it->second.get(), g.row_bytes));
   }
 }

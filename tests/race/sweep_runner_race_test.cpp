@@ -35,8 +35,9 @@ std::uint32_t hardware_threads() {
 }
 
 /// A shared-seed grid over post-template axes: every point of a column
-/// agrees on template_key + seed + trials, so the runner actually forms
-/// multi-point groups and forks them from one snapshot per trial.
+/// shares a template (attack::shares_template), seed and trial count, so
+/// the runner actually forms multi-point groups and forks them from one
+/// snapshot per trial.
 SweepSpec grouped_spec() {
   const auto spec = SweepSpec::from_sweep(
       "name = race-grid\n"

@@ -92,7 +92,7 @@ TEST(Scenario, RejectsDuplicateKeys) {
 
 TEST(Scenario, RejectsSemanticImpossibilities) {
   std::string error;
-  // DFA needs transient pairs; the persistent-fault campaign cannot drive it.
+  // DFA needs transient pairs; no campaign analysis is named after it.
   EXPECT_FALSE(
       Scenario::from_scn("name = x\ntitle = t\nanalysis = dfa\n", &error)
           .has_value());

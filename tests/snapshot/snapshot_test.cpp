@@ -1,8 +1,9 @@
 // The snap::Restorable contract on the full machine (kernel::System):
 // restore() must be EXACT — memory bytes, translations, allocator
 // accounting, task table and the simulated clock all rewind to the
-// captured instant — and cheap snapshots must stay valid across repeated
-// restores (layered CoW, no deep copy invalidation). Timeline layers the
+// captured instant, every public counter included — and cheap snapshots
+// must stay valid across repeated restores (layered CoW, no deep copy
+// invalidation). Timeline layers the
 // same contract into a rewindable stack.
 #include <gtest/gtest.h>
 
@@ -131,6 +132,96 @@ TEST(Snapshot, PageTableRebuildSupportsFurtherMapAndUnmap) {
   ASSERT_TRUE(sys.sys_munmap(task, va, 1200 * kPageSize));
   const vm::VirtAddr fresh = sys.sys_mmap(task, 4 * kPageSize);
   ASSERT_TRUE(sys.mem_write(task, fresh, pattern(4 * kPageSize, 8)));
+}
+
+/// Every public counter of the machine at one instant.
+struct Counters {
+  std::uint64_t activations = 0, flips = 0, refreshes = 0, trr = 0;
+  std::uint64_t ecc_corrected = 0, ecc_uncorrectable = 0;
+  SimTime now = 0;
+  mm::VmStats vm;
+  std::vector<mm::BuddyStats> buddy;  ///< Per zone.
+  std::vector<mm::PcpStats> pcp;      ///< Per zone and CPU.
+  kernel::SystemStats system;
+  std::vector<vm::VmCounters> tasks;  ///< Per task in `tasks` order.
+
+  bool operator==(const Counters&) const = default;
+};
+
+Counters read_counters(const kernel::System& sys,
+                       const std::vector<const kernel::Task*>& tasks) {
+  const dram::DramDevice& d = sys.dram();
+  Counters c{d.total_activations(), d.total_flips(),
+             d.refresh_count(),     d.trr_interventions(),
+             d.ecc_corrected_bits(), d.ecc_uncorrectable_words(),
+             sys.now(),             sys.allocator().stats(),
+             {},                    {},
+             sys.stats(),           {}};
+  for (std::size_t z = 0; z < sys.allocator().zone_count(); ++z) {
+    const mm::Zone& zone = sys.allocator().zone(z);
+    c.buddy.push_back(zone.buddy().stats());
+    for (std::uint32_t cpu = 0; cpu < zone.num_cpus(); ++cpu)
+      c.pcp.push_back(zone.pcp(cpu).stats());
+  }
+  for (const kernel::Task* t : tasks) c.tasks.push_back(t->space().counters());
+  return c;
+}
+
+/// Work that moves every counter Counters reads: demand faults, an
+/// unmap, a hammer burst under TRR, one injected single-bit and one
+/// double-bit ECC word read back, and a refresh window of idle time.
+void churn(kernel::System& sys, kernel::Task& task, std::uint8_t salt) {
+  const vm::VirtAddr va = sys.sys_mmap(task, 64 * kPageSize);
+  ASSERT_TRUE(sys.mem_write(task, va, pattern(64 * kPageSize, salt)));
+  const vm::VirtAddr aggressors[] = {va, va + 32 * kPageSize};
+  ASSERT_GT(sys.hammer_burst(task, aggressors, 5'000), 0u);
+  const dram::PhysAddr word = sys.phys_of(task, va + kPageSize);
+  sys.dram().inject_flip(word, 1);
+  sys.dram().inject_flip(word + 8, 2);
+  sys.dram().inject_flip(word + 9, 3);
+  std::vector<std::uint8_t> data(16);
+  ASSERT_TRUE(sys.mem_read(task, va + kPageSize, data));
+  ASSERT_TRUE(sys.sys_munmap(task, va + 48 * kPageSize, 16 * kPageSize));
+  sys.dram().advance(64 * kMillisecond);
+}
+
+TEST(Snapshot, RestoreRewindsEveryPublicCounter) {
+  kernel::SystemConfig cfg = small_config(67);
+  cfg.dram.trr = {true, 1'000, 8};
+  cfg.dram.ecc.enabled = true;
+  kernel::System sys(cfg);
+  kernel::Task& a = sys.spawn("a", 0);
+  kernel::Task& b = sys.spawn("b", 1);
+  const std::vector<const kernel::Task*> tasks = {&a, &b};
+  churn(sys, a, 1);
+  churn(sys, b, 2);
+  const Counters captured = read_counters(sys, tasks);
+  const std::uint64_t epoch = sys.memory_epoch();
+  const auto snap = sys.snapshot();
+
+  churn(sys, a, 3);
+  churn(sys, b, 4);
+  kernel::Task& late = sys.spawn("late", 0);
+  churn(sys, late, 5);
+  // Every counter moved, so the comparison below is not vacuous.
+  const Counters moved = read_counters(sys, tasks);
+  EXPECT_NE(moved.activations, captured.activations);
+  EXPECT_NE(moved.flips, captured.flips);
+  EXPECT_NE(moved.refreshes, captured.refreshes);
+  EXPECT_NE(moved.trr, captured.trr);
+  EXPECT_NE(moved.ecc_corrected, captured.ecc_corrected);
+  EXPECT_NE(moved.ecc_uncorrectable, captured.ecc_uncorrectable);
+  EXPECT_NE(moved.now, captured.now);
+  EXPECT_NE(moved.vm, captured.vm);
+  EXPECT_NE(moved.buddy, captured.buddy);
+  EXPECT_NE(moved.pcp, captured.pcp);
+  EXPECT_NE(moved.system, captured.system);
+  EXPECT_NE(moved.tasks[0], captured.tasks[0]);
+  EXPECT_NE(moved.tasks[1], captured.tasks[1]);
+
+  sys.restore(*snap);
+  EXPECT_TRUE(read_counters(sys, tasks) == captured);
+  EXPECT_GT(sys.memory_epoch(), epoch);  // the one deliberate exception
 }
 
 TEST(Timeline, RewindTruncatesAndRestoreOnlyPeeks) {
