@@ -7,14 +7,14 @@ namespace explframe::scenario {
 void Registry::add(Scenario s) {
   EXPLFRAME_CHECK_MSG(KvFile::valid_key(s.name),
                       "scenario name must be a valid identifier");
-  EXPLFRAME_CHECK_MSG(find(s.name) == nullptr, "duplicate scenario name");
+  const bool fresh = index_.emplace(s.name, scenarios_.size()).second;
+  EXPLFRAME_CHECK_MSG(fresh, "duplicate scenario name");
   scenarios_.push_back(std::move(s));
 }
 
 const Scenario* Registry::find(const std::string& name) const noexcept {
-  for (const Scenario& s : scenarios_)
-    if (s.name == name) return &s;
-  return nullptr;
+  const auto it = index_.find(name);
+  return it == index_.end() ? nullptr : &scenarios_[it->second];
 }
 
 namespace {

@@ -8,7 +8,9 @@
 // `explsim list`, `explsim all` and the generated docs/results/ handbook.
 #pragma once
 
+#include <cstddef>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "scenario/scenario.hpp"
@@ -24,7 +26,7 @@ class Registry {
   /// Register `s`; the name must be unique within this registry.
   void add(Scenario s);
 
-  /// Scenario named `name`, or nullptr.
+  /// Scenario named `name`, or nullptr. O(1): a name index kept by add().
   const Scenario* find(const std::string& name) const noexcept;
 
   /// All scenarios, in registration order (== handbook order).
@@ -32,6 +34,7 @@ class Registry {
 
  private:
   std::vector<Scenario> scenarios_;
+  std::unordered_map<std::string, std::size_t> index_;  ///< name -> slot.
 };
 
 /// Convenience: the built-in scenario `name`; CHECK-fails if absent (for

@@ -137,6 +137,13 @@ std::optional<Job> JobQueue::find(const std::string& id) const {
   return it->second;
 }
 
+std::optional<JobState> JobQueue::state(const std::string& id) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = jobs_.find(id);
+  if (it == jobs_.end()) return std::nullopt;
+  return it->second.state;
+}
+
 std::vector<Job> JobQueue::jobs() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<Job> out;

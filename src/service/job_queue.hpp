@@ -24,10 +24,10 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "service/protocol.hpp"
@@ -101,6 +101,9 @@ class JobQueue {
 
   /// The job tracked under `id`, if any.
   std::optional<Job> find(const std::string& id) const;
+  /// The state of the job tracked under `id`, if any — find() without
+  /// copying the Job (what Service::submit asks on every submission).
+  std::optional<JobState> state(const std::string& id) const;
   /// Every tracked job, in submission order.
   std::vector<Job> jobs() const;
   /// Block until nothing is queued or running (or stop()).
@@ -111,11 +114,11 @@ class JobQueue {
 
   const std::uint32_t max_attempts_;
   mutable std::mutex mutex_;
-  mutable std::condition_variable work_cv_;  ///< claim() waiters.
-  mutable std::condition_variable idle_cv_;  ///< wait_idle() waiters.
-  std::map<std::string, Job> jobs_;          ///< All tracked jobs by id.
-  std::vector<std::string> order_;           ///< Submission order of ids.
-  std::deque<std::string> queue_;            ///< Queued ids, FIFO.
+  mutable std::condition_variable work_cv_;     ///< claim() waiters.
+  mutable std::condition_variable idle_cv_;     ///< wait_idle() waiters.
+  std::unordered_map<std::string, Job> jobs_;  ///< All tracked jobs by id.
+  std::vector<std::string> order_;             ///< Submission order of ids.
+  std::deque<std::string> queue_;              ///< Queued ids, FIFO.
   bool stopped_ = false;
 };
 

@@ -66,6 +66,24 @@ void Service::enter_degraded(const std::string& reason) {
   degraded_reason_ = reason;
 }
 
+std::optional<std::string> Service::resolve_id(const JobRequest& request,
+                                               std::string* error) {
+  auto& ids = ids_[static_cast<std::size_t>(request.kind)];
+  {
+    const std::lock_guard<std::mutex> lock(ids_mutex_);
+    const auto it = ids.find(request.name);
+    if (it != ids.end()) return it->second;
+  }
+  // Derived outside the lock: racing first lookups of one name compute
+  // the same id, and the first to store it wins.
+  auto id = job_id(request, scenarios_, sweeps_, error);
+  if (id) {
+    const std::lock_guard<std::mutex> lock(ids_mutex_);
+    ids.emplace(request.name, *id);
+  }
+  return id;
+}
+
 bool Service::start(std::string* error) {
   EXPLFRAME_CHECK(!running_.load());
   for (const char* sub : {"queue", "checkpoints", "done", "failed"}) {
@@ -114,7 +132,7 @@ bool Service::start(std::string* error) {
       return fail_with(error, "corrupt spooled request '" + path +
                                   "': " + parse_error);
     std::string id_error;
-    const auto id = job_id(*request, scenarios_, sweeps_, &id_error);
+    const auto id = resolve_id(*request, &id_error);
     if (!id)
       return fail_with(error, "stale spooled request '" + path +
                                   "': " + id_error);
@@ -141,7 +159,7 @@ std::optional<SubmitOutcome> Service::submit(const JobRequest& request,
   if (why) *why = SubmitError::kNone;
   SubmitOutcome outcome;
   std::string id_error;
-  const auto id = job_id(request, scenarios_, sweeps_, &id_error);
+  const auto id = resolve_id(request, &id_error);
   if (!id) {
     if (why) *why = SubmitError::kBadRequest;
     fail_with(error, id_error);
@@ -149,8 +167,8 @@ std::optional<SubmitOutcome> Service::submit(const JobRequest& request,
   }
   outcome.id = *id;
 
-  const auto tracked = queue_.find(*id);
-  const bool done_in_queue = tracked && tracked->state == JobState::kDone;
+  const auto tracked = queue_.state(*id);
+  const bool done_in_queue = tracked == JobState::kDone;
   if (done_in_queue || (!tracked && fs().exists(done_path(*id, "md")))) {
     outcome.cached = true;
     return outcome;
@@ -186,8 +204,8 @@ std::optional<SubmitOutcome> Service::submit(const JobRequest& request,
   // A queued or running job's .req is already durable. Rewriting it could
   // resurrect the file finish() has just retired (between its remove and
   // queue_.complete), leaving a stale .req behind a completed job.
-  const bool pending = tracked && (tracked->state == JobState::kQueued ||
-                                   tracked->state == JobState::kRunning);
+  const bool pending =
+      tracked == JobState::kQueued || tracked == JobState::kRunning;
   if (!pending && !spool()) return std::nullopt;
   const JobQueue::Submitted submitted = queue_.submit(*id, request);
   // The job failed (and record_failure retired its .req) between the

@@ -12,6 +12,10 @@
 // is also the dedupe key: concurrent submissions of the same experiment
 // collapse to one execution, and a submission whose report already sits in
 // done/ is served from the cache without running anything (`cached`).
+// A Service resolves each (kind, name) to its id once (job_id re-derives
+// the canonical `.scn`/`.sweep` text the id hashes) and answers later
+// requests for that name from a memo, so a cached resubmission costs one
+// queue-state lookup, plus a done/ probe for a job this process never ran.
 //
 // Durability: a submission is acknowledged only after its .req file is
 // fsynced into queue/, so a daemon crash loses no accepted work — start()
@@ -39,6 +43,7 @@
 // docs/ARCHITECTURE.md "Failure model").
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -46,6 +51,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "io/fs.hpp"
@@ -96,6 +102,10 @@ struct SubmitOutcome {
 class Service {
  public:
   /// Binds the registries the daemon serves; nothing runs until start().
+  /// Both registries must outlive the Service and must not change while
+  /// it lives: workers read them concurrently, and each name's job id is
+  /// resolved once and memoized, so a re-registered definition would keep
+  /// its first id.
   Service(ServiceOptions options, const scenario::Registry& scenarios,
           const sweep::Registry& sweeps);
   /// Joins the workers (a cancel shutdown) if still running.
@@ -180,6 +190,10 @@ class Service {
   void enter_degraded(const std::string& reason);
   /// Durably file failed/<id>.err and retire the .req (best effort).
   void record_failure(const std::string& id, const std::string& reason);
+  /// service::job_id, memoized per (kind, name): the first success is
+  /// stored, failures are not (an unknown name stays an error each time).
+  std::optional<std::string> resolve_id(const JobRequest& request,
+                                        std::string* error);
 
   const ServiceOptions options_;
   const scenario::Registry& scenarios_;
@@ -192,6 +206,9 @@ class Service {
   std::atomic<bool> degraded_{false};  ///< Sticky read-only mode.
   mutable std::mutex degraded_mutex_;  ///< Guards degraded_reason_.
   std::string degraded_reason_;
+  std::mutex ids_mutex_;  ///< Guards ids_.
+  /// resolve_id's memo: name -> job id, one map per JobKind.
+  std::array<std::unordered_map<std::string, std::string>, 2> ids_;
 };
 
 }  // namespace explframe::service

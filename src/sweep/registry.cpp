@@ -8,7 +8,8 @@ namespace explframe::sweep {
 void Registry::add(SweepSpec spec) {
   EXPLFRAME_CHECK_MSG(KvFile::valid_key(spec.name),
                       "sweep name must be a valid identifier");
-  EXPLFRAME_CHECK_MSG(find(spec.name) == nullptr, "duplicate sweep name");
+  const bool fresh = index_.emplace(spec.name, sweeps_.size()).second;
+  EXPLFRAME_CHECK_MSG(fresh, "duplicate sweep name");
   std::string error;
   EXPLFRAME_CHECK_MSG(
       spec.expand(scenario::Registry::builtin(), &error).has_value(),
@@ -89,9 +90,8 @@ axis.both_polarities = false,true
 }  // namespace
 
 const SweepSpec* Registry::find(const std::string& name) const noexcept {
-  for (const SweepSpec& spec : sweeps_)
-    if (spec.name == name) return &spec;
-  return nullptr;
+  const auto it = index_.find(name);
+  return it == index_.end() ? nullptr : &sweeps_[it->second];
 }
 
 const Registry& Registry::builtin() {

@@ -9,7 +9,9 @@
 // scenario registry (a builtin sweep must be runnable).
 #pragma once
 
+#include <cstddef>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "sweep/spec.hpp"
@@ -26,7 +28,7 @@ class Registry {
   /// against the builtin scenario registry (CHECK-enforced).
   void add(SweepSpec spec);
 
-  /// Sweep named `name`, or nullptr.
+  /// Sweep named `name`, or nullptr. O(1): a name index kept by add().
   const SweepSpec* find(const std::string& name) const noexcept;
 
   /// All sweeps, in registration order (== handbook order).
@@ -34,6 +36,7 @@ class Registry {
 
  private:
   std::vector<SweepSpec> sweeps_;
+  std::unordered_map<std::string, std::size_t> index_;  ///< name -> slot.
 };
 
 /// Convenience: the built-in sweep `name`; CHECK-fails if absent (for

@@ -32,6 +32,13 @@ TEST(Registry, NamesAreUniqueValidKeysAndTitlesPresent) {
   }
 }
 
+TEST(RegistryDeathTest, DuplicateNamesAreRejected) {
+  Registry reg;
+  reg.add(builtin_scenario("quickstart"));
+  EXPECT_DEATH(reg.add(builtin_scenario("quickstart")),
+               "duplicate scenario name");
+}
+
 // The acceptance-criteria invariant: every registered scenario survives
 // write -> parse unchanged, so `.scn` files are a faithful exchange format.
 TEST(Scenario, EveryRegisteredScenarioRoundTrips) {

@@ -4,8 +4,10 @@
 // requeues exactly once before the retry cap files the job under
 // failed/, a cancel shutdown mid-sweep leaves a resumable checkpoint the
 // next daemon finishes byte-identically, spooled .req files survive
-// restarts, and a resubmission racing a finishing job leaves no stale .req. Runs under ASan and TSan in CI — the worker pool and queue
-// must be clean at any interleaving.
+// restarts, a resubmission racing a finishing job leaves no stale .req,
+// and job ids are memoized per Service, never across Services. Runs under
+// ASan and TSan in CI — the worker pool and queue must be clean at any
+// interleaving.
 #include "service/service.hpp"
 
 #include <gtest/gtest.h>
@@ -469,6 +471,78 @@ TEST(Service, UnknownNamesAndBadLinesAreRejectedWithErrors) {
   service.drain();
   service.shutdown(Service::Shutdown::kDrain);
   EXPECT_EQ(service.status(outcome->id)->state, JobState::kDone);
+}
+
+/// The builtin scenarios with quickstart's seed moved by one: the same
+/// names, and a different base definition under tiny-grid.
+scenario::Registry reseeded_scenarios() {
+  scenario::Registry registry;
+  for (scenario::Scenario s : scenarios().all()) {
+    if (s.name == "quickstart") s.seed += 1;
+    registry.add(std::move(s));
+  }
+  return registry;
+}
+
+TEST(Service, JobIdsAreResolvedPerService) {
+  const std::string spool = fresh_spool("svc-ids");
+  std::string error;
+  const auto scenario_id = job_id(scenario_request(), scenarios(), sweeps());
+  const auto sweep_id = job_id(sweep_request(), scenarios(), sweeps());
+  ASSERT_TRUE(scenario_id.has_value());
+  ASSERT_TRUE(sweep_id.has_value());
+  {
+    ServiceOptions options;
+    options.spool_dir = spool;
+    Service service(std::move(options), scenarios(), sweeps());
+    ASSERT_TRUE(service.start(&error)) << error;
+    // New, then deduped or cached: every outcome carries job_id's id.
+    for (int round = 0; round < 3; ++round) {
+      const auto scn = service.submit(scenario_request(), &error);
+      ASSERT_TRUE(scn.has_value()) << error;
+      EXPECT_EQ(scn->id, *scenario_id);
+      const auto swp = service.submit(sweep_request(), &error);
+      ASSERT_TRUE(swp.has_value()) << error;
+      EXPECT_EQ(swp->id, *sweep_id);
+      if (round == 1) service.drain();
+      if (round == 2) {
+        EXPECT_TRUE(scn->cached);
+        EXPECT_TRUE(swp->cached);
+      }
+    }
+
+    // A failed resolution is not remembered: the name stays unknown.
+    JobRequest unknown = sweep_request();
+    unknown.name = "no-such-grid";
+    for (int attempt = 0; attempt < 3; ++attempt) {
+      error.clear();
+      SubmitError why = SubmitError::kNone;
+      EXPECT_FALSE(service.submit(unknown, &error, &why).has_value());
+      EXPECT_EQ(why, SubmitError::kBadRequest);
+      EXPECT_NE(error.find("no sweep named"), std::string::npos) << error;
+    }
+    service.shutdown(Service::Shutdown::kDrain);
+    EXPECT_EQ(service.executions(), 2u);
+  }
+
+  // A second Service over the same spool whose base scenario differs only
+  // in its seed resolves the same sweep name to its own id, and runs it
+  // instead of serving the first Service's report.
+  const scenario::Registry reseeded = reseeded_scenarios();
+  const auto reseeded_id = job_id(sweep_request(), reseeded, sweeps());
+  ASSERT_TRUE(reseeded_id.has_value());
+  EXPECT_NE(*reseeded_id, *sweep_id);
+  ServiceOptions options;
+  options.spool_dir = spool;
+  Service service(std::move(options), reseeded, sweeps());
+  ASSERT_TRUE(service.start(&error)) << error;
+  const auto outcome = service.submit(sweep_request(), &error);
+  ASSERT_TRUE(outcome.has_value()) << error;
+  EXPECT_EQ(outcome->id, *reseeded_id);
+  EXPECT_TRUE(outcome->accepted);
+  service.drain();
+  service.shutdown(Service::Shutdown::kDrain);
+  EXPECT_EQ(service.executions(), 1u);
 }
 
 }  // namespace

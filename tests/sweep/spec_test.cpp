@@ -316,6 +316,9 @@ TEST(SweepRegistry, BuiltinsExpandRoundTripAndAreUnique) {
 TEST(SweepRegistryDeathTest, BuiltinSweepLookupChecks) {
   EXPECT_EQ(builtin_sweep("defence-grid").base, "defence-none");
   EXPECT_DEATH(builtin_sweep("nope"), "no such built-in sweep");
+  Registry reg;
+  reg.add(builtin_sweep("defence-grid"));
+  EXPECT_DEATH(reg.add(builtin_sweep("defence-grid")), "duplicate sweep name");
 }
 
 }  // namespace

@@ -10,12 +10,17 @@
 # time, in whichever thread is running, in the command and every process
 # it forks or execs. Then prints a flat table of the PROFILE_ROWS (default
 # 40) functions with the most samples: count, share of all samples, name.
-# Names come from nm over the executable that took the sample, so build
-# unstripped (any CMake build type keeps the symbol table); all samples in
-# shared libraries (libc, libstdc++, ...) share one "[shared libraries]"
-# row, and samples in the executable's PLT stubs show up as `_init`. Compare two builds by their tables when a timing A/B differs and
-# the diff does not say why (code placement, inlining). Host-time only:
-# nothing it prints may feed a golden. Exits with the command's status.
+# Names in the executable come from nm over the executable that took the
+# sample, so build unstripped (any CMake build type keeps the symbol
+# table); samples in its PLT stubs show up as `_init`. Samples in shared
+# libraries (libc, libstdc++, libm, ...) are named by the shim at exit
+# with dladdr: one row per exported symbol, as "malloc [libc.so.6]" or
+# "operator new(unsigned long) [libstdc++.so.6]", and one "[libc.so.6]"
+# row per library for PCs in no exported symbol (glibc's IFUNC memcpy and
+# memset variants, static functions such as _int_malloc). Compare two
+# builds by their tables when a timing A/B differs and the diff does not
+# say why (code placement, inlining). Host-time only: nothing it prints
+# may feed a golden. Exits with the command's status.
 set -u
 
 if [ $# -eq 0 ]; then
@@ -26,8 +31,8 @@ here=$(cd "$(dirname "$0")" && pwd)
 work=$(mktemp -d) || exit 2
 trap 'rm -rf "$work"' EXIT
 
-cc -O2 -shared -fPIC -o "$work/sigprof.so" "$here/sigprof.c" -lpthread ||
-  exit 2
+cc -O2 -shared -fPIC -o "$work/sigprof.so" "$here/sigprof.c" \
+  -lpthread -ldl || exit 2
 EXPLFRAME_PROFILE_OUT="$work/samples" \
   LD_PRELOAD="$work/sigprof.so${LD_PRELOAD:+:$LD_PRELOAD}" "$@"
 status=$?
@@ -47,7 +52,8 @@ for f in "$work"/samples.*; do
           name[n++] = substr(line, index(line, " " w[2] " ") + 3)
         }
       }
-      $2 == "lib" { print $1 "\t[shared libraries]"; next }
+      $2 ~ /^@/ { print $1 "\t" substr($2, 2) " [" $3 "]"; next }
+      $2 ~ /^\[/ { print $1 "\t" $2; next }
       {
         pc = $2 + 0; l = 0; h = n - 1; k = -1
         while (l <= h) {
@@ -56,7 +62,13 @@ for f in "$work"/samples.*; do
         }
         print $1 "\t" (k < 0 ? "[unknown]" : name[k])
       }'
-done > "$work/counts"
+done > "$work/raw"
+# Shared-library symbols arrive mangled; nm -C already demangled the rest.
+if command -v c++filt >/dev/null 2>&1; then
+  c++filt < "$work/raw" > "$work/counts"
+else
+  mv "$work/raw" "$work/counts"
+fi
 printf '%9s %7s  %s\n' samples share function
 awk -F '\t' '
   { count[$2] += $1; total += $1 }

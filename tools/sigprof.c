@@ -3,15 +3,27 @@
 // Every millisecond of process CPU time (ITIMER_PROF, any thread) the
 // interrupted thread records its PC. At exit each process writes
 // $EXPLFRAME_PROFILE_OUT.<pid>: its executable's path, then one line per
-// sample, the PC as a decimal link-time address of that executable or
-// "lib" for a PC anywhere else (shared libraries, the vDSO).
+// sample, one of
+//
+//   <decimal>        a link-time address of that executable
+//   @<symbol> <lib>  inside an exported (dynamic) symbol of a shared
+//                    object, mangled as in its symbol table
+//   [<lib>]          inside a shared object (or the vDSO) but in no
+//                    exported symbol: IFUNC variants, static functions
+//   [unknown]        in no loaded object
+//
+// Shared-object PCs are resolved with dladdr1 here, in the exit writer,
+// never in the signal handler (dladdr is not async-signal-safe); each
+// distinct PC is resolved once.
 #define _GNU_SOURCE
+#include <dlfcn.h>
 #include <link.h>
 #include <pthread.h>
 #include <signal.h>
 #include <stdint.h>
 #include <stdio.h>
 #include <stdlib.h>
+#include <string.h>
 #include <sys/time.h>
 #include <ucontext.h>
 #include <unistd.h>
@@ -68,6 +80,33 @@ static int find_exe(struct dl_phdr_info* info, size_t size, void* data) {
   return 1;  // the first object listed is the executable
 }
 
+static int by_pc(const void* a, const void* b) {
+  const uintptr_t x = *(const uintptr_t*)a, y = *(const uintptr_t*)b;
+  return (x > y) - (x < y);
+}
+
+// The row of a PC outside the executable: its exported symbol when the PC
+// lies inside one, else its object's file name.
+static void print_shared(FILE* f, uintptr_t pc, unsigned times) {
+  Dl_info info;
+  const ElfW(Sym)* sym = NULL;
+  char row[4096];
+  if (dladdr1((void*)pc, &info, (void**)&sym, RTLD_DL_SYMENT) == 0 ||
+      info.dli_fname == NULL) {
+    snprintf(row, sizeof row, "[unknown]");
+  } else {
+    const char* slash = strrchr(info.dli_fname, '/');
+    const char* lib = slash ? slash + 1 : info.dli_fname;
+    const uintptr_t at = (uintptr_t)info.dli_saddr;
+    if (info.dli_sname != NULL && sym != NULL && pc >= at &&
+        pc < at + sym->st_size)
+      snprintf(row, sizeof row, "@%s %s", info.dli_sname, lib);
+    else
+      snprintf(row, sizeof row, "[%s]", lib);
+  }
+  while (times-- > 0) fprintf(f, "%s\n", row);
+}
+
 __attribute__((destructor)) static void stop(void) {
   const struct itimerval off = {{0, 0}, {0, 0}};
   setitimer(ITIMER_PROF, &off, NULL);
@@ -82,11 +121,16 @@ __attribute__((destructor)) static void stop(void) {
   dl_iterate_phdr(find_exe, NULL);
   fprintf(f, "%s\n", exe);
   const unsigned n = count < MAX_SAMPLES ? count : MAX_SAMPLES;
-  for (unsigned i = 0; i < n; ++i) {
-    if (samples[i] >= lo && samples[i] < hi)
-      fprintf(f, "%lu\n", (unsigned long)(samples[i] - base));
-    else
-      fputs("lib\n", f);
+  qsort(samples, n, sizeof samples[0], by_pc);  // runs of one PC
+  for (unsigned i = 0, j; i < n; i = j) {
+    j = i + 1;
+    while (j < n && samples[j] == samples[i]) ++j;
+    if (samples[i] >= lo && samples[i] < hi) {
+      for (unsigned k = i; k < j; ++k)
+        fprintf(f, "%lu\n", (unsigned long)(samples[i] - base));
+    } else {
+      print_shared(f, samples[i], j - i);
+    }
   }
   fclose(f);
 }
