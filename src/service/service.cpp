@@ -68,18 +68,18 @@ void Service::enter_degraded(const std::string& reason) {
 
 std::optional<std::string> Service::resolve_id(const JobRequest& request,
                                                std::string* error) {
-  auto& ids = ids_[static_cast<std::size_t>(request.kind)];
+  auto key = std::make_pair(request.kind, request.name);
   {
     const std::lock_guard<std::mutex> lock(ids_mutex_);
-    const auto it = ids.find(request.name);
-    if (it != ids.end()) return it->second;
+    const auto it = ids_.find(key);
+    if (it != ids_.end()) return it->second;
   }
   // Derived outside the lock: racing first lookups of one name compute
   // the same id, and the first to store it wins.
   auto id = job_id(request, scenarios_, sweeps_, error);
   if (id) {
     const std::lock_guard<std::mutex> lock(ids_mutex_);
-    ids.emplace(request.name, *id);
+    ids_.emplace(std::move(key), *id);
   }
   return id;
 }

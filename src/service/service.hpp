@@ -14,8 +14,10 @@
 // done/ is served from the cache without running anything (`cached`).
 // A Service resolves each (kind, name) to its id once (job_id re-derives
 // the canonical `.scn`/`.sweep` text the id hashes) and answers later
-// requests for that name from a memo, so a cached resubmission costs one
-// queue-state lookup, plus a done/ probe for a job this process never ran.
+// submits of that name from a memo, so a repeated in-process submit of a
+// cached job costs one queue-state lookup, plus a done/ probe for a job
+// this Service never ran. (`explsimd submit` runs job_id in its own
+// process and never reaches the memo.)
 //
 // Durability: a submission is acknowledged only after its .req file is
 // fsynced into queue/, so a daemon crash loses no accepted work — start()
@@ -43,15 +45,15 @@
 // docs/ARCHITECTURE.md "Failure model").
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "io/fs.hpp"
@@ -207,8 +209,8 @@ class Service {
   mutable std::mutex degraded_mutex_;  ///< Guards degraded_reason_.
   std::string degraded_reason_;
   std::mutex ids_mutex_;  ///< Guards ids_.
-  /// resolve_id's memo: name -> job id, one map per JobKind.
-  std::array<std::unordered_map<std::string, std::string>, 2> ids_;
+  /// resolve_id's memo: (kind, name) -> job id.
+  std::map<std::pair<JobKind, std::string>, std::string> ids_;
 };
 
 }  // namespace explframe::service

@@ -1,9 +1,8 @@
 // tests/race/ — service::Service under the race-detector leg.
 //
-// A resubmission is the daemon's hot path: each one resolves its job id
-// through the Service's per-name memo and reads the job's state from the
-// queue, while the workers claim, run and complete the very jobs being
-// resubmitted. This test storms one scenario job and one sweep job from
+// An in-process resubmission resolves its job id through the Service's
+// per-name memo and reads the job's state from the queue, while the
+// workers claim, run and complete the very jobs being resubmitted. This test storms one scenario job and one sweep job from
 // several clients, during the run and again after it, so the TSan CI leg
 // watches the id memo, the queue's job table and the done-cache check
 // under real contention.

@@ -40,10 +40,11 @@ status=$?
 for f in "$work"/samples.*; do
   [ -f "$f" ] || continue
   # Function start addresses (decimal) of the sampling executable, then
-  # its samples: each PC goes to the last function starting at or below it.
+  # its per-PC sample counts: each PC goes to the last function starting
+  # at or below it.
   nm -n -C -t d --defined-only "$(head -n 1 "$f")" 2>/dev/null |
     awk '$2 ~ /^[tTwW]$/' > "$work/syms"
-  tail -n +2 "$f" | sort | uniq -c |
+  tail -n +2 "$f" |
     awk -v syms="$work/syms" '
       BEGIN {
         while ((getline line < syms) > 0) {

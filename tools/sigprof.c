@@ -2,8 +2,8 @@
 //
 // Every millisecond of process CPU time (ITIMER_PROF, any thread) the
 // interrupted thread records its PC. At exit each process writes
-// $EXPLFRAME_PROFILE_OUT.<pid>: its executable's path, then one line per
-// sample, one of
+// $EXPLFRAME_PROFILE_OUT.<pid>: its executable's path, then one line
+// "<samples> <where>" per distinct PC, where <where> is one of
 //
 //   <decimal>        a link-time address of that executable
 //   @<symbol> <lib>  inside an exported (dynamic) symbol of a shared
@@ -13,8 +13,7 @@
 //   [unknown]        in no loaded object
 //
 // Shared-object PCs are resolved with dladdr1 here, in the exit writer,
-// never in the signal handler (dladdr is not async-signal-safe); each
-// distinct PC is resolved once.
+// never in the signal handler (dladdr is not async-signal-safe).
 #define _GNU_SOURCE
 #include <dlfcn.h>
 #include <link.h>
@@ -104,7 +103,7 @@ static void print_shared(FILE* f, uintptr_t pc, unsigned times) {
     else
       snprintf(row, sizeof row, "[%s]", lib);
   }
-  while (times-- > 0) fprintf(f, "%s\n", row);
+  fprintf(f, "%u %s\n", times, row);
 }
 
 __attribute__((destructor)) static void stop(void) {
@@ -125,12 +124,10 @@ __attribute__((destructor)) static void stop(void) {
   for (unsigned i = 0, j; i < n; i = j) {
     j = i + 1;
     while (j < n && samples[j] == samples[i]) ++j;
-    if (samples[i] >= lo && samples[i] < hi) {
-      for (unsigned k = i; k < j; ++k)
-        fprintf(f, "%lu\n", (unsigned long)(samples[i] - base));
-    } else {
+    if (samples[i] >= lo && samples[i] < hi)
+      fprintf(f, "%u %lu\n", j - i, (unsigned long)(samples[i] - base));
+    else
       print_shared(f, samples[i], j - i);
-    }
   }
   fclose(f);
 }
