@@ -4,6 +4,15 @@
 // bursts (reported, no bar). Campaign trial throughput is perfbench's
 // `ops_per_s` (workloads `aes-defences`, `present-pfa`).
 //
+// The TRR rows run the default sampler (20K activations, 64 ms window)
+// under a double-sided pair, which makes both aggressors intervene in the
+// same iteration every 20K iterations. The 50M-iteration burst spans ~140
+// refresh windows of ~17 intervention iterations each, the 500K-iteration
+// templating burst ~1.4 windows and 25 of them. In each window the burst
+// steps interventions only until their state repeats, then skips the
+// whole TRR cycles that fit before the refresh, so these rows time the
+// cycle skip more than the per-intervention step.
+//
 // Writes the headline numbers to BENCH_hammer.json (override with
 // --json=PATH) so CI can archive the perf trajectory per PR.
 #include <cstdint>

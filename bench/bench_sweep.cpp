@@ -11,13 +11,17 @@
 //                enabled (the full engine, as `explsim sweep run` uses it).
 //
 // Both run single-threaded so the comparison measures machinery, not
-// scheduling luck. Writes BENCH_sweep.json (override with --json=PATH) so
-// CI can archive the trajectory, and exits non-zero if the sweep path
-// costs more than 5% over the summed standalone runs (override with
+// scheduling luck. One run of either side is ~0.15 s, as long as a stray
+// fsync or scheduler stall, so the bench times kPairs interleaved
+// standalone/sweep pairs and judges the median of the per-pair overheads.
+// Writes BENCH_sweep.json (override with --json=PATH) with the medians and
+// the overhead's min/median/max so CI can archive the trajectory, and
+// exits non-zero if the median overhead exceeds 5% (override with
 // --bar=FRACTION) — the CI smoke check that the engine stays thin.
 #include <filesystem>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "attack/campaign_runner.hpp"
 #include "harness.hpp"
@@ -29,6 +33,9 @@
 using namespace explframe;
 
 namespace {
+
+/// Interleaved standalone/sweep pairs the verdict is judged over.
+constexpr int kPairs = 9;
 
 /// Cost floor: each point as a bare CampaignRunner, no sweep machinery.
 void run_standalone(const std::vector<sweep::SweepPoint>& points) {
@@ -66,29 +73,45 @@ int main(int argc, char** argv) {
   const std::string checkpoint =
       (std::filesystem::temp_directory_path() / "bench_sweep.ckpt").string();
 
-  const auto [standalone, swept] =
-      bench::best_of([&] { run_standalone(*points); },
-                     [&] { run_engine(spec, checkpoint); });
-  const double overhead =
-      standalone > 0.0 ? swept / standalone - 1.0 : 0.0;
+  const auto pairs = bench::interleaved_pairs(
+      [&] { run_standalone(*points); }, [&] { run_engine(spec, checkpoint); },
+      kPairs);
+  std::vector<double> standalone_s, sweep_s, overheads;
+  for (const auto& [standalone, swept] : pairs) {
+    standalone_s.push_back(standalone);
+    sweep_s.push_back(swept);
+    overheads.push_back(standalone > 0.0 ? swept / standalone - 1.0 : 0.0);
+  }
+  const bench::Spread standalone = bench::spread(standalone_s);
+  const bench::Spread swept = bench::spread(sweep_s);
+  const bench::Spread overhead = bench::spread(overheads);
 
-  Table t({"path", "seconds", "overhead"});
-  t.row("standalone campaigns", standalone, "-");
-  t.row("sweep engine", swept, Table::percent(overhead));
+  Table t({"path", "min s", "median s", "max s"});
+  t.row("standalone campaigns", standalone.min, standalone.median,
+        standalone.max);
+  t.row("sweep engine", swept.min, swept.median, swept.max);
   t.print(std::cout);
-  std::cout << spec.name << ": " << points->size()
-            << " points, single-threaded, checkpointing enabled\n";
+  std::cout << "overhead per pair: min " << Table::percent(overhead.min)
+            << ", median " << Table::percent(overhead.median) << ", max "
+            << Table::percent(overhead.max) << "\n"
+            << spec.name << ": " << points->size()
+            << " points, single-threaded, checkpointing enabled, " << kPairs
+            << " interleaved pairs\n";
 
   // The acceptance bar: the engine may add at most `bar` (default 5%)
-  // over the summed standalone campaign runs.
+  // over the summed standalone campaign runs, in the median pair.
   bench::Verdict verdict;
-  verdict.require(overhead <= bar, "sweep overhead ", Table::percent(overhead),
-                  " exceeds ", Table::percent(bar));
+  verdict.require(overhead.median <= bar, "median sweep overhead ",
+                  Table::percent(overhead.median), " exceeds ",
+                  Table::percent(bar));
   bench::Json json = bench::bench_json("sweep");
   json.add("sweep", spec.name)
       .add("points", points->size())
-      .add("standalone_seconds", standalone)
-      .add("sweep_seconds", swept)
-      .add("overhead_fraction", overhead);
+      .add("pairs", kPairs)
+      .add("standalone_seconds", standalone.median)
+      .add("sweep_seconds", swept.median)
+      .add("overhead_fraction", overhead.median)
+      .add("overhead_min", overhead.min)
+      .add("overhead_max", overhead.max);
   return bench::finish(json, flags.json, verdict);
 }

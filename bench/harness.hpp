@@ -99,6 +99,41 @@ std::pair<double, double> best_of(A&& a, B&& b) {
   return best;
 }
 
+/// The least, middle and greatest of a bench's repeated measurements.
+struct Spread {
+  double min = 0.0;
+  double median = 0.0;  ///< Mean of the two middle values for an even count.
+  double max = 0.0;
+};
+
+/// The Spread of `values` (CHECK-free: an empty sample gives all zeros).
+inline Spread spread(std::vector<double> values) {
+  if (values.empty()) return {};
+  std::sort(values.begin(), values.end());
+  const std::size_t n = values.size();
+  const double median =
+      n % 2 == 1 ? values[n / 2] : (values[n / 2 - 1] + values[n / 2]) / 2.0;
+  return {values.front(), median, values.back()};
+}
+
+/// The paired timing policy for a bar on the ratio of two sides: one
+/// untimed warm-up of `a`, then `pairs` runs of `a` immediately followed by
+/// `b`; returns each pair's (a, b) seconds. Judging the median of the
+/// per-pair ratios tolerates a minority of disturbed pairs, which the
+/// minimum of a few runs per side does not when one run lasts about as long
+/// as a scheduler or fsync stall.
+template <typename A, typename B>
+std::vector<std::pair<double, double>> interleaved_pairs(A&& a, B&& b,
+                                                         int pairs) {
+  a();
+  std::vector<std::pair<double, double>> out;
+  for (int i = 0; i < pairs; ++i) {
+    const double first = time_seconds(a);
+    out.emplace_back(first, time_seconds(b));
+  }
+  return out;
+}
+
 /// The bar verdict: each failed requirement prints one `FAIL:` line on
 /// stderr, and the bench exits 1 if any failed.
 class Verdict {

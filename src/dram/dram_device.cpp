@@ -339,25 +339,16 @@ void DramDevice::hammer_burst(std::span<const PhysAddr> aggressors,
   // latency and activation count, the per-iteration disturbance increments
   // of each weak victim row, and the per-iteration activation multiplicity
   // of each aggressor row (what the TRR sampler observes).
-  struct VictimDelta {
-    std::uint64_t flat = 0;
-    std::size_t ordinal = 0;  ///< Weak-row ordinal in the packed arena.
-    DramAddress coord;       ///< Victim row, col 0 (for the pattern check).
-    std::uint32_t above = 0;  ///< acts_above increments per iteration.
-    std::uint32_t below = 0;  ///< acts_below increments per iteration.
-  };
-  struct AggressorActs {
-    std::uint64_t flat = 0;
-    std::uint32_t per_iter = 0;
-  };
   SimTime iter_latency = 0;
   std::uint64_t acts_per_iter = 0;
-  std::vector<VictimDelta> victims;
-  std::vector<AggressorActs> agg_rows;
+  std::vector<BurstVictim>& victims = burst_.victims;
+  std::vector<BurstAggressor>& agg_rows = burst_.aggressors;
+  victims.clear();
+  agg_rows.clear();
   const RowIndex& weak = weak_cells_.row_index();
   const auto victim_at = [&](std::uint64_t flat, std::size_t ordinal,
-                             const DramAddress& coord) -> VictimDelta& {
-    for (VictimDelta& v : victims)
+                             const DramAddress& coord) -> BurstVictim& {
+    for (BurstVictim& v : victims)
       if (v.flat == flat) return v;
     victims.push_back({flat, ordinal, coord, 0, 0});
     return victims.back();
@@ -373,7 +364,7 @@ void DramDevice::hammer_burst(std::span<const PhysAddr> aggressors,
     if (!activates) continue;
     ++acts_per_iter;
     bool known = false;
-    for (AggressorActs& r : agg_rows)
+    for (BurstAggressor& r : agg_rows)
       if (r.flat == flat) {
         ++r.per_iter;
         known = true;
@@ -410,7 +401,7 @@ void DramDevice::hammer_burst(std::span<const PhysAddr> aggressors,
   bool fast = iter_latency > 0;
   if (fast && params_.trr.enabled) {
     if (agg_rows.size() > params_.trr.sampler_entries) fast = false;
-    for (const AggressorActs& r : agg_rows)
+    for (const BurstAggressor& r : agg_rows)
       if (fast && state_.trr_sampler.find(r.flat) == TrrSampler::kNpos)
         fast = false;
   }
@@ -426,18 +417,84 @@ void DramDevice::hammer_burst(std::span<const PhysAddr> aggressors,
   const auto bulk_apply = [&](std::uint64_t n) {
     state_.now += n * iter_latency;
     state_.total_acts += n * acts_per_iter;
-    for (const VictimDelta& v : victims) {
+    for (const BurstVictim& v : victims) {
       const DisturbanceTable::Counters c = disturbance_.touch(v.ordinal);
       c.above += static_cast<std::uint32_t>(n * v.above);
       c.below += static_cast<std::uint32_t>(n * v.below);
     }
     if (params_.trr.enabled)
-      for (const AggressorActs& r : agg_rows) {
+      for (const BurstAggressor& r : agg_rows) {
         std::size_t slot = state_.trr_sampler.find(r.flat);
         if (slot == TrrSampler::kNpos) slot = state_.trr_sampler.insert(r.flat);
         state_.trr_sampler.add(slot,
                                static_cast<std::uint32_t>(n * r.per_iter));
       }
+  };
+
+  // TRR cycles. Record the burst's dynamic state after each replayed
+  // iteration that held an intervention: the aggressor rows' sampler counts
+  // (an untracked row counts as 0; it is re-inserted without eviction, since
+  // only burst rows populate the sampler after a refresh) and every victim
+  // row's counters. Everything else the step reads is constant while
+  // (total_flips, refreshes) is: stored bytes, open rows at an iteration
+  // boundary, the sampler's other rows. So when a later intervention
+  // iteration reproduces a record of the same key, the iterations between
+  // the two are an exact cycle of the model, and it repeats until the next
+  // refresh. The history keeps the last kCycleHistory records, so a cycle
+  // spanning several interventions is found too: aggressors that intervene
+  // out of phase, or at different rates ({a, b, a, c} activates a twice).
+  constexpr std::size_t kCycleHistory = 8;
+  const std::size_t width = agg_rows.size() + 2 * victims.size();
+  std::vector<std::uint32_t>& states = burst_.cycle_states;
+  std::vector<CycleMark>& marks = burst_.cycle_marks;
+  states.resize((kCycleHistory + 1) * width);
+  marks.resize(kCycleHistory);
+  std::uint64_t key_flips = state_.total_flips;
+  std::uint64_t key_refreshes = state_.refreshes;
+  std::size_t recorded = 0;
+  // Called after an intervention iteration, `at` iterations into the
+  // burst with `left` to go: applies every whole cycle that ends before
+  // the next refresh and within the burst, and returns the iterations
+  // skipped (0 when the state is new, which records it).
+  const auto skip_cycles = [&](std::uint64_t at,
+                               std::uint64_t left) -> std::uint64_t {
+    if (state_.total_flips != key_flips || state_.refreshes != key_refreshes) {
+      key_flips = state_.total_flips;
+      key_refreshes = state_.refreshes;
+      recorded = 0;
+    }
+    std::uint32_t* current = states.data() + kCycleHistory * width;
+    std::size_t w = 0;
+    for (const BurstAggressor& r : agg_rows) {
+      const std::size_t slot = state_.trr_sampler.find(r.flat);
+      current[w++] =
+          slot != TrrSampler::kNpos ? state_.trr_sampler.count(slot) : 0;
+    }
+    for (const BurstVictim& v : victims) {
+      current[w++] = disturbance_.above(v.ordinal);
+      current[w++] = disturbance_.below(v.ordinal);
+    }
+    for (std::size_t j = 0; j < std::min(recorded, kCycleHistory); ++j) {
+      if (!std::equal(current, current + width, states.data() + j * width))
+        continue;
+      // advance() keeps state_.now < state_.next_refresh, and a cycle must
+      // end strictly before the boundary (reaching it refreshes).
+      const std::uint64_t period = at - marks[j].at;
+      const SimTime cycle_ns = period * iter_latency;
+      const std::uint64_t hits_per_cycle = state_.trr_hits - marks[j].trr_hits;
+      const std::uint64_t k =
+          std::min(left / period,
+                   (state_.next_refresh - state_.now - 1) / cycle_ns);
+      state_.now += k * cycle_ns;
+      state_.total_acts += k * period * acts_per_iter;
+      state_.trr_hits += k * hits_per_cycle;
+      return k * period;
+    }
+    const std::size_t slot = recorded % kCycleHistory;
+    std::copy(current, current + width, states.data() + slot * width);
+    marks[slot] = {at, state_.trr_hits};
+    ++recorded;
+    return 0;
   };
 
   std::uint64_t rem = iterations - done;
@@ -461,7 +518,7 @@ void DramDevice::hammer_burst(std::span<const PhysAddr> aggressors,
     // the threshold. Counts stay below the threshold between events, so the
     // crossing iteration follows from the per-iteration multiplicity.
     if (params_.trr.enabled) {
-      for (const AggressorActs& r : agg_rows) {
+      for (const BurstAggressor& r : agg_rows) {
         const std::size_t slot = state_.trr_sampler.find(r.flat);
         const std::uint64_t count =
             slot != TrrSampler::kNpos ? state_.trr_sampler.count(slot) : 0;
@@ -480,7 +537,7 @@ void DramDevice::hammer_burst(std::span<const PhysAddr> aggressors,
     // events themselves), making the condition monotone in the iteration
     // count. Only iterations before the earliest event so far (next_event
     // <= rem + 1) can matter.
-    for (const VictimDelta& v : victims) {
+    for (const BurstVictim& v : victims) {
       if (next_event == 1) break;
       const WeakCellSpan cells = weak_cells_.cells_of(v.ordinal);
       const std::uint8_t* data = row_view(v.flat);
@@ -515,8 +572,10 @@ void DramDevice::hammer_burst(std::span<const PhysAddr> aggressors,
     }
     if (next_event > 1) bulk_apply(next_event - 1);
     rem -= next_event - 1;
+    const std::uint64_t hits = state_.trr_hits;
     for (const PhysAddr a : aggressors) access(a);
     --rem;
+    if (state_.trr_hits != hits) rem -= skip_cycles(iterations - rem, rem);
   }
 }
 

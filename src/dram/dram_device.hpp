@@ -114,8 +114,8 @@ struct FlipCrossing {
 };
 
 /// The simulated DRAM module: row storage (CoW, lazily allocated),
-/// row-buffer and refresh bookkeeping, disturbance accumulation with
-/// closed-form burst fast path, TRR sampling and SECDED ECC filtering.
+/// row-buffer and refresh bookkeeping, disturbance accumulation with an
+/// event-stepped burst fast path, TRR sampling and SECDED ECC filtering.
 /// Every stored byte and flip event is deterministic in (geometry,
 /// params, seed).
 class DramDevice {
@@ -197,15 +197,32 @@ class DramDevice {
   /// activation it advances the clock analytically between "interesting"
   /// events — refresh-window boundaries, TRR interventions and weak-cell
   /// threshold crossings — and replays only the iterations containing such
-  /// an event through the exact per-access path. Refresh and TRR events are
-  /// solved in closed form; each charged cell's crossing is a FlipCrossing
-  /// guessed in closed form and settled exactly. Finding the next event
-  /// costs O(weak cells of the victim rows), with no weak-row lookups.
+  /// an event through the exact per-access path. The next refresh and the
+  /// next TRR intervention follow in closed form from the clock and the
+  /// sampler counts; each charged cell's crossing is a FlipCrossing guessed
+  /// in closed form and settled exactly. Finding the next event costs
+  /// O(weak cells of the victim rows), with no weak-row lookups.
+  ///
+  /// TRR makes the events periodic: between two refreshes, with no flip,
+  /// the burst's dynamic state (the aggressor rows' sampler counts and the
+  /// victim rows' disturbance counters) after an intervention iteration
+  /// recurs after a fixed number of iterations. Every other input of the
+  /// step — stored bytes, open rows, the rest of the sampler — is constant
+  /// while no bit flips, so from a recurring state the model repeats the
+  /// same iterations exactly. The burst records that state after each
+  /// replayed intervention iteration, keyed by (flips, refreshes); when a
+  /// later one reproduces a record, it applies as many whole cycles as end
+  /// before the next refresh and within the burst in O(1) (clock,
+  /// activations and TRR interventions advance by whole multiples), then
+  /// resumes stepping. A burst therefore costs O(refresh windows), not
+  /// O(TRR interventions).
+  ///
   /// Bit-identical to the slow loop: same flip sequence
   /// (addr/bit/direction/time), same refresh count, same TRR interventions
-  /// and ECC bookkeeping. Falls back to the per-access loop for
-  /// configurations the analytic model does not cover (zero-latency
-  /// timings, TRR sampler thrashing).
+  /// and ECC bookkeeping, same sampler and disturbance state. Falls back to
+  /// the per-access loop for configurations the analytic model does not
+  /// cover (zero-latency timings, TRR sampler thrashing). Allocates nothing
+  /// once the device's burst scratch has grown to the burst's shape.
   void hammer_burst(std::span<const PhysAddr> aggressors,
                     std::uint64_t iterations);
 
@@ -280,6 +297,39 @@ class DramDevice {
   void ecc_filter(std::uint64_t flat_row, std::uint32_t col,
                   std::span<std::uint8_t> chunk);
 
+  /// A weak row the burst disturbs, with its per-iteration increments.
+  struct BurstVictim {
+    std::uint64_t flat = 0;
+    std::size_t ordinal = 0;  ///< Weak-row ordinal in the packed arena.
+    DramAddress coord;        ///< Victim row, col 0 (for the pattern check).
+    std::uint32_t above = 0;  ///< acts_above increments per iteration.
+    std::uint32_t below = 0;  ///< acts_below increments per iteration.
+  };
+  /// An aggressor row and its activations per iteration (what the TRR
+  /// sampler observes).
+  struct BurstAggressor {
+    std::uint64_t flat = 0;
+    std::uint32_t per_iter = 0;
+  };
+  /// Where a recorded TRR cycle state was taken.
+  struct CycleMark {
+    std::uint64_t at = 0;        ///< Burst iterations done.
+    std::uint64_t trr_hits = 0;  ///< TRR interventions so far.
+  };
+  /// hammer_burst's working lists, reused from burst to burst so that a
+  /// burst allocates nothing once they have grown. Every burst rebuilds
+  /// them, so they are not device state: snapshots neither copy nor
+  /// compare them.
+  struct BurstScratch {
+    std::vector<BurstVictim> victims;
+    std::vector<BurstAggressor> aggressors;
+    /// Recorded cycle states, one per mark, each the aggressors' sampler
+    /// counts then every victim's (above, below); one more slot at the end
+    /// holds the state under test.
+    std::vector<std::uint32_t> cycle_states;
+    std::vector<CycleMark> cycle_marks;
+  };
+
   Geometry geometry_;
   DeviceParams params_;
   AddressMapping mapping_;
@@ -296,6 +346,7 @@ class DramDevice {
   DisturbanceTable disturbance_;
 
   State state_;
+  BurstScratch burst_;
 };
 
 }  // namespace explframe::dram

@@ -10,19 +10,7 @@
 #include "support/units.hpp"
 
 namespace explframe::dram {
-namespace {
-
-// Coupling values are drawn from exactly three shapes: 0.0f, 1.0f, or
-// float(0.5 + 0.5*u01) in [0.5, 1.0) — the latter has a fixed biased
-// exponent of 126, so the 23 mantissa bits encode it losslessly. Each side
-// gets a 2-bit shape code (0 = zero, 1 = one, 2 = fractional) and the two
-// sides share one mantissa field: generation never produces two distinct
-// fractional sides, and the constructor CHECKs rather than rounding if a
-// hand-built population tries.
-constexpr std::uint32_t kFracExponent = 126;
-constexpr std::uint32_t kMantissaMask = (1u << 23) - 1;
-
-std::uint64_t encode_couple(float above, float below) {
+std::uint64_t WeakCellModel::encode_couple(float above, float below) {
   std::uint32_t mantissa = 0;
   bool have_mantissa = false;
   const auto side = [&](float v) -> std::uint64_t {
@@ -42,21 +30,6 @@ std::uint64_t encode_couple(float above, float below) {
   const std::uint64_t b = side(below);
   return (a << 25) | (b << 23) | mantissa;
 }
-
-float decode_side(std::uint64_t code, std::uint64_t mantissa) {
-  if (code == 0) return 0.0F;
-  if (code == 1) return 1.0F;
-  return std::bit_cast<float>((kFracExponent << 23) |
-                              static_cast<std::uint32_t>(mantissa));
-}
-
-void decode_couple(std::uint64_t packed, float& above, float& below) {
-  const std::uint64_t mantissa = packed & kMantissaMask;
-  above = decode_side((packed >> 25) & 3, mantissa);
-  below = decode_side((packed >> 23) & 3, mantissa);
-}
-
-}  // namespace
 
 WeakCell WeakCellSpan::Iterator::operator*() const {
   return model_->cell_at(pos_);
@@ -246,23 +219,14 @@ std::vector<std::uint64_t> WeakCellModel::vulnerable_rows() const {
   return rows;
 }
 
-float WeakCellModel::couple_above_at(std::size_t ordinal) const {
-  const std::uint64_t packed = couple_.get(ordinal);
-  return decode_side((packed >> 25) & 3, packed & kMantissaMask);
-}
-
-float WeakCellModel::couple_below_at(std::size_t ordinal) const {
-  const std::uint64_t packed = couple_.get(ordinal);
-  return decode_side((packed >> 23) & 3, packed & kMantissaMask);
-}
-
 WeakCell WeakCellModel::cell_at(std::size_t ordinal) const {
   WeakCell cell;
   cell.col = static_cast<std::uint32_t>(col_.get(ordinal));
   cell.bit = static_cast<std::uint8_t>(bit_.get(ordinal));
   cell.threshold = static_cast<std::uint32_t>(threshold_.get(ordinal));
   cell.true_cell = polarity_.get(ordinal) != 0;
-  decode_couple(couple_.get(ordinal), cell.couple_above, cell.couple_below);
+  cell.couple_above = couple_above_at(ordinal);
+  cell.couple_below = couple_below_at(ordinal);
   return cell;
 }
 

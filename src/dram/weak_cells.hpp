@@ -25,6 +25,7 @@
 // 64 bytes per cell.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -186,9 +187,15 @@ class WeakCellModel {
     return polarity_.get(ordinal) != 0;
   }
   /// Coupling to the row above for the `ordinal`-th arena record.
-  float couple_above_at(std::size_t ordinal) const;
+  float couple_above_at(std::size_t ordinal) const {
+    const std::uint64_t packed = couple_.get(ordinal);
+    return decode_side((packed >> 25) & 3, packed & kMantissaMask);
+  }
   /// Coupling to the row below for the `ordinal`-th arena record.
-  float couple_below_at(std::size_t ordinal) const;
+  float couple_below_at(std::size_t ordinal) const {
+    const std::uint64_t packed = couple_.get(ordinal);
+    return decode_side((packed >> 23) & 3, packed & kMantissaMask);
+  }
   /// Fully decoded record (CHECK: ordinal in range).
   WeakCell cell_at(std::size_t ordinal) const;
 
@@ -196,6 +203,27 @@ class WeakCellModel {
   std::uint64_t state_bytes() const noexcept;
 
  private:
+  // Coupling values are drawn from exactly three shapes: 0.0f, 1.0f, or
+  // float(0.5 + 0.5*u01) in [0.5, 1.0) — the latter has a fixed biased
+  // exponent of 126, so the 23 mantissa bits encode it losslessly. Each side
+  // gets a 2-bit shape code (0 = zero, 1 = one, 2 = fractional; above at
+  // bit 25, below at bit 23) and the two sides share one mantissa field:
+  // generation never produces two distinct fractional sides, and the
+  // constructor CHECKs rather than rounding if a hand-built population
+  // tries.
+  static constexpr std::uint32_t kFracExponent = 126;
+  static constexpr std::uint32_t kMantissaMask = (1u << 23) - 1;
+
+  /// The packed coupling field of one cell (CHECKs the shapes above).
+  static std::uint64_t encode_couple(float above, float below);
+  /// One side's coupling from its 2-bit code and the shared mantissa.
+  static float decode_side(std::uint64_t code, std::uint64_t mantissa) {
+    if (code == 0) return 0.0F;
+    if (code == 1) return 1.0F;
+    return std::bit_cast<float>((kFracExponent << 23) |
+                                static_cast<std::uint32_t>(mantissa));
+  }
+
   void build(const Geometry& geometry,
              std::span<const std::pair<std::uint64_t, WeakCell>> staged);
 

@@ -3,6 +3,9 @@
 // key space against faulty ciphertexts, and the ciphertexts needed for a
 // unique key. The shape to reproduce is the coupon-collector knee around
 // 2000 ciphertexts.
+#include <algorithm>
+#include <array>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -25,27 +28,44 @@ namespace {
 /// A random AES-128 key encrypting random plaintexts through an S-box with
 /// one random single-bit fault.
 struct FaultedOracle {
+  /// Blocks drawn and encrypted per refill.
+  static constexpr std::size_t kBatch = 64;
+
   Aes128::Key key;
-  Aes128::RoundKeys rk;
-  std::array<std::uint8_t, 256> table;
   FaultModel fault_model;
   Rng rng;
+  std::unique_ptr<EncryptContext> context;
+  std::array<std::uint8_t, 16 * kBatch> plaintexts;
+  std::array<std::uint8_t, 16 * kBatch> ciphertexts;
+  std::size_t served = kBatch;  ///< Blocks of `ciphertexts` handed out.
 
   explicit FaultedOracle(std::uint64_t seed) : rng(seed) {
     rng.fill_bytes(key);
-    rk = Aes128::expand_key(key);
-    table = Aes128::sbox();
+    auto table = Aes128::sbox();
     SboxByteFault fault;
     fault.index = static_cast<std::uint16_t>(rng.uniform(256));
     fault.mask = static_cast<std::uint8_t>(1u << rng.uniform(8));
     const auto [before, after] = apply_fault(table, fault);
     fault_model = {fault.index, fault.mask, before, after};
+    const TableCipher& aes = cipher_for(CipherKind::kAes128);
+    std::vector<std::uint8_t> round_keys(aes.round_key_size());
+    aes.expand_key(key, round_keys);
+    context = aes.make_context(round_keys, table);
   }
 
+  /// The stream's next ciphertext. Plaintexts are drawn and encrypted
+  /// kBatch at a time; Rng::fill_bytes gives a batch the same bytes as
+  /// per-block draws, so the stream does not depend on kBatch.
   Aes128::Block next_ciphertext() {
-    Aes128::Block pt;
-    rng.fill_bytes(pt);
-    return Aes128::encrypt_with_sbox(pt, rk, table);
+    if (served == kBatch) {
+      rng.fill_bytes(plaintexts);
+      cipher_for(CipherKind::kAes128)
+          .encrypt_batch(*context, plaintexts, ciphertexts);
+      served = 0;
+    }
+    Aes128::Block ct;
+    std::copy_n(ciphertexts.begin() + 16 * served++, 16, ct.begin());
+    return ct;
   }
 };
 

@@ -213,14 +213,13 @@ bool System::mem_read(Task& task, vm::VirtAddr va,
 SimTime System::hammer_burst(Task& task,
                              std::span<const vm::VirtAddr> aggressors,
                              std::uint64_t iterations) {
-  std::vector<dram::PhysAddr> phys;
-  phys.reserve(aggressors.size());
+  burst_phys_.clear();
   for (const vm::VirtAddr va : aggressors) {
     if (!touch(task, va)) return 0;
-    phys.push_back(phys_of(task, va));
+    burst_phys_.push_back(phys_of(task, va));
   }
   const SimTime start = dram_->now();
-  dram_->hammer_burst(phys, iterations);
+  dram_->hammer_burst(burst_phys_, iterations);
   return dram_->now() - start;
 }
 

@@ -143,6 +143,9 @@ class System : public snap::Restorable {
   std::unique_ptr<mm::PageAllocator> alloc_;
   std::vector<std::unique_ptr<Task>> tasks_;
   State state_;
+  /// hammer_burst's translated aggressors, reused from call to call so a
+  /// burst allocates nothing; not machine state (snapshots skip it).
+  std::vector<dram::PhysAddr> burst_phys_;
 };
 
 }  // namespace explframe::kernel

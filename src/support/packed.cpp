@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 
 #include "support/check.hpp"
 
@@ -14,16 +13,6 @@ PackedVector::PackedVector(unsigned bits) : bits_(bits) {
   EXPLFRAME_CHECK_MSG(bits >= 1 && bits <= 64,
                       "PackedVector field width must be 1..64 bits");
   mask_ = bits == 64 ? ~0ull : (1ull << bits) - 1;
-}
-
-std::uint64_t PackedVector::get(std::size_t i) const {
-  EXPLFRAME_CHECK(i < size_);
-  const std::size_t off = i * bits_;
-  const std::size_t word = off / 64;
-  const unsigned shift = static_cast<unsigned>(off % 64);
-  std::uint64_t value = words_[word] >> shift;
-  if (shift + bits_ > 64) value |= words_[word + 1] << (64 - shift);
-  return value & mask_;
 }
 
 void PackedVector::assign(std::span<const std::uint64_t> values) {
@@ -45,25 +34,6 @@ void PackedVector::assign(std::span<const std::uint64_t> values) {
 }
 
 // ---- RowIndex --------------------------------------------------------------
-
-namespace {
-
-// Set bits of a word. std::popcount compiles to a libgcc call on baseline
-// x86-64 (no POPCNT); this branch-free form stays inline.
-constexpr unsigned popcount64(std::uint64_t x) noexcept {
-  x -= (x >> 1) & 0x5555555555555555ull;
-  x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
-  x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0Full;
-  return static_cast<unsigned>((x * 0x0101010101010101ull) >> 56);
-}
-
-std::uint64_t load64(const std::uint8_t* bytes) noexcept {
-  std::uint64_t word;
-  std::memcpy(&word, bytes, sizeof word);
-  return word;
-}
-
-}  // namespace
 
 RowIndex::RowIndex(std::span<const std::uint64_t> sorted_keys,
                    std::uint64_t key_limit)
@@ -118,30 +88,6 @@ RowIndex::RowIndex(std::span<const std::uint64_t> sorted_keys,
   }
   start_.push_back(static_cast<std::uint32_t>(keys_));
   fine_.resize(occupied_groups + kMaskPad, 0);
-}
-
-std::size_t RowIndex::find(std::uint64_t key) const noexcept {
-  if (keys_ == 0 || key >= key_limit_) return kNpos;
-  const std::uint32_t slot = dir_[static_cast<std::size_t>(key >> kBlockBits)];
-  if (slot == kAbsentBlock) return kNpos;
-  const std::uint64_t coarse = coarse_[slot];
-  const unsigned group = static_cast<unsigned>(key >> kGroupBits) & 63;
-  if (((coarse >> group) & 1) == 0) return kNpos;
-  // Read the block's group masks as one little-endian bit string: the key
-  // is bit `pos`, and its ordinal counts the set bits before it — whole
-  // words, then the word holding `pos` cut at it. That last read may run
-  // past the block (into the next block's masks or the padding); the cut
-  // discards those bytes.
-  const std::uint8_t* masks = fine_.data() + fine_start_[slot];
-  const unsigned pos = 8 * popcount64(coarse & ((1ull << group) - 1)) +
-                       static_cast<unsigned>(key & 7);
-  const std::uint64_t last = load64(masks + 8 * (pos / 64));
-  if (((last >> (pos % 64)) & 1) == 0) return kNpos;
-  std::size_t ordinal =
-      start_[slot] + popcount64(last & ((1ull << (pos % 64)) - 1));
-  for (unsigned w = 0; w < pos / 64; ++w)
-    ordinal += popcount64(load64(masks + 8 * w));
-  return ordinal;
 }
 
 std::uint64_t RowIndex::key_at(std::size_t ordinal) const {

@@ -30,8 +30,11 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <vector>
+
+#include "support/check.hpp"
 
 namespace explframe {
 
@@ -56,8 +59,17 @@ class PackedVector {
   /// True when no elements are stored.
   bool empty() const noexcept { return size_ == 0; }
 
-  /// Element at `i` (CHECK: in range).
-  std::uint64_t get(std::size_t i) const;
+  /// Element at `i` (CHECK: in range). Inline: the DRAM hot paths read
+  /// single arena fields through it.
+  std::uint64_t get(std::size_t i) const {
+    EXPLFRAME_CHECK(i < size_);
+    const std::size_t off = i * bits_;
+    const std::size_t word = off / 64;
+    const unsigned shift = static_cast<unsigned>(off % 64);
+    std::uint64_t value = words_[word] >> shift;
+    if (shift + bits_ > 64) value |= words_[word + 1] << (64 - shift);
+    return value & mask_;
+  }
   /// Replace the contents with `values` in one pass (CHECK: each fits
   /// `bits()`), with zeroed tail bits. The word array keeps its capacity
   /// when that suffices and otherwise reserves exactly what `values`
@@ -117,8 +129,32 @@ class RowIndex {
   /// outside the universe are absent). O(1), no search: one slot read, one
   /// group-map test and popcount, then the block's first ordinal plus the
   /// popcounts of the group masks before the key — at most 7 whole words
-  /// and one word cut at the key's bit.
-  std::size_t find(std::uint64_t key) const noexcept;
+  /// and one word cut at the key's bit. Inline: every activation looks up
+  /// both neighbour rows.
+  std::size_t find(std::uint64_t key) const noexcept {
+    if (keys_ == 0 || key >= key_limit_) return kNpos;
+    const std::uint32_t slot =
+        dir_[static_cast<std::size_t>(key >> kBlockBits)];
+    if (slot == kAbsentBlock) return kNpos;
+    const std::uint64_t coarse = coarse_[slot];
+    const unsigned group = static_cast<unsigned>(key >> kGroupBits) & 63;
+    if (((coarse >> group) & 1) == 0) return kNpos;
+    // Read the block's group masks as one little-endian bit string: the key
+    // is bit `pos`, and its ordinal counts the set bits before it — whole
+    // words, then the word holding `pos` cut at it. That last read may run
+    // past the block (into the next block's masks or the padding); the cut
+    // discards those bytes.
+    const std::uint8_t* masks = fine_.data() + fine_start_[slot];
+    const unsigned pos = 8 * popcount64(coarse & ((1ull << group) - 1)) +
+                         static_cast<unsigned>(key & 7);
+    const std::uint64_t last = load64(masks + 8 * (pos / 64));
+    if (((last >> (pos % 64)) & 1) == 0) return kNpos;
+    std::size_t ordinal =
+        start_[slot] + popcount64(last & ((1ull << (pos % 64)) - 1));
+    for (unsigned w = 0; w < pos / 64; ++w)
+      ordinal += popcount64(load64(masks + 8 * w));
+    return ordinal;
+  }
   /// The `ordinal`-th smallest present key (CHECK: ordinal < size()).
   std::uint64_t key_at(std::size_t ordinal) const;
 
@@ -133,6 +169,21 @@ class RowIndex {
   /// Zero bytes after the last group mask, so find() may read any mask
   /// as part of a whole word.
   static constexpr std::size_t kMaskPad = 7;
+
+  /// Set bits of a word. std::popcount compiles to a libgcc call on
+  /// baseline x86-64 (no POPCNT); this branch-free form stays inline.
+  static constexpr unsigned popcount64(std::uint64_t x) noexcept {
+    x -= (x >> 1) & 0x5555555555555555ull;
+    x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
+    x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0Full;
+    return static_cast<unsigned>((x * 0x0101010101010101ull) >> 56);
+  }
+  /// The 8 bytes at `bytes` as one little-endian word (unaligned).
+  static std::uint64_t load64(const std::uint8_t* bytes) noexcept {
+    std::uint64_t word;
+    std::memcpy(&word, bytes, sizeof word);
+    return word;
+  }
 
   std::uint64_t key_limit_ = 0;
   std::size_t keys_ = 0;

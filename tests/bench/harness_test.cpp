@@ -130,5 +130,30 @@ TEST(BenchJson, OpensWithTheBenchNameAndHostFacts) {
                 "}\n");
 }
 
+TEST(BenchTiming, SpreadIsMinMedianMax) {
+  const Spread odd = spread({0.3, -0.1, 0.2, 0.9, 0.0});
+  EXPECT_EQ(odd.min, -0.1);
+  EXPECT_EQ(odd.median, 0.2);
+  EXPECT_EQ(odd.max, 0.9);
+  const Spread even = spread({4.0, 1.0, 3.0, 2.0});
+  EXPECT_EQ(even.min, 1.0);
+  EXPECT_EQ(even.median, 2.5);
+  EXPECT_EQ(even.max, 4.0);
+  const Spread none = spread({});
+  EXPECT_EQ(none.median, 0.0);
+}
+
+TEST(BenchTiming, InterleavedPairsWarmUpThenAlternate) {
+  std::string order;
+  const auto pairs = interleaved_pairs([&] { order += 'a'; },
+                                       [&] { order += 'b'; }, 5);
+  EXPECT_EQ(order, "aababababab");
+  ASSERT_EQ(pairs.size(), 5u);
+  for (const auto& [a, b] : pairs) {
+    EXPECT_GE(a, 0.0);
+    EXPECT_GE(b, 0.0);
+  }
+}
+
 }  // namespace
 }  // namespace explframe::bench

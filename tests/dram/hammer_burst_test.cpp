@@ -1,8 +1,12 @@
 // Differential test for DramDevice::hammer_burst: the batched path must be
 // bit-identical to the per-access loop — same flip sequence (address, bit,
 // direction, simulated time), same refresh count, same TRR interventions and
-// ECC bookkeeping, same final memory image — on a small geometry under all
-// four defence configurations (none / TRR / ECC / TRR+ECC).
+// ECC bookkeeping, same final memory image, same post-burst device image
+// (TRR sampler, disturbance entries in touch order, open rows, refresh
+// deadline, mutation epoch, live flips) — on a small geometry under all
+// four defence configurations (none / TRR / ECC / TRR+ECC). The
+// HammerBurstCycles cases span several refresh windows with TRR, so the
+// burst skips repeating TRR cycles.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -57,6 +61,7 @@ struct Outcome {
   std::uint64_t ecc_uncorrectable = 0;
   std::uint64_t total_flips = 0;
   std::vector<std::uint8_t> image;
+  DramDevice::Image device;  ///< Taken after the flip log is drained.
 };
 
 Outcome capture(DramDevice& dev) {
@@ -71,6 +76,7 @@ Outcome capture(DramDevice& dev) {
   o.total_flips = dev.total_flips();
   o.image.resize(dev.geometry().total_bytes());
   dev.read(0, o.image);
+  o.device = dev.capture_image();
   return o;
 }
 
@@ -94,6 +100,16 @@ void expect_identical(const Outcome& slow, const Outcome& burst,
     EXPECT_EQ(a.time, b.time) << label << " flip " << i;
   }
   EXPECT_EQ(slow.image, burst.image) << label;
+  // The state the next access starts from: a burst must leave it exactly
+  // as the per-access loop does, not only agree on what it reported.
+  const DramDevice::State& a = slow.device.state;
+  const DramDevice::State& b = burst.device.state;
+  EXPECT_TRUE(a.trr_sampler == b.trr_sampler) << label;
+  EXPECT_EQ(slow.device.disturbance, burst.device.disturbance) << label;
+  EXPECT_EQ(a.open_row, b.open_row) << label;
+  EXPECT_EQ(a.next_refresh, b.next_refresh) << label;
+  EXPECT_EQ(a.mutation_epoch, b.mutation_epoch) << label;
+  EXPECT_TRUE(a.live_flips == b.live_flips) << label;
 }
 
 /// Device setup a differential case runs on both devices before the burst
@@ -538,6 +554,209 @@ TEST(HammerBurstDifferential, ResumesMidWindowWithPriorState) {
     for (const PhysAddr a : pair) slow_dev.access(a);
   burst_dev.hammer_burst(pair, 18'000);
   expect_identical(capture(slow_dev), capture(burst_dev), "mid-window");
+}
+
+/// Simulated time of one steady iteration of `shape`: the latency sum of
+/// its second pass on a fresh device (the first pass opens the rows).
+SimTime iteration_ns(const DeviceParams& params,
+                     const std::vector<DramAddress>& shape) {
+  DramDevice dev(small_geometry(), params, 1);
+  for (const DramAddress& c : shape) dev.access(dev.mapping().encode(c));
+  SimTime sum = 0;
+  for (const DramAddress& c : shape) sum += dev.access(dev.mapping().encode(c));
+  return sum;
+}
+
+/// A TRR threshold placed against the weak cells' activation thresholds
+/// (2K..12K in base_params), with a refresh window that holds several
+/// interventions per aggressor row.
+struct TrrRegime {
+  const char* name;
+  std::uint32_t threshold;
+  SimTime window;
+};
+
+/// Far below every cell threshold (a victim gathers at most 2x the TRR
+/// threshold between resets, so nothing flips and every window is pure TRR
+/// cycles); between the cell thresholds (flips land inside the first
+/// cycles, and each flip restarts the cycle search); above them (cells
+/// flip before TRR first intervenes).
+constexpr TrrRegime kTrrRegimes[] = {
+    {"trr-far-below", 200, 1 * kMillisecond},
+    {"trr-between", 3'000, 2 * kMillisecond},
+    {"trr-above", 15'000, 8 * kMillisecond},
+};
+
+/// Aggressor shapes: a double-sided pair; the pair with `a` again (a row
+/// hit, then a conflict); `a` twice per iteration, so its interventions
+/// come twice as often as `b`'s and `c`'s; four-sided, within the
+/// sampler's 8 entries.
+const std::vector<std::pair<std::string, std::vector<DramAddress>>>&
+cycle_shapes() {
+  static const std::vector<std::pair<std::string, std::vector<DramAddress>>>
+      shapes = {
+          {"{a,b}", {{0, 0, 0, 19, 0}, {0, 0, 0, 21, 0}}},
+          {"{a,b,a}", {{0, 0, 0, 19, 0}, {0, 0, 0, 21, 0}, {0, 0, 0, 19, 0}}},
+          {"{a,b,a,c}",
+           {{0, 0, 0, 19, 0}, {0, 0, 0, 21, 0}, {0, 0, 0, 19, 0},
+            {0, 0, 0, 40, 0}}},
+          {"4-sided",
+           {{0, 0, 0, 10, 0}, {0, 0, 0, 12, 0}, {0, 0, 0, 14, 0},
+            {0, 0, 0, 16, 0}}},
+      };
+  return shapes;
+}
+
+TEST(HammerBurstCycles, MultiWindowBurstsEveryShapeAndRegime) {
+  // Bursts of 3.5 refresh windows: each window repeats its TRR cycle many
+  // times, so the burst skips whole cycles and steps only the first few
+  // interventions of each window and those before its refresh.
+  std::size_t between_flips = 0;
+  std::uint64_t far_below_hits = 0;
+  for (const TrrRegime& regime : kTrrRegimes) {
+    for (const auto& [name, shape] : cycle_shapes()) {
+      for (const bool ecc : {false, true}) {
+        DeviceParams p = base_params(true, ecc);
+        p.trr.threshold = regime.threshold;
+        p.timings.refresh_window_ns = regime.window;
+        const std::uint64_t iterations =
+            7 * regime.window / (2 * iteration_ns(p, shape));
+        const std::string label = std::string(regime.name) + " " + name +
+                                  (ecc ? " ecc" : " no-ecc");
+        const Outcome out =
+            run_differential(p, 21, shape, iterations, label);
+        EXPECT_GE(out.refreshes, 3u) << label;
+        if (regime.threshold == 200) {
+          EXPECT_TRUE(out.flips.empty()) << label;
+          far_below_hits += out.trr_hits;
+        }
+        if (regime.threshold == 3'000) between_flips += out.flips.size();
+      }
+    }
+  }
+  EXPECT_GT(far_below_hits, 0u);
+  EXPECT_GT(between_flips, 0u);
+}
+
+TEST(HammerBurstCycles, ResumesMidWindowWithOutOfPhaseSampler) {
+  // Prior traffic leaves the aggressors' sampler counts apart (a at 137, b
+  // at 61 above their shared count) and a third of the window used, so
+  // their interventions alternate and the first states after the burst
+  // starts differ from the ones that recur.
+  for (const TrrRegime& regime : kTrrRegimes) {
+    DeviceParams p = base_params(true, false);
+    p.trr.threshold = regime.threshold;
+    p.timings.refresh_window_ns = regime.window;
+    const DramAddress a = {0, 0, 0, 19, 0};
+    const DramAddress b = {0, 0, 0, 21, 0};
+    const DramAddress z = {0, 0, 0, 50, 0};
+    const Prepare prior = [&](DramDevice& dev) {
+      const PhysAddr pa = dev.mapping().encode(a);
+      const PhysAddr pb = dev.mapping().encode(b);
+      const PhysAddr pz = dev.mapping().encode(z);
+      for (int i = 0; i < 137; ++i) {
+        dev.access(pa);
+        dev.access(pz);
+      }
+      for (int i = 0; i < 61; ++i) {
+        dev.access(pb);
+        dev.access(pz);
+      }
+    };
+    const std::vector<DramAddress> pair = {a, b};
+    const std::uint64_t iterations =
+        7 * regime.window / (2 * iteration_ns(p, pair));
+    const Outcome out =
+        run_differential(p, 33, pair, iterations,
+                         std::string("mid-window ") + regime.name,
+                         regime.window / 3, prior);
+    EXPECT_GE(out.refreshes, 3u) << regime.name;
+  }
+}
+
+TEST(HammerBurstCycles, VictimCountersKeepATransientOutOfTheCycle) {
+  // The aggressors' sampler counts alone can recur while a victim row's
+  // counters do not. Row a-1 is reset by a TRR intervention on a-2 after a
+  // was activated c_a times, so a-1 trails a's sampler count by c_a until
+  // a's first intervention. Row a-1 holds the one cell that can flip: fully
+  // coupled to row a only, with threshold t, and the TRR threshold is
+  // t + c_a / 2. While a-1 trails, its counter peaks below t; once a's
+  // count and a-1's agree, it peaks at the TRR threshold and the cell
+  // flips. b starts ahead of a, so b's first two interventions see the
+  // same sampler counts with a-1 behind, then caught up: a cycle found on
+  // the sampler alone would skip that flip.
+  constexpr std::uint32_t kLagA = 300;   // c_a
+  constexpr std::uint32_t kLeadB = 600;  // b's sampler count at the start
+  const Geometry g = small_geometry();
+  for (std::uint64_t seed = 1; seed < 200; ++seed) {
+    DeviceParams p = base_params(true, false);
+    p.weak_cells.cells_per_mib = 256.0;
+    p.data_pattern_sensitivity = false;  // effective = counter x coupling
+    p.timings.refresh_window_ns = 8 * kMillisecond;
+    const DramDevice model(g, p, seed);
+    const auto cells = [&](std::uint32_t row) {
+      return model.weak_cells().cells_in_row(row);  // bank 0
+    };
+    // Rows a-3..a+1 and b-1..b+1 sit in bank 0 apart from each other and
+    // from the helper row z = 62 and its neighbours.
+    for (std::uint32_t a = 3; a + 8 < 60; ++a) {
+      const WeakCellSpan lagging = cells(a - 1);
+      WeakCell target;
+      std::size_t below_only = 0;
+      for (const WeakCell& cell : lagging)
+        if (cell.couple_above == 0.0F && cell.couple_below == 1.0F &&
+            (below_only++ == 0 || cell.threshold < target.threshold))
+          target = cell;
+      if (below_only == 0) continue;
+      const std::uint32_t trr = target.threshold + kLagA / 2;
+      const auto quiet = [&](std::uint32_t row, bool allow_target) {
+        for (const WeakCell& cell : cells(row))
+          if (cell.threshold <= trr + 1 &&
+              !(allow_target && cell.col == target.col &&
+                cell.bit == target.bit))
+            return false;
+        return true;
+      };
+      if (!quiet(a - 1, true) || !quiet(a + 1, false)) continue;
+      for (std::uint32_t b = a + 5; b + 3 < 60; ++b) {
+        if (!quiet(b - 1, false) || !quiet(b + 1, false)) continue;
+        p.trr.threshold = trr;
+        const DramAddress ra = {0, 0, 0, a, 0};
+        const DramAddress rb = {0, 0, 0, b, 0};
+        const Prepare prior = [&](DramDevice& dev) {
+          // The victim row charged for the target cell.
+          dev.fill(dev.mapping().encode({0, 0, 0, a - 1, 0}),
+                   target.true_cell ? 0xFF : 0x00, g.row_bytes);
+          const PhysAddr pa = dev.mapping().encode(ra);
+          const PhysAddr pb = dev.mapping().encode(rb);
+          const PhysAddr pz = dev.mapping().encode({0, 0, 0, 62, 0});
+          const PhysAddr reset = dev.mapping().encode({0, 0, 0, a - 2, 0});
+          for (std::uint32_t i = 0; i < kLagA; ++i) {
+            dev.access(pa);
+            dev.access(pb);
+          }
+          for (std::uint32_t i = kLagA; i < kLeadB; ++i) {
+            dev.access(pb);
+            dev.access(pz);
+          }
+          for (std::uint32_t i = 0; i < trr; ++i) {  // resets a-1 at the end
+            dev.access(reset);
+            dev.access(pz);
+          }
+        };
+        const Outcome out = run_differential(p, seed, {ra, rb}, 4ull * trr,
+                                             "lagging victim", 0, prior);
+        const PhysAddr at =
+            model.mapping().encode({0, 0, 0, a - 1, target.col});
+        bool flipped = false;
+        for (const FlipEvent& flip : out.flips)
+          flipped |= flip.addr == at && flip.bit == target.bit;
+        EXPECT_TRUE(flipped) << "seed " << seed << " a " << a << " b " << b;
+        return;
+      }
+    }
+  }
+  FAIL() << "no seed gives a lagging-victim layout";
 }
 
 TEST(HammerBurstDifferential, HammerEngineUsesBurstPath) {
