@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "support/config.hpp"
+#include "support/text.hpp"
 
 namespace explframe::service {
 
@@ -10,27 +11,6 @@ namespace {
 
 constexpr char kMagic[] = "explsimd-request";
 constexpr char kVersion[] = "v1";
-
-bool set_error(std::string* error, const std::string& what) {
-  if (error) *error = what;
-  return false;
-}
-
-std::string hex16(std::uint64_t value) {
-  static const char* digits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i, value >>= 4) out[i] = digits[value & 0xf];
-  return out;
-}
-
-std::uint64_t fnv1a64(const std::string& text) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : text) {
-    hash ^= static_cast<std::uint8_t>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
 
 /// Split on single spaces. Empty tokens (leading/trailing/double spaces)
 /// are preserved so they can be rejected — the canonical form has exactly

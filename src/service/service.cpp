@@ -5,17 +5,13 @@
 
 #include "scenario/report.hpp"
 #include "support/check.hpp"
+#include "support/text.hpp"
 #include "sweep/report.hpp"
 #include "sweep/runner.hpp"
 
 namespace explframe::service {
 
 namespace {
-
-bool fail_with(std::string* error, const std::string& what) {
-  if (error) *error = what;
-  return false;
-}
 
 /// True for the "<name>.tmp<N>" debris an interrupted durable_write can
 /// leave behind (its cleanup is best effort; a crash mid-publish is not).
@@ -91,7 +87,7 @@ bool Service::start(std::string* error) {
     const io::Status made = io::with_retry(
         io::kDefaultRetryAttempts, [&] { return fs().create_directories(dir); });
     if (!made.ok())
-      return fail_with(error, "cannot create spool directory '" + dir +
+      return set_error(error, "cannot create spool directory '" + dir +
                                   "': " + made.message());
   }
 
@@ -113,7 +109,7 @@ bool Service::start(std::string* error) {
     return fs().list(options_.spool_dir + "/queue", &names);
   });
   if (!listed.ok())
-    return fail_with(error, "cannot scan spool queue: " + listed.message());
+    return set_error(error, "cannot scan spool queue: " + listed.message());
   for (const std::string& name : names) {
     if (name.size() < 4 || name.substr(name.size() - 4) != ".req") continue;
     const std::string path = options_.spool_dir + "/queue/" + name;
@@ -121,7 +117,7 @@ bool Service::start(std::string* error) {
     const io::Status read = io::with_retry(
         io::kDefaultRetryAttempts, [&] { return fs().read_file(path, &text); });
     if (!read.ok())
-      return fail_with(error, "cannot read spooled request '" + path +
+      return set_error(error, "cannot read spooled request '" + path +
                                   "': " + read.message());
     std::string line = text;
     while (!line.empty() && (line.back() == '\n' || line.back() == '\r'))
@@ -129,12 +125,12 @@ bool Service::start(std::string* error) {
     std::string parse_error;
     const auto request = JobRequest::parse(line, &parse_error);
     if (!request)
-      return fail_with(error, "corrupt spooled request '" + path +
+      return set_error(error, "corrupt spooled request '" + path +
                                   "': " + parse_error);
     std::string id_error;
     const auto id = resolve_id(*request, &id_error);
     if (!id)
-      return fail_with(error, "stale spooled request '" + path +
+      return set_error(error, "stale spooled request '" + path +
                                   "': " + id_error);
     if (fs().exists(done_path(*id, "md"))) {
       // Completed by a previous process; the commit record beat the crash
@@ -162,7 +158,7 @@ std::optional<SubmitOutcome> Service::submit(const JobRequest& request,
   const auto id = resolve_id(request, &id_error);
   if (!id) {
     if (why) *why = SubmitError::kBadRequest;
-    fail_with(error, id_error);
+    set_error(error, id_error);
     return std::nullopt;
   }
   outcome.id = *id;
@@ -180,7 +176,7 @@ std::optional<SubmitOutcome> Service::submit(const JobRequest& request,
   // a structured error (explsimd maps it to its own exit code).
   if (degraded_.load()) {
     if (why) *why = SubmitError::kUnavailable;
-    fail_with(error, "service is degraded (read-only): " + degraded_reason());
+    set_error(error, "service is degraded (read-only): " + degraded_reason());
     return std::nullopt;
   }
 
@@ -194,7 +190,7 @@ std::optional<SubmitOutcome> Service::submit(const JobRequest& request,
     if (!spooled.ok()) {
       if (spooled.permanent()) enter_degraded(spooled.message());
       if (why) *why = SubmitError::kUnavailable;
-      fail_with(error, "cannot spool request into '" + queue_path(*id) +
+      set_error(error, "cannot spool request into '" + queue_path(*id) +
                            "': " + spooled.message());
       return false;
     }
@@ -223,7 +219,7 @@ std::optional<SubmitOutcome> Service::submit_line(const std::string& line,
   const auto request = JobRequest::parse(line, &parse_error);
   if (!request) {
     if (why) *why = SubmitError::kBadRequest;
-    fail_with(error, parse_error);
+    set_error(error, parse_error);
     return std::nullopt;
   }
   return submit(*request, error, why);
@@ -322,7 +318,7 @@ void Service::execute(const Job& job) {
 bool Service::run_scenario_job(const Job& job, std::string* error) {
   const scenario::Scenario* s = scenarios_.find(job.request.name);
   if (!s)
-    return fail_with(error, "no scenario named '" + job.request.name + "'");
+    return set_error(error, "no scenario named '" + job.request.name + "'");
   const scenario::ScenarioResult result =
       scenario::run_scenario(*s, job.request.threads);
   return finish(job, scenario::markdown_report(result),
@@ -333,22 +329,18 @@ bool Service::run_sweep_job(const Job& job, bool* cancelled,
                             std::string* error) {
   const sweep::SweepSpec* spec = sweeps_.find(job.request.name);
   if (!spec)
-    return fail_with(error, "no sweep named '" + job.request.name + "'");
+    return set_error(error, "no sweep named '" + job.request.name + "'");
   sweep::SweepRunOptions options;
   options.threads = job.request.threads;
   options.checkpoint_path = checkpoint_path(job.id);
   options.resume = true;  // A missing checkpoint is an empty one.
-  options.remove_checkpoint_on_success = true;
   options.cancel = &cancel_;
   options.fs = &fs();
   std::string run_error;
   const auto result = sweep::run_sweep(*spec, scenarios_, options, &run_error);
   if (!result) {
-    if (cancel_.load()) {
-      *cancelled = true;
-      return fail_with(error, run_error);
-    }
-    return fail_with(error, run_error);
+    if (cancel_.load()) *cancelled = true;
+    return set_error(error, run_error);
   }
   return finish(job, sweep::sweep_markdown(*result),
                 sweep::sweep_csv(*result), error);
@@ -366,7 +358,7 @@ bool Service::finish(const Job& job, const std::string& md,
       io::durable_write(fs(), done_path(job.id, "csv"), csv);
   if (!csv_written.ok()) {
     if (csv_written.permanent()) enter_degraded(csv_written.message());
-    return fail_with(error, "cannot write report into '" +
+    return set_error(error, "cannot write report into '" +
                                 done_path(job.id, "csv") +
                                 "': " + csv_written.message());
   }
@@ -375,7 +367,7 @@ bool Service::finish(const Job& job, const std::string& md,
       io::durable_write(fs(), done_path(job.id, "md"), md);
   if (!md_written.ok()) {
     if (md_written.permanent()) enter_degraded(md_written.message());
-    return fail_with(error, "cannot write report into '" +
+    return set_error(error, "cannot write report into '" +
                                 done_path(job.id, "md") +
                                 "': " + md_written.message());
   }

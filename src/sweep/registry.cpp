@@ -1,6 +1,5 @@
 #include "sweep/registry.hpp"
 
-#include "scenario/registry.hpp"
 #include "support/check.hpp"
 
 namespace explframe::sweep {
@@ -10,10 +9,6 @@ void Registry::add(SweepSpec spec) {
                       "sweep name must be a valid identifier");
   const bool fresh = index_.emplace(spec.name, sweeps_.size()).second;
   EXPLFRAME_CHECK_MSG(fresh, "duplicate sweep name");
-  std::string error;
-  EXPLFRAME_CHECK_MSG(
-      spec.expand(scenario::Registry::builtin(), &error).has_value(),
-      "builtin sweep must expand against the builtin scenario registry");
   sweeps_.push_back(std::move(spec));
 }
 

@@ -9,24 +9,13 @@
 #include <thread>
 
 #include "support/check.hpp"
+#include "support/text.hpp"
 
 namespace explframe::sweep {
 
 namespace {
 
 constexpr char kCheckpointMagic[] = "explsim-sweep-checkpoint v1";
-
-bool set_error(std::string* error, const std::string& what) {
-  if (error) *error = what;
-  return false;
-}
-
-std::string hex16(std::uint64_t value) {
-  static const char* digits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i, value >>= 4) out[i] = digits[value & 0xf];
-  return out;
-}
 
 std::optional<bool> parse_bool_field(const std::string& text) {
   if (text == "1") return true;
@@ -570,8 +559,7 @@ std::optional<SweepResult> run_sweep(const SweepSpec& spec,
   // output artifact, consumed by merge_checkpoints. Removal is cleanup,
   // not correctness — if it fails the leftover file merely resumes to a
   // no-op — so it gets the retry budget and no error path.
-  if (!options.checkpoint_path.empty() &&
-      options.remove_checkpoint_on_success && !sharded)
+  if (!options.checkpoint_path.empty() && !sharded)
     (void)io::with_retry(io::kDefaultRetryAttempts, [&] {
       return fs.remove(options.checkpoint_path);
     });

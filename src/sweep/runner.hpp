@@ -123,15 +123,14 @@ struct SweepRunOptions {
   /// Worker threads stealing points (0 = hardware concurrency, clamped to
   /// the point count). Wall-clock only; results are identical.
   std::uint32_t threads = 0;
-  /// Completed-point log; empty disables checkpointing.
+  /// Completed-point log; empty disables checkpointing. An unsharded run
+  /// deletes it after the last point completes (a finished sweep has
+  /// nothing left to resume).
   std::string checkpoint_path;
   /// Load `checkpoint_path` first and skip the recorded points. Without
   /// this flag an existing checkpoint is truncated and the sweep reruns
   /// from scratch.
   bool resume = false;
-  /// Delete the checkpoint after the last point completes (a finished
-  /// sweep has nothing left to resume).
-  bool remove_checkpoint_on_success = true;
   /// This process's shard (0-based) out of `shard_count`. With the default
   /// 1-way sharding the run owns every point; otherwise it owns the
   /// round-robin subset i % shard_count == shard_index, requires a

@@ -5,6 +5,7 @@
 
 #include "support/check.hpp"
 #include "support/rng.hpp"
+#include "support/text.hpp"
 
 namespace explframe::sweep {
 
@@ -22,11 +23,6 @@ constexpr std::size_t kMaxPoints = 4096;
 bool is_reserved_scenario_key(const std::string& key) noexcept {
   return key == "name" || key == "title" || key == "description" ||
          key == "paper_ref" || key == "seed";
-}
-
-bool set_error(std::string* error, const std::string& what) {
-  if (error) *error = what;
-  return false;
 }
 
 bool has_whitespace(const std::string& s) noexcept {
@@ -323,18 +319,8 @@ std::uint64_t SweepSpec::spec_hash(const scenario::Registry& registry) const {
   const auto base_scn = base_scenario(registry, &base_error);
   EXPLFRAME_CHECK_MSG(base_scn.has_value(),
                       "spec_hash needs a resolvable base scenario");
-  std::uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a 64.
-  const auto mix = [&hash](const std::string& text) {
-    for (const char c : text) {
-      hash ^= static_cast<std::uint8_t>(c);
-      hash *= 0x100000001b3ULL;
-    }
-    hash ^= 0xff;  // Separator so (a, b) and (a + b, "") differ.
-    hash *= 0x100000001b3ULL;
-  };
-  mix(to_sweep());
-  mix(base_scn->to_scn());
-  return hash;
+  // A 0xff byte after each text so (a, b) and (a + b, "") differ.
+  return fnv1a64(to_sweep() + '\xff' + base_scn->to_scn() + '\xff');
 }
 
 }  // namespace explframe::sweep

@@ -66,9 +66,9 @@ class AddressSpace {
   const VmCounters& counters() const noexcept { return state_.counters; }
 
   /// Everything mutable except the page table; a snapshot copies it
-  /// whole. Restoring the mmap cursor is what makes post-restore mmap()
-  /// return exactly the addresses a fresh run would have — forked trials
-  /// see identical VAs.
+  /// whole, next to the table's own State. Restoring the mmap cursor is
+  /// what makes post-restore mmap() return exactly the addresses a fresh
+  /// run would have — forked trials see identical VAs.
   struct State {
     std::map<VirtAddr, Vma> vmas;  ///< Keyed by start address.
     VirtAddr mmap_cursor = kMmapBase;
@@ -77,15 +77,15 @@ class AddressSpace {
   /// Snapshot of the complete address-space state.
   struct Image {
     State state;
-    PageTable::TableImage table;
+    PageTable::State table;
   };
 
   /// Capture the full state for a snapshot.
-  Image capture_image() const { return {state_, table_.capture_image()}; }
+  Image capture_image() const { return {state_, table_.state()}; }
   /// Restore a previously captured image exactly.
   void restore_image(const Image& image) {
     state_ = image.state;
-    table_.restore_image(image.table);
+    table_.restore(image.table);
   }
 
  private:

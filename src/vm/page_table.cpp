@@ -1,219 +1,102 @@
 #include "vm/page_table.hpp"
 
-#include <utility>
-
 #include "support/check.hpp"
 
 namespace explframe::vm {
 
 namespace {
+
 constexpr std::uint32_t kFanout = 1u << kLevelBits;  // 512
+
+/// The node at `level` whose region covers vaddr. A level-L node maps
+/// kFanout slots of 2^(12 + 9L) bytes each.
+PageTable::NodeKey key_of(VirtAddr vaddr, std::uint32_t level) noexcept {
+  const std::uint32_t shift =
+      static_cast<std::uint32_t>(kPageShift) + kLevelBits * (level + 1);
+  return {level, vaddr >> shift << shift};
 }
 
-/// Leaf (level 0) nodes store Ptes; interior nodes store children.
-struct PageTable::Node {
-  std::array<std::unique_ptr<Node>, kFanout> children{};
-  std::array<Pte, kFanout> ptes{};
-  std::array<bool, kFanout> present{};
-  std::uint32_t used = 0;            ///< Occupied slots (children or ptes).
-  mm::Pfn frame = mm::kInvalidPfn;   ///< Physical frame charged to this node.
-};
+/// vaddr's PTE slot in its leaf (bits 20:12).
+std::uint32_t leaf_slot(VirtAddr vaddr) noexcept {
+  return static_cast<std::uint32_t>((vaddr >> kPageShift) & (kFanout - 1));
+}
+
+}  // namespace
 
 PageTable::PageTable(FrameClient client) : client_(std::move(client)) {
-  root_ = std::make_unique<Node>();
-  ++nodes_;
-  if (client_.alloc) root_->frame = client_.alloc();
+  Node& root = state_.nodes[key_of(0, kLevels - 1)];
+  if (client_.alloc) root.frame = client_.alloc();
 }
 
 PageTable::~PageTable() {
-  // Free data mappings first so table-node frames are released last.
-  if (root_) release_node(root_.get());
-}
-
-void PageTable::release_node(Node* node) {
-  for (auto& child : node->children) {
-    if (child) release_node(child.get());
-    child.reset();
-  }
-  if (client_.free && node->frame != mm::kInvalidPfn) {
-    client_.free(node->frame);
-    node->frame = mm::kInvalidPfn;
-  }
-}
-
-std::uint32_t PageTable::index_at(VirtAddr vaddr,
-                                  std::uint32_t level) noexcept {
-  // level 3 = PGD (bits 47:39) ... level 0 = PTE (bits 20:12).
-  const std::uint32_t shift =
-      static_cast<std::uint32_t>(kPageShift) + kLevelBits * level;
-  return static_cast<std::uint32_t>((vaddr >> shift) & (kFanout - 1));
-}
-
-PageTable::Node* PageTable::ensure_child(Node& parent, std::uint32_t slot) {
-  if (!parent.children[slot]) {
-    auto node = std::make_unique<Node>();
-    if (client_.alloc) {
-      node->frame = client_.alloc();
-      if (node->frame == mm::kInvalidPfn) return nullptr;
-    }
-    parent.children[slot] = std::move(node);
-    ++parent.used;
-    ++nodes_;
-  }
-  return parent.children[slot].get();
+  if (!client_.free) return;
+  for (const auto& [key, node] : state_.nodes)
+    if (node.frame != mm::kInvalidPfn) client_.free(node.frame);
 }
 
 bool PageTable::prepare(VirtAddr vaddr) {
   EXPLFRAME_CHECK(vaddr < (VirtAddr{1} << kVaBits));
-  Node* node = root_.get();
-  for (std::uint32_t level = kLevels - 1; level >= 1; --level) {
-    node = ensure_child(*node, index_at(vaddr, level));
-    if (node == nullptr) return false;
+  // A leaf's ancestors always exist, so one lookup serves most faults.
+  if (state_.nodes.contains(key_of(vaddr, 0))) return true;
+  Node* parent = &state_.nodes.at(key_of(vaddr, kLevels - 1));
+  for (std::uint32_t level = kLevels - 1; level-- > 0;) {
+    const NodeKey key = key_of(vaddr, level);
+    auto it = state_.nodes.find(key);
+    if (it == state_.nodes.end()) {
+      Node node;
+      if (client_.alloc) {
+        node.frame = client_.alloc();
+        if (node.frame == mm::kInvalidPfn) return false;
+      }
+      if (level == 0) node.ptes.resize(kFanout);
+      it = state_.nodes.emplace(key, std::move(node)).first;
+      ++parent->used;
+    }
+    parent = &it->second;
   }
   return true;
 }
 
-bool PageTable::map(VirtAddr vaddr, mm::Pfn pfn, bool writable) {
+bool PageTable::map(VirtAddr vaddr, mm::Pfn pfn) {
   EXPLFRAME_CHECK_MSG((vaddr & (kPageSize - 1)) == 0, "unaligned map");
-  EXPLFRAME_CHECK(vaddr < (VirtAddr{1} << kVaBits));
-  Node* node = root_.get();
-  for (std::uint32_t level = kLevels - 1; level >= 1; --level) {
-    node = ensure_child(*node, index_at(vaddr, level));
-    if (node == nullptr) return false;
-  }
-  const std::uint32_t slot = index_at(vaddr, 0);
-  EXPLFRAME_CHECK_MSG(!node->present[slot], "double map");
-  node->ptes[slot] = Pte{pfn, writable, false, false};
-  node->present[slot] = true;
-  ++node->used;
-  ++mapped_;
+  EXPLFRAME_CHECK_MSG(pfn != mm::kInvalidPfn, "map of kInvalidPfn");
+  if (!prepare(vaddr)) return false;
+  Node& leaf = state_.nodes.at(key_of(vaddr, 0));
+  Pte& pte = leaf.ptes[leaf_slot(vaddr)];
+  EXPLFRAME_CHECK_MSG(pte.pfn == mm::kInvalidPfn, "double map");
+  pte.pfn = pfn;
+  ++leaf.used;
+  ++state_.mapped;
   return true;
 }
 
 std::optional<mm::Pfn> PageTable::unmap(VirtAddr vaddr) {
   EXPLFRAME_CHECK_MSG((vaddr & (kPageSize - 1)) == 0, "unaligned unmap");
-  // Walk down, remembering the path so empty nodes can be pruned.
-  Node* path[kLevels] = {};
-  std::uint32_t slots[kLevels] = {};
-  Node* node = root_.get();
-  for (std::uint32_t level = kLevels - 1; level >= 1; --level) {
-    path[level] = node;
-    slots[level] = index_at(vaddr, level);
-    node = node->children[slots[level]].get();
-    if (node == nullptr) return std::nullopt;
-  }
-  const std::uint32_t slot = index_at(vaddr, 0);
-  if (!node->present[slot]) return std::nullopt;
-  const mm::Pfn pfn = node->ptes[slot].pfn;
-  node->present[slot] = false;
-  node->ptes[slot] = Pte{};
-  --node->used;
-  --mapped_;
+  auto it = state_.nodes.find(key_of(vaddr, 0));
+  if (it == state_.nodes.end()) return std::nullopt;
+  Pte& pte = it->second.ptes[leaf_slot(vaddr)];
+  if (pte.pfn == mm::kInvalidPfn) return std::nullopt;
+  const mm::Pfn pfn = std::exchange(pte.pfn, mm::kInvalidPfn);
+  --it->second.used;
+  --state_.mapped;
 
   // Prune empty table nodes bottom-up (frees their frames).
-  Node* child = node;
-  for (std::uint32_t level = 1; level < kLevels && child->used == 0; ++level) {
-    Node* parent = path[level];
-    if (client_.free && child->frame != mm::kInvalidPfn) {
-      client_.free(child->frame);
-      child->frame = mm::kInvalidPfn;
-    }
-    parent->children[slots[level]].reset();
-    --parent->used;
-    --nodes_;
-    child = parent;
+  for (std::uint32_t level = 1; level < kLevels && it->second.used == 0;
+       ++level) {
+    if (client_.free && it->second.frame != mm::kInvalidPfn)
+      client_.free(it->second.frame);
+    state_.nodes.erase(it);
+    it = state_.nodes.find(key_of(vaddr, level));
+    --it->second.used;
   }
   return pfn;
 }
 
 const Pte* PageTable::find(VirtAddr vaddr) const {
-  const Node* node = root_.get();
-  for (std::uint32_t level = kLevels - 1; level >= 1; --level) {
-    node = node->children[index_at(vaddr, level)].get();
-    if (node == nullptr) return nullptr;
-  }
-  const std::uint32_t slot = index_at(vaddr, 0);
-  return node->present[slot] ? &node->ptes[slot] : nullptr;
-}
-
-Pte* PageTable::find(VirtAddr vaddr) {
-  return const_cast<Pte*>(std::as_const(*this).find(vaddr));
-}
-
-void PageTable::for_each_rec(
-    const Node& node, std::uint32_t level, VirtAddr base,
-    const std::function<void(VirtAddr, const Pte&)>& fn) const {
-  const std::uint32_t shift =
-      static_cast<std::uint32_t>(kPageShift) + kLevelBits * level;
-  for (std::uint32_t i = 0; i < kFanout; ++i) {
-    const VirtAddr va = base + (static_cast<VirtAddr>(i) << shift);
-    if (level == 0) {
-      if (node.present[i]) fn(va, node.ptes[i]);
-    } else if (node.children[i]) {
-      for_each_rec(*node.children[i], level - 1, va, fn);
-    }
-  }
-}
-
-void PageTable::for_each(
-    const std::function<void(VirtAddr, const Pte&)>& fn) const {
-  for_each_rec(*root_, kLevels - 1, 0, fn);
-}
-
-void PageTable::capture_nodes(const Node& node, std::uint32_t level,
-                              VirtAddr base,
-                              std::vector<NodeImage>* out) const {
-  out->push_back(NodeImage{level, base, node.frame});
-  if (level == 0) return;
-  const std::uint32_t shift =
-      static_cast<std::uint32_t>(kPageShift) + kLevelBits * level;
-  for (std::uint32_t i = 0; i < kFanout; ++i)
-    if (node.children[i])
-      capture_nodes(*node.children[i], level - 1,
-                    base + (static_cast<VirtAddr>(i) << shift), out);
-}
-
-PageTable::TableImage PageTable::capture_image() const {
-  TableImage image;
-  capture_nodes(*root_, kLevels - 1, 0, &image.nodes);
-  for_each([&](VirtAddr va, const Pte& pte) {
-    image.ptes.emplace_back(va, pte);
-  });
-  return image;
-}
-
-void PageTable::restore_image(const TableImage& image) {
-  EXPLFRAME_CHECK_MSG(!image.nodes.empty() &&
-                          image.nodes.front().level == kLevels - 1,
-                      "malformed table image");
-  // See the header comment: destroying the live tree frees no frames, and
-  // the node frames recorded in the image are reinstalled verbatim.
-  root_ = std::make_unique<Node>();
-  root_->frame = image.nodes.front().frame;
-  for (std::size_t i = 1; i < image.nodes.size(); ++i) {
-    const NodeImage& n = image.nodes[i];
-    // Pre-order guarantees the parent chain already exists; walk down to
-    // the parent (level n.level + 1) and hang the new node off it.
-    Node* parent = root_.get();
-    for (std::uint32_t level = kLevels - 1; level > n.level + 1; --level)
-      parent = parent->children[index_at(n.base, level)].get();
-    const std::uint32_t slot = index_at(n.base, n.level + 1);
-    auto node = std::make_unique<Node>();
-    node->frame = n.frame;
-    parent->children[slot] = std::move(node);
-    ++parent->used;
-  }
-  for (const auto& [va, pte] : image.ptes) {
-    Node* node = root_.get();
-    for (std::uint32_t level = kLevels - 1; level >= 1; --level)
-      node = node->children[index_at(va, level)].get();
-    const std::uint32_t slot = index_at(va, 0);
-    node->ptes[slot] = pte;
-    node->present[slot] = true;
-    ++node->used;
-  }
-  nodes_ = image.nodes.size();
-  mapped_ = image.ptes.size();
+  const auto it = state_.nodes.find(key_of(vaddr, 0));
+  if (it == state_.nodes.end()) return nullptr;
+  const Pte& pte = it->second.ptes[leaf_slot(vaddr)];
+  return pte.pfn == mm::kInvalidPfn ? nullptr : &pte;
 }
 
 }  // namespace explframe::vm

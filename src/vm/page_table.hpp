@@ -9,10 +9,9 @@
 // `design-ablations` experiment).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <map>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -28,12 +27,12 @@ inline constexpr std::uint32_t kVaBits = 48;
 inline constexpr std::uint32_t kLevelBits = 9;
 inline constexpr std::uint32_t kLevels = 4;
 
-/// Page table entry for a mapped 4 KiB page.
+/// Page table entry for a 4 KiB page: the frame it maps, kInvalidPfn in
+/// an empty slot.
 struct Pte {
   mm::Pfn pfn = mm::kInvalidPfn;
-  bool writable = true;
-  bool accessed = false;
-  bool dirty = false;
+
+  bool operator==(const Pte&) const = default;
 };
 
 /// Supplies/reclaims the physical frames backing page-table nodes.
@@ -48,8 +47,30 @@ struct FrameClient {
 /// travel the same allocator path as data pages (`design-ablations`).
 class PageTable {
  public:
+  /// One table node: the frame charged to it, its occupied slots
+  /// (child nodes or installed PTEs) and, in a leaf only, its 512 PTEs.
+  struct Node {
+    mm::Pfn frame = mm::kInvalidPfn;
+    std::uint32_t used = 0;
+    std::vector<Pte> ptes;  ///< 512 in a leaf (level 0), empty above.
+
+    bool operator==(const Node&) const = default;
+  };
+  /// A node's level (kLevels-1 = root, 0 = leaf) and the base virtual
+  /// address of the region it maps.
+  using NodeKey = std::pair<std::uint32_t, VirtAddr>;
+  /// Everything mutable, a plain value: a snapshot copies it and restore
+  /// assigns it. The map orders nodes leaves first, root last.
+  struct State {
+    std::map<NodeKey, Node> nodes;
+    std::uint64_t mapped = 0;
+
+    bool operator==(const State&) const = default;
+  };
+
   /// `client` may be null: nodes are then bookkept but not charged frames.
   explicit PageTable(FrameClient client = {});
+  /// Returns every node frame, leaves first and the root last.
   ~PageTable();
   PageTable(const PageTable&) = delete;
   PageTable& operator=(const PageTable&) = delete;
@@ -58,66 +79,35 @@ class PageTable {
   /// installing a PTE. Linux's fault path does this (pte_alloc) *before*
   /// allocating the data page — the ordering matters to the attack, because
   /// a table node allocated mid-fault consumes the per-CPU cache head.
+  /// Nodes are charged top-down (PUD, PMD, PTE); returns false at the
+  /// first frame that cannot be charged, inserting no node for it.
   bool prepare(VirtAddr vaddr);
 
-  /// Map vaddr (page aligned) to pfn. Returns false if a needed table node
-  /// could not be charged a frame.
-  bool map(VirtAddr vaddr, mm::Pfn pfn, bool writable = true);
+  /// Map vaddr (page aligned) to pfn (not kInvalidPfn). Returns false if a
+  /// needed table node could not be charged a frame.
+  bool map(VirtAddr vaddr, mm::Pfn pfn);
 
   /// Remove the mapping; returns the pfn that was mapped, if any. Empty
-  /// intermediate nodes are freed (and their frames returned).
+  /// nodes are freed bottom-up (and their frames returned); the root stays.
   std::optional<mm::Pfn> unmap(VirtAddr vaddr);
 
   /// Lookup without side effects.
   const Pte* find(VirtAddr vaddr) const;
-  Pte* find(VirtAddr vaddr);
 
-  std::uint64_t mapped_pages() const noexcept { return mapped_; }
-  std::uint64_t table_nodes() const noexcept { return nodes_; }
+  std::uint64_t mapped_pages() const noexcept { return state_.mapped; }
+  /// Live table nodes, the root included.
+  std::uint64_t table_nodes() const noexcept { return state_.nodes.size(); }
 
-  /// Walk all mappings in ascending vaddr order.
-  void for_each(const std::function<void(VirtAddr, const Pte&)>& fn) const;
-
-  /// One table node in a snapshot: its level (kLevels-1 = root, 0 = leaf),
-  /// the base virtual address of the region it covers, and the physical
-  /// frame charged to it.
-  struct NodeImage {
-    std::uint32_t level = 0;
-    VirtAddr base = 0;
-    mm::Pfn frame = mm::kInvalidPfn;
-  };
-  /// Complete structural snapshot: every node in pre-order (parents before
-  /// children, front() = root) plus every installed PTE in vaddr order.
-  struct TableImage {
-    std::vector<NodeImage> nodes;
-    std::vector<std::pair<VirtAddr, Pte>> ptes;
-  };
-
-  /// Capture the table structure and mappings for a snapshot.
-  TableImage capture_image() const;
-  /// Rebuild the table from a captured image. Never calls the FrameClient:
-  /// node frames come from the image, and the page allocator restored
-  /// alongside already accounts those frames as allocated. (Plain node
-  /// destruction frees no frames either — only unmap/release do — so
-  /// dropping the current tree leaves the allocator untouched.)
-  void restore_image(const TableImage& image);
+  /// The table's complete state, for a snapshot.
+  const State& state() const noexcept { return state_; }
+  /// Reinstate a captured state. Never calls the FrameClient: the node
+  /// frames come from `state`, and the page allocator restored alongside
+  /// already accounts them as allocated.
+  void restore(const State& state) { state_ = state; }
 
  private:
-  struct Node;
-  struct Entry;
-
-  static std::uint32_t index_at(VirtAddr vaddr, std::uint32_t level) noexcept;
-  Node* ensure_child(Node& parent, std::uint32_t slot);
-  void release_node(Node* node);
-  void for_each_rec(const Node& node, std::uint32_t level, VirtAddr base,
-                    const std::function<void(VirtAddr, const Pte&)>& fn) const;
-  void capture_nodes(const Node& node, std::uint32_t level, VirtAddr base,
-                     std::vector<NodeImage>* out) const;
-
   FrameClient client_;
-  std::unique_ptr<Node> root_;
-  std::uint64_t mapped_ = 0;
-  std::uint64_t nodes_ = 0;
+  State state_;
 };
 
 }  // namespace explframe::vm

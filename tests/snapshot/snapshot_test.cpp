@@ -110,7 +110,7 @@ TEST(Snapshot, RestoreDestroysTasksSpawnedAfterTheSnapshot) {
   EXPECT_EQ(again.id(), late_id);
 }
 
-TEST(Snapshot, PageTableRebuildSupportsFurtherMapAndUnmap) {
+TEST(Snapshot, RestoredPageTableSupportsFurtherMapAndUnmap) {
   kernel::System sys(small_config(47));
   kernel::Task& task = sys.spawn("worker", 0);
   // Enough pages to span several leaf tables.
@@ -127,11 +127,50 @@ TEST(Snapshot, PageTableRebuildSupportsFurtherMapAndUnmap) {
   std::vector<std::uint8_t> data(1200 * kPageSize);
   ASSERT_TRUE(sys.mem_read(task, va, data));
   EXPECT_EQ(data, pattern(1200 * kPageSize, 99));
-  // The rebuilt table must keep working: unmap everything again (releases
+  // The restored table must keep working: unmap everything again (releases
   // table nodes + frames through the normal path) and remap.
   ASSERT_TRUE(sys.sys_munmap(task, va, 1200 * kPageSize));
   const vm::VirtAddr fresh = sys.sys_mmap(task, 4 * kPageSize);
   ASSERT_TRUE(sys.mem_write(task, fresh, pattern(4 * kPageSize, 8)));
+}
+
+TEST(Snapshot, RestoreReinstatesEveryTaskTableState) {
+  kernel::System sys(small_config(71));
+  kernel::Task& a = sys.spawn("a", 0);
+  kernel::Task& b = sys.spawn("b", 0);
+  const vm::PageTable& a_table = a.space().page_table();
+  const vm::PageTable& b_table = b.space().page_table();
+
+  // A munmap that prunes a whole leaf (and keeps the partial one).
+  const vm::VirtAddr va = sys.sys_mmap(a, 1200 * kPageSize);
+  ASSERT_TRUE(sys.mem_write(a, va, pattern(1200 * kPageSize, 5)));
+  const std::uint64_t nodes = a_table.table_nodes();
+  ASSERT_TRUE(sys.sys_munmap(a, va, 600 * kPageSize));
+  EXPECT_EQ(a_table.table_nodes(), nodes - 1);
+
+  // Exhaust memory, so b's first fault fails to charge its PUD frame and
+  // its table keeps only the root.
+  const vm::VirtAddr hog = sys.sys_mmap(a, 16 * kMiB);
+  for (vm::VirtAddr p = hog; sys.touch(a, p); p += kPageSize) {
+  }
+  const vm::VirtAddr vb = sys.sys_mmap(b, 4 * kPageSize);
+  const std::uint64_t kills = sys.stats().oom_kills;
+  EXPECT_FALSE(sys.touch(b, vb));
+  EXPECT_EQ(sys.stats().oom_kills, kills + 1);
+  EXPECT_EQ(b_table.table_nodes(), 1u);
+
+  const vm::PageTable::State a0 = a_table.state();
+  const vm::PageTable::State b0 = b_table.state();
+  const auto snap = sys.snapshot();
+
+  ASSERT_TRUE(sys.sys_munmap(a, hog, 16 * kMiB));
+  ASSERT_TRUE(sys.mem_write(b, vb, pattern(4 * kPageSize, 6)));
+  EXPECT_FALSE(a_table.state() == a0);
+  EXPECT_FALSE(b_table.state() == b0);
+
+  sys.restore(*snap);
+  EXPECT_TRUE(a_table.state() == a0);
+  EXPECT_TRUE(b_table.state() == b0);
 }
 
 /// Every public counter of the machine at one instant.

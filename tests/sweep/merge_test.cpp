@@ -13,6 +13,7 @@
 
 #include "scenario/registry.hpp"
 #include "support/check.hpp"
+#include "support/text.hpp"
 #include "sweep/report.hpp"
 #include "sweep/runner.hpp"
 #include "sweep/spec.hpp"
@@ -43,12 +44,8 @@ std::string temp_path(const std::string& name) {
 
 /// The checkpoint header line the runner writes for `spec`.
 std::string header_line(const SweepSpec& spec) {
-  const char* digits = "0123456789abcdef";
-  std::uint64_t h = spec.spec_hash(scenarios());
-  std::string hex(16, '0');
-  for (int i = 15; i >= 0; --i, h >>= 4) hex[i] = digits[h & 0xf];
   return "explsim-sweep-checkpoint v1 sweep=" + spec.name +
-         " spec_hash=" + hex;
+         " spec_hash=" + hex16(spec.spec_hash(scenarios()));
 }
 
 /// Write a checkpoint file holding `records` (plus an optional torn tail).

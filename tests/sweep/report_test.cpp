@@ -9,6 +9,7 @@
 
 #include "scenario/registry.hpp"
 #include "support/check.hpp"
+#include "support/text.hpp"
 #include "sweep/spec.hpp"
 
 namespace explframe::sweep {
@@ -128,13 +129,14 @@ TEST(SweepReport, ResumedRunEmitsIdenticalBytes) {
       (std::filesystem::path(::testing::TempDir()) / "report-resume.ckpt")
           .string();
   std::filesystem::remove(path);
-  // Run once with checkpointing but keep the file (simulating a kill after
-  // the last point would leave nothing to test, so stop deletion instead).
-  SweepRunOptions first;
-  first.checkpoint_path = path;
-  first.remove_checkpoint_on_success = false;
-  ASSERT_TRUE(run_sweep(spec, scenarios(), first).has_value());
-  ASSERT_TRUE(std::filesystem::exists(path));
+  // The complete checkpoint a run killed after its last point leaves.
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << "explsim-sweep-checkpoint v1 sweep=" << spec.name
+        << " spec_hash=" << hex16(spec.spec_hash(scenarios())) << "\n";
+    for (const PointRecord& record : fresh->records)
+      out << record.serialize() << "\n";
+  }
 
   // Resume against the complete checkpoint: zero points execute, and the
   // emitted bytes match the fresh run exactly.

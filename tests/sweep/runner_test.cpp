@@ -7,8 +7,10 @@
 #include <filesystem>
 #include <fstream>
 
+#include "../io/faulty_fs.hpp"
 #include "scenario/registry.hpp"
 #include "support/check.hpp"
+#include "support/text.hpp"
 #include "sweep/spec.hpp"
 
 namespace explframe::sweep {
@@ -37,12 +39,8 @@ std::string temp_path(const std::string& name) {
 
 /// The checkpoint header line the runner writes for `spec`.
 std::string header_line(const SweepSpec& spec) {
-  const char* digits = "0123456789abcdef";
-  std::uint64_t h = spec.spec_hash(scenarios());
-  std::string hex(16, '0');
-  for (int i = 15; i >= 0; --i, h >>= 4) hex[i] = digits[h & 0xf];
   return "explsim-sweep-checkpoint v1 sweep=" + spec.name +
-         " spec_hash=" + hex;
+         " spec_hash=" + hex16(spec.spec_hash(scenarios()));
 }
 
 TEST(SweepRunner, RunsEveryPointInIndexOrder) {
@@ -167,10 +165,14 @@ TEST(SweepRunner, ResumeAfterTornLineLeavesLoadableCheckpoint) {
     out << "point 1 defence=trr,max_";  // Torn mid-write, no newline.
   }
 
+  // Fail the cleanup removal so the completed log stays to audit.
+  io::FaultyFs keep(io::real());
+  keep.fail_from(io::Op::kRemove, 0,
+                 io::Status::permanent_error("kept for the audit"));
   SweepRunOptions options;
   options.checkpoint_path = path;
   options.resume = true;
-  options.remove_checkpoint_on_success = false;  // Keep the file to audit.
+  options.fs = &keep;
   std::string error;
   const auto resumed = run_sweep(spec, scenarios(), options, &error);
   ASSERT_TRUE(resumed.has_value()) << error;

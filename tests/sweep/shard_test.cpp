@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "scenario/registry.hpp"
+#include "support/text.hpp"
 #include "sweep/registry.hpp"
 #include "sweep/report.hpp"
 #include "sweep/runner.hpp"
@@ -49,8 +50,11 @@ std::string golden(const std::string& name, const std::string& ext) {
   return text.value_or("");
 }
 
-/// Run shard `index` of `count` for `spec`, keeping the checkpoint.
-/// Returns the checkpoint path (empty string on failure, already logged).
+/// Run shard `index` of `count` for `spec`; returns its checkpoint path
+/// (empty string on failure, already logged). A 1-way run deletes its
+/// checkpoint on success, so that one is written back from the records
+/// under the runner's header, and every shard count feeds
+/// merge_checkpoints the same way.
 std::string run_shard(const SweepSpec& spec, std::uint32_t index,
                       std::uint32_t count) {
   const std::string path =
@@ -61,15 +65,20 @@ std::string run_shard(const SweepSpec& spec, std::uint32_t index,
   options.checkpoint_path = path;
   options.shard_index = index;
   options.shard_count = count;
-  // Only the 1-way case would delete its checkpoint; keep it so every
-  // shard count feeds merge_checkpoints the same way.
-  options.remove_checkpoint_on_success = false;
   std::string error;
   const auto result = run_sweep(spec, scenarios(), options, &error);
   EXPECT_TRUE(result.has_value())
       << spec.name << " shard " << index + 1 << "/" << count << ": " << error;
   if (!result) return "";
   EXPECT_EQ(result->shard_count, count);
+  EXPECT_EQ(std::filesystem::exists(path), count > 1);
+  if (count == 1) {
+    std::ofstream out(path, std::ios::binary);
+    out << "explsim-sweep-checkpoint v1 sweep=" << spec.name
+        << " spec_hash=" << hex16(spec.spec_hash(scenarios())) << "\n";
+    for (const PointRecord& record : result->records)
+      out << record.serialize() << "\n";
+  }
   return path;
 }
 

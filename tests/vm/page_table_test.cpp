@@ -68,20 +68,6 @@ TEST(PageTable, SharedIntermediateNodesSurvivePartialUnmap) {
   EXPECT_EQ(pt.find(0x2000)->pfn, 2u);
 }
 
-TEST(PageTable, ForEachVisitsInOrder) {
-  PageTable pt;
-  std::vector<VirtAddr> vas = {0x5000, 0x1000, 0x7fff00000000, 0x3000};
-  for (std::size_t i = 0; i < vas.size(); ++i)
-    EXPECT_TRUE(pt.map(vas[i], i));
-  std::vector<VirtAddr> visited;
-  pt.for_each([&](VirtAddr va, const Pte&) { visited.push_back(va); });
-  ASSERT_EQ(visited.size(), 4u);
-  EXPECT_EQ(visited[0], 0x1000u);
-  EXPECT_EQ(visited[1], 0x3000u);
-  EXPECT_EQ(visited[2], 0x5000u);
-  EXPECT_EQ(visited[3], 0x7fff00000000u);
-}
-
 TEST(PageTable, FrameClientChargedPerNode) {
   std::uint64_t next = 100;
   std::vector<mm::Pfn> freed;
@@ -93,9 +79,45 @@ TEST(PageTable, FrameClientChargedPerNode) {
     EXPECT_TRUE(pt.map(0x1000, 1));
     EXPECT_EQ(next, 104u);  // root + PUD + PMD + PTE nodes
     pt.unmap(0x1000);
-    EXPECT_EQ(freed.size(), 3u);  // intermediate nodes pruned, root stays
+    // Pruned bottom-up: PTE, PMD, PUD; the root stays.
+    EXPECT_EQ(freed, (std::vector<mm::Pfn>{103, 102, 101}));
   }
   EXPECT_EQ(freed.size(), 4u);  // destructor releases the root frame
+}
+
+TEST(PageTable, DestructorFreesLeavesFirstAndRootLast) {
+  std::uint64_t next = 100;
+  std::vector<mm::Pfn> freed;
+  {
+    PageTable pt(FrameClient{[&] { return next++; },
+                             [&](mm::Pfn p) { freed.push_back(p); }});
+    EXPECT_TRUE(pt.map(0x1000, 1));             // root 100, PUD..PTE 101-103
+    EXPECT_TRUE(pt.map(0x4000'0000'0000, 2));   // PUD..PTE 104-106
+  }
+  EXPECT_EQ(freed,
+            (std::vector<mm::Pfn>{103, 106, 102, 105, 101, 104, 100}));
+}
+
+TEST(PageTable, RestoreReinstatesStateWithoutTheFrameClient) {
+  std::uint64_t calls = 0;
+  PageTable pt(FrameClient{[&]() -> mm::Pfn { return ++calls; },
+                           [&](mm::Pfn) { ++calls; }});
+  EXPECT_TRUE(pt.map(0x1000, 1));
+  EXPECT_TRUE(pt.map(0x2000, 2));
+  const PageTable::State captured = pt.state();
+  EXPECT_EQ(pt.table_nodes(), 4u);  // The root counts.
+
+  pt.unmap(0x1000);
+  pt.unmap(0x2000);
+  EXPECT_TRUE(pt.map(0x4000'0000'0000, 3));
+  EXPECT_FALSE(pt.state() == captured);
+  const std::uint64_t before = calls;
+  pt.restore(captured);
+  EXPECT_EQ(calls, before);
+  EXPECT_TRUE(pt.state() == captured);
+  EXPECT_EQ(pt.mapped_pages(), 2u);
+  EXPECT_EQ(pt.find(0x2000)->pfn, 2u);
+  EXPECT_EQ(pt.find(0x4000'0000'0000), nullptr);
 }
 
 TEST(PageTable, FrameClientAllocationFailurePropagates) {
@@ -108,6 +130,13 @@ TEST(PageTable, FrameClientAllocationFailurePropagates) {
   PageTable pt(std::move(client));
   EXPECT_FALSE(pt.map(0x1000, 5));
   EXPECT_EQ(pt.find(0x1000), nullptr);
+  // The PUD was charged; the PMD that failed left no node behind.
+  EXPECT_EQ(pt.table_nodes(), 2u);
+}
+
+TEST(PageTableDeathTest, MapOfInvalidPfnAborts) {
+  PageTable pt;
+  EXPECT_DEATH(pt.map(0x1000, mm::kInvalidPfn), "map of kInvalidPfn");
 }
 
 TEST(PageTable, RandomizedAgainstReferenceMap) {

@@ -154,6 +154,20 @@ bool write_file(const std::string& path, const std::string& content) {
       .ok();
 }
 
+/// Write `<name>.md` and `<name>.csv` under `out_dir` and say so; false,
+/// with an error on stderr, if either write fails.
+bool write_reports(const std::string& out_dir, const std::string& name,
+                   const std::string& md, const std::string& csv) {
+  const std::string md_path = out_dir + "/" + name + ".md";
+  const std::string csv_path = out_dir + "/" + name + ".csv";
+  if (!write_file(md_path, md) || !write_file(csv_path, csv)) {
+    std::cerr << "explsim: cannot write reports under '" << out_dir << "'\n";
+    return false;
+  }
+  std::cout << "wrote " << md_path << " and " << csv_path << "\n";
+  return true;
+}
+
 /// True when a `run` operand names a file rather than a registry entry.
 bool is_path_operand(const std::string& operand, const char* extension) {
   if (operand.find('/') != std::string::npos) return true;
@@ -260,17 +274,10 @@ int cmd_run(const std::string& operand, std::uint32_t threads,
   if (!s) return 1;
   const ScenarioResult result = run_scenario(*s, threads);
   print_summary(result);
-  if (!out_dir.empty()) {
-    const std::string md = out_dir + "/" + s->name + ".md";
-    const std::string csv = out_dir + "/" + s->name + ".csv";
-    if (!write_file(md, markdown_report(result)) ||
-        !write_file(csv, csv_report(result))) {
-      std::cerr << "explsim: cannot write reports under '" << out_dir
-                << "'\n";
-      return 1;
-    }
-    std::cout << "wrote " << md << " and " << csv << "\n";
-  }
+  if (!out_dir.empty() &&
+      !write_reports(out_dir, s->name, markdown_report(result),
+                     csv_report(result)))
+    return 1;
   return 0;
 }
 
@@ -480,17 +487,10 @@ int cmd_sweep_run(const std::string& operand, std::uint32_t threads,
               << " <ckpt...>`\n";
     return 0;
   }
-  if (!out_dir.empty()) {
-    const std::string md = out_dir + "/" + spec->name + ".md";
-    const std::string csv = out_dir + "/" + spec->name + ".csv";
-    if (!write_file(md, sweep::sweep_markdown(*result)) ||
-        !write_file(csv, sweep::sweep_csv(*result))) {
-      std::cerr << "explsim: cannot write reports under '" << out_dir
-                << "'\n";
-      return 1;
-    }
-    std::cout << "wrote " << md << " and " << csv << "\n";
-  }
+  if (!out_dir.empty() &&
+      !write_reports(out_dir, spec->name, sweep::sweep_markdown(*result),
+                     sweep::sweep_csv(*result)))
+    return 1;
   return 0;
 }
 
@@ -509,19 +509,12 @@ int cmd_sweep_merge(const std::string& operand,
   std::cout << "merged " << checkpoints.size() << " checkpoint(s): "
             << result->records.size() << "/" << result->points.size()
             << " points of sweep " << spec->name << "\n";
-  if (!out_dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(out_dir, ec);
-    const std::string md = out_dir + "/" + spec->name + ".md";
-    const std::string csv = out_dir + "/" + spec->name + ".csv";
-    if (!write_file(md, sweep::sweep_markdown(*result)) ||
-        !write_file(csv, sweep::sweep_csv(*result))) {
-      std::cerr << "explsim: cannot write reports under '" << out_dir
-                << "'\n";
-      return 1;
-    }
-    std::cout << "wrote " << md << " and " << csv << "\n";
-  }
+  if (out_dir.empty()) return 0;
+  std::error_code ec;
+  std::filesystem::create_directories(out_dir, ec);
+  if (!write_reports(out_dir, spec->name, sweep::sweep_markdown(*result),
+                     sweep::sweep_csv(*result)))
+    return 1;
   return 0;
 }
 
