@@ -4,13 +4,63 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <type_traits>
 
 #include "support/check.hpp"
 #include "support/rng.hpp"
 
 namespace explframe::attack {
 
-Table CampaignAggregate::phase_table() const {
+TrialRow TrialRow::from_report(const CampaignReport& report) {
+  return {.template_found = report.template_found,
+          .rows_scanned = report.rows_scanned,
+          .flips_found = report.flips_found,
+          .steered = report.steered,
+          .fault_injected = report.fault_injected,
+          .fault_as_predicted = report.fault_as_predicted,
+          .key_recovered = report.key_recovered,
+          .ciphertexts_used = report.ciphertexts_used,
+          .residual_search = report.residual_search,
+          .success = report.success,
+          .failure_stage = report.failure_stage(),
+          .total_time = report.total_time};
+}
+
+void TrialRow::append_csv_headers(std::vector<std::string>& headers) {
+  std::apply(
+      [&](const auto&... column) { (headers.emplace_back(column.name), ...); },
+      kTrialColumns);
+}
+
+void TrialRow::append_csv_cells(std::vector<std::string>& cells) const {
+  for_each_column(*this, [&](const auto& column, const auto& value) {
+    if constexpr (std::decay_t<decltype(column)>::seconds)
+      cells.push_back(Table::to_cell(static_cast<double>(value) / kSecond));
+    else
+      cells.push_back(Table::to_cell(value));
+  });
+}
+
+void TrialTally::add(const TrialRow& row) {
+  ++trials;
+  templated += row.template_found;
+  steered += row.steered;
+  fault_injected += row.fault_injected;
+  key_recovered += row.key_recovered;
+  succeeded += row.success;
+  rows_scanned.add(static_cast<double>(row.rows_scanned));
+  if (row.success) ciphertexts_used.add(row.ciphertexts_used);
+  sim_seconds.add(static_cast<double>(row.total_time) / kSecond);
+  ++failure_stages[row.failure_stage];
+}
+
+TrialTally TrialTally::of(const std::vector<TrialRow>& rows) {
+  TrialTally tally;
+  for (const TrialRow& row : rows) tally.add(row);
+  return tally;
+}
+
+Table TrialTally::phase_table() const {
   Table t({"phase", "success", "rate"});
   const auto pct = [&](std::uint32_t n) { return rate_cell_wide(n, trials); };
   t.row("1 template (usable flip found)", templated, pct(templated));
@@ -98,22 +148,12 @@ CampaignAggregate CampaignRunner::run() {
   // Aggregate serially, in trial order, so the aggregate is independent of
   // which worker ran which trial.
   CampaignAggregate agg;
-  agg.trials = config_.trials;
   agg.wall_seconds = wall.count();
   for (CampaignReport& r : reports) {
-    agg.templated += r.template_found;
-    agg.steered += r.steered;
-    agg.fault_injected += r.fault_injected;
-    agg.key_recovered += r.key_recovered;
-    agg.succeeded += r.success;
-    agg.rows_scanned.add(static_cast<double>(r.rows_scanned));
-    if (r.success)
-      agg.ciphertexts_used.add(static_cast<double>(r.ciphertexts_used));
-    agg.sim_seconds.add(static_cast<double>(r.total_time) / kSecond);
+    agg.add(TrialRow::from_report(r));
     agg.template_sim_seconds.add(static_cast<double>(r.template_time) /
                                  kSecond);
     agg.template_wall_seconds += r.template_wall_seconds;
-    ++agg.failure_stages[r.failure_stage()];
     agg.reports.push_back(std::move(r));
   }
   return agg;

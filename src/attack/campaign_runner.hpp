@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "kernel/system.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
+#include "support/units.hpp"
 
 namespace explframe::attack {
 
@@ -34,8 +36,72 @@ struct RunnerConfig {
   std::uint64_t seed = 1;
 };
 
-/// Aggregated outcome of a campaign sweep.
-struct CampaignAggregate {
+/// One trial's published outcome: template -> steer -> fault -> key, with
+/// its cost in rows and ciphertexts. The unit of every per-trial CSV and of
+/// sweep checkpoints; everything here round-trips losslessly as text, so a
+/// resumed sweep point emits the same bytes as a fresh one.
+struct TrialRow {
+  bool template_found = false;
+  std::uint64_t rows_scanned = 0;
+  std::uint64_t flips_found = 0;
+  bool steered = false;
+  bool fault_injected = false;
+  bool fault_as_predicted = false;
+  bool key_recovered = false;
+  std::uint32_t ciphertexts_used = 0;
+  std::uint32_t residual_search = 0;
+  bool success = false;
+  std::string failure_stage;  ///< CampaignReport::failure_stage() string.
+  SimTime total_time = 0;     ///< Simulated nanoseconds (exact integer).
+
+  /// Project a campaign report onto the published columns.
+  static TrialRow from_report(const CampaignReport& report);
+
+  /// Append the CSV header names: the kTrialColumns names, in order.
+  static void append_csv_headers(std::vector<std::string>& headers);
+  /// Append this row's CSV cells: bools as yes/no, time in seconds.
+  void append_csv_cells(std::vector<std::string>& cells) const;
+
+  bool operator==(const TrialRow&) const = default;
+};
+
+template <typename T, bool kSeconds = false>
+/// One published column: its name and the TrialRow member it holds.
+/// `kSeconds` marks the simulated-time column, published in seconds.
+struct TrialColumn {
+  static constexpr bool seconds = kSeconds;
+  const char* name;
+  T TrialRow::*member;
+};
+
+/// The published columns in CSV and checkpoint order — the one list the
+/// checkpoint, both CSVs and tools/check_handbook.sh read.
+inline constexpr std::tuple kTrialColumns{
+    TrialColumn<bool>{"template_found", &TrialRow::template_found},
+    TrialColumn<std::uint64_t>{"rows_scanned", &TrialRow::rows_scanned},
+    TrialColumn<std::uint64_t>{"flips_found", &TrialRow::flips_found},
+    TrialColumn<bool>{"steered", &TrialRow::steered},
+    TrialColumn<bool>{"fault_injected", &TrialRow::fault_injected},
+    TrialColumn<bool>{"fault_as_predicted", &TrialRow::fault_as_predicted},
+    TrialColumn<bool>{"key_recovered", &TrialRow::key_recovered},
+    TrialColumn<std::uint32_t>{"ciphertexts_used", &TrialRow::ciphertexts_used},
+    TrialColumn<std::uint32_t>{"residual_search", &TrialRow::residual_search},
+    TrialColumn<bool>{"success", &TrialRow::success},
+    TrialColumn<std::string>{"failure_stage", &TrialRow::failure_stage},
+    TrialColumn<SimTime, true>{"sim_seconds", &TrialRow::total_time}};
+
+/// Call visit(column, row.*column.member) for every column, in order.
+/// `Row` may be const; each format renders a value by its member type.
+template <typename Row, typename Visit>
+void for_each_column(Row& row, Visit&& visit) {
+  std::apply(
+      [&](const auto&... column) { (visit(column, row.*column.member), ...); },
+      kTrialColumns);
+}
+
+/// The counts and distributions every report publishes for a set of
+/// trials. Fed in trial order: the Samples sums depend on it.
+struct TrialTally {
   std::uint32_t trials = 0;
   std::uint32_t templated = 0;
   std::uint32_t steered = 0;
@@ -46,6 +112,24 @@ struct CampaignAggregate {
   Samples rows_scanned;      ///< All trials.
   Samples ciphertexts_used;  ///< Successful trials only.
   Samples sim_seconds;       ///< Simulated attack time, all trials.
+  /// failure_stage -> count, including "none" for successes.
+  std::map<std::string, std::uint32_t> failure_stages;
+
+  void add(const TrialRow& row);
+  /// The tally of `rows`, added in order.
+  static TrialTally of(const std::vector<TrialRow>& rows);
+
+  double success_rate() const noexcept {
+    return trials > 0 ? static_cast<double>(succeeded) / trials : 0.0;
+  }
+
+  /// Per-phase success table (the console summary of `explsim run`).
+  Table phase_table() const;
+};
+
+/// Aggregated outcome of a campaign sweep: the tally of its trials plus the
+/// host-time diagnostics `explsim run` prints.
+struct CampaignAggregate : TrialTally {
   /// Simulated templating time per trial — the slice of sim_seconds the
   /// snapshot/fork engine amortizes away when trials share a base.
   Samples template_sim_seconds;
@@ -53,8 +137,6 @@ struct CampaignAggregate {
   /// forked from one base repeat the shared run's value). Diagnostic only;
   /// never part of byte-stable emitters.
   double template_wall_seconds = 0.0;
-  /// failure_stage() -> count, including "none" for successes.
-  std::map<std::string, std::uint32_t> failure_stages;
 
   /// Per-trial reports in trial order (independent of worker scheduling).
   std::vector<CampaignReport> reports;
@@ -63,12 +145,6 @@ struct CampaignAggregate {
   double trials_per_second() const noexcept {
     return wall_seconds > 0.0 ? trials / wall_seconds : 0.0;
   }
-  double success_rate() const noexcept {
-    return trials > 0 ? static_cast<double>(succeeded) / trials : 0.0;
-  }
-
-  /// Per-phase success table (the console summary of `explsim run`).
-  Table phase_table() const;
 };
 
 /// Executes a RunnerConfig; see the file comment for the determinism

@@ -7,6 +7,15 @@
 
 namespace explframe::kernel {
 
+namespace {
+
+/// The physical address of `va` within its page's frame `pfn`.
+dram::PhysAddr phys_addr(mm::Pfn pfn, vm::VirtAddr va) {
+  return static_cast<dram::PhysAddr>(pfn) * kPageSize + (va & (kPageSize - 1));
+}
+
+}  // namespace
+
 /// The concrete snapshot System produces: one image per layer, bound to
 /// the owning System so a foreign snapshot is rejected on restore. Task id
 /// and name are immutable and identify each task's slot.
@@ -149,65 +158,55 @@ mm::Pfn System::alloc_user_frame(Task& task) {
   return a->pfn;
 }
 
-bool System::handle_fault(Task& task, vm::VirtAddr page_va) {
-  if (!task.space().valid(page_va)) return false;  // SIGSEGV
+mm::Pfn System::frame_of(Task& task, vm::VirtAddr va) {
+  const vm::VirtAddr page = va & ~vm::VirtAddr{kPageSize - 1};
+  vm::PageTable& table = task.space().page_table();
+  if (const vm::Pte* pte = table.find(page)) return pte->pfn;
+  if (!task.space().valid(page)) return mm::kInvalidPfn;  // SIGSEGV
   // As in Linux's do_anonymous_page: the page-table path is allocated
   // (pte_alloc) before the data page itself.
-  if (!task.space().page_table().prepare(page_va)) {
+  if (!table.prepare(page)) {
     ++state_.stats.oom_kills;
-    return false;
+    return mm::kInvalidPfn;
   }
   const mm::Pfn pfn = alloc_user_frame(task);
   if (pfn == mm::kInvalidPfn) {
     ++state_.stats.oom_kills;
-    return false;
+    return mm::kInvalidPfn;
   }
-  EXPLFRAME_CHECK(task.space().page_table().map(page_va, pfn));
+  EXPLFRAME_CHECK(table.map(page, pfn));
   ++state_.stats.page_faults;
   ++task.space().counters().minor_faults;
-  return true;
+  return pfn;
 }
 
-bool System::touch(Task& task, vm::VirtAddr va) {
-  const vm::VirtAddr page = va & ~vm::VirtAddr{kPageSize - 1};
-  if (task.space().page_table().find(page) != nullptr) return true;
-  return handle_fault(task, page);
+template <typename Bytes, typename Access>
+bool System::for_each_chunk(Task& task, vm::VirtAddr va, Bytes bytes,
+                            Access access) {
+  for (std::size_t done = 0; done < bytes.size();) {
+    const vm::VirtAddr cur = va + done;
+    const mm::Pfn pfn = frame_of(task, cur);
+    if (pfn == mm::kInvalidPfn) return false;
+    const std::size_t chunk =
+        std::min(bytes.size() - done, kPageSize - (cur & (kPageSize - 1)));
+    access(phys_addr(pfn, cur), bytes.subspan(done, chunk));
+    done += chunk;
+  }
+  return true;
 }
 
 bool System::mem_write(Task& task, vm::VirtAddr va,
                        std::span<const std::uint8_t> in) {
-  std::size_t done = 0;
-  while (done < in.size()) {
-    const vm::VirtAddr cur = va + done;
-    const vm::VirtAddr page = cur & ~vm::VirtAddr{kPageSize - 1};
-    if (!touch(task, cur)) return false;
-    const vm::Pte* pte = task.space().page_table().find(page);
-    EXPLFRAME_CHECK(pte != nullptr);
-    const std::size_t off = cur - page;
-    const std::size_t chunk = std::min(in.size() - done, kPageSize - off);
-    dram_->write(static_cast<dram::PhysAddr>(pte->pfn) * kPageSize + off,
-                 in.subspan(done, chunk));
-    done += chunk;
-  }
-  return true;
+  return for_each_chunk(task, va, in, [this](dram::PhysAddr phys, auto chunk) {
+    dram_->write(phys, chunk);
+  });
 }
 
 bool System::mem_read(Task& task, vm::VirtAddr va,
                       std::span<std::uint8_t> out) {
-  std::size_t done = 0;
-  while (done < out.size()) {
-    const vm::VirtAddr cur = va + done;
-    const vm::VirtAddr page = cur & ~vm::VirtAddr{kPageSize - 1};
-    if (!touch(task, cur)) return false;
-    const vm::Pte* pte = task.space().page_table().find(page);
-    EXPLFRAME_CHECK(pte != nullptr);
-    const std::size_t off = cur - page;
-    const std::size_t chunk = std::min(out.size() - done, kPageSize - off);
-    dram_->read(static_cast<dram::PhysAddr>(pte->pfn) * kPageSize + off,
-                out.subspan(done, chunk));
-    done += chunk;
-  }
-  return true;
+  return for_each_chunk(task, va, out, [this](dram::PhysAddr phys, auto chunk) {
+    dram_->read(phys, chunk);
+  });
 }
 
 SimTime System::hammer_burst(Task& task,
@@ -215,8 +214,9 @@ SimTime System::hammer_burst(Task& task,
                              std::uint64_t iterations) {
   burst_phys_.clear();
   for (const vm::VirtAddr va : aggressors) {
-    if (!touch(task, va)) return 0;
-    burst_phys_.push_back(phys_of(task, va));
+    const mm::Pfn pfn = frame_of(task, va);
+    if (pfn == mm::kInvalidPfn) return 0;
+    burst_phys_.push_back(phys_addr(pfn, va));
   }
   const SimTime start = dram_->now();
   dram_->hammer_burst(burst_phys_, iterations);
@@ -232,8 +232,7 @@ mm::Pfn System::translate(const Task& task, vm::VirtAddr va) const {
 dram::PhysAddr System::phys_of(const Task& task, vm::VirtAddr va) const {
   const mm::Pfn pfn = translate(task, va);
   EXPLFRAME_CHECK_MSG(pfn != mm::kInvalidPfn, "phys_of on unmapped va");
-  return static_cast<dram::PhysAddr>(pfn) * kPageSize +
-         (va & (kPageSize - 1));
+  return phys_addr(pfn, va);
 }
 
 }  // namespace explframe::kernel

@@ -95,7 +95,10 @@ class System : public snap::Restorable {
   /// false on an invalid access (segfault) or allocation failure (OOM).
   bool mem_write(Task& task, vm::VirtAddr va, std::span<const std::uint8_t> in);
   bool mem_read(Task& task, vm::VirtAddr va, std::span<std::uint8_t> out);
-  bool touch(Task& task, vm::VirtAddr va);  ///< Fault one page in.
+  /// Fault one page in; false on a segfault or OOM.
+  bool touch(Task& task, vm::VirtAddr va) {
+    return frame_of(task, va) != mm::kInvalidPfn;
+  }
 
   // ---- Hammer path (flush+load; also the row-conflict timing probe) -------
   /// `iterations` rounds of one flush+load of each of `aggressors` in order:
@@ -133,7 +136,14 @@ class System : public snap::Restorable {
   }
 
  private:
-  bool handle_fault(Task& task, vm::VirtAddr page_va);
+  /// The frame backing `va`'s page, demand-faulting it in on a miss;
+  /// kInvalidPfn on a segfault or OOM.
+  mm::Pfn frame_of(Task& task, vm::VirtAddr va);
+  /// Fault in each page `bytes` spans from `va`, in order, and call
+  /// access(phys, chunk) with the part of `bytes` that page holds. Stops
+  /// with false at the first page that cannot be faulted in.
+  template <typename Bytes, typename Access>
+  bool for_each_chunk(Task& task, vm::VirtAddr va, Bytes bytes, Access access);
   mm::Pfn alloc_user_frame(Task& task);
   vm::FrameClient table_frame_client(std::int32_t task_id,
                                      std::uint32_t spawn_cpu);

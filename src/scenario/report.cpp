@@ -1,7 +1,6 @@
 #include "scenario/report.hpp"
 
 #include "support/table.hpp"
-#include "support/units.hpp"
 
 namespace explframe::scenario {
 
@@ -55,16 +54,14 @@ std::string markdown_report(const ScenarioResult& result) {
 }
 
 std::string csv_report(const ScenarioResult& result) {
-  Table t({"trial", "template_found", "rows_scanned", "flips_found",
-           "steered", "fault_injected", "fault_as_predicted", "key_recovered",
-           "ciphertexts_used", "residual_search", "success", "failure_stage",
-           "sim_seconds"});
+  std::vector<std::string> headers{"trial"};
+  attack::TrialRow::append_csv_headers(headers);
+  Table t(headers);
   for (std::size_t i = 0; i < result.aggregate.reports.size(); ++i) {
-    const attack::CampaignReport& r = result.aggregate.reports[i];
-    t.row(i, r.template_found, r.rows_scanned, r.flips_found, r.steered,
-          r.fault_injected, r.fault_as_predicted, r.key_recovered,
-          r.ciphertexts_used, r.residual_search, r.success, r.failure_stage(),
-          static_cast<double>(r.total_time) / kSecond);
+    std::vector<std::string> cells{Table::to_cell(i)};
+    attack::TrialRow::from_report(result.aggregate.reports[i])
+        .append_csv_cells(cells);
+    t.add_row(std::move(cells));
   }
   return t.render(TableFormat::kCsv);
 }

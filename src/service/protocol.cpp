@@ -12,23 +12,6 @@ namespace {
 constexpr char kMagic[] = "explsimd-request";
 constexpr char kVersion[] = "v1";
 
-/// Split on single spaces. Empty tokens (leading/trailing/double spaces)
-/// are preserved so they can be rejected — the canonical form has exactly
-/// one space between tokens and no padding.
-std::vector<std::string> split_tokens(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = line.find(' ', start);
-    if (pos == std::string::npos) {
-      tokens.push_back(line.substr(start));
-      return tokens;
-    }
-    tokens.push_back(line.substr(start, pos - start));
-    start = pos + 1;
-  }
-}
-
 }  // namespace
 
 const char* to_string(JobKind kind) noexcept {
@@ -64,7 +47,7 @@ std::optional<JobRequest> JobRequest::parse(const std::string& line,
   if (line.find('\n') != std::string::npos ||
       line.find('\r') != std::string::npos)
     return fail("request must be a single line");
-  const auto tokens = split_tokens(line);
+  const auto tokens = split(line, ' ');
   if (tokens.size() < 2 || tokens[0] != kMagic)
     return fail("not an explsimd request (expected '" + std::string(kMagic) +
                 " " + kVersion + " ...')");

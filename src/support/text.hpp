@@ -1,12 +1,14 @@
 // Small text helpers shared by the sweep and service layers: the error
-// out-parameter idiom, fixed-width hex and the FNV-1a 64 hash behind job
-// ids, `spec_hash` and checkpoint headers. Their output is part of the
-// on-disk formats (spool ids, checkpoint headers), so it must never change.
+// out-parameter idiom, splitting on a separator, fixed-width hex and the
+// FNV-1a 64 hash behind job ids, `spec_hash` and checkpoint headers. Their
+// output is part of the on-disk formats (spool ids, checkpoint headers), so
+// it must never change.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace explframe {
 
@@ -15,6 +17,20 @@ namespace explframe {
 inline bool set_error(std::string* error, const std::string& what) {
   if (error) *error = what;
   return false;
+}
+
+/// `text` cut at every `sep`. Empty pieces (leading, trailing or doubled
+/// separators) are kept so a strict parser can reject them.
+inline std::vector<std::string> split(const std::string& text, char sep) {
+  std::vector<std::string> out;
+  std::size_t start = 0;
+  std::size_t pos;
+  while ((pos = text.find(sep, start)) != std::string::npos) {
+    out.push_back(text.substr(start, pos - start));
+    start = pos + 1;
+  }
+  out.push_back(text.substr(start));
+  return out;
 }
 
 /// `value` as 16 lower-case hex digits, zero-padded.

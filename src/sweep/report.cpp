@@ -3,73 +3,24 @@
 #include <algorithm>
 #include <filesystem>
 
-#include "support/check.hpp"
-#include "support/stats.hpp"
 #include "support/table.hpp"
-#include "support/units.hpp"
 
 namespace explframe::sweep {
-
-namespace {
-
-double sim_seconds(const TrialRow& trial) {
-  return static_cast<double>(trial.total_time) / kSecond;
-}
-
-/// The aggregate slice the tables publish for any set of trials.
-struct TrialStats {
-  std::uint32_t trials = 0;
-  std::uint32_t successes = 0;
-  Samples rows_scanned;      ///< All trials.
-  Samples ciphertexts_used;  ///< Successful trials only.
-  Samples sim_secs;          ///< All trials.
-
-  void add(const TrialRow& trial) {
-    ++trials;
-    if (trial.success) {
-      ++successes;
-      ciphertexts_used.add(trial.ciphertexts_used);
-    }
-    rows_scanned.add(static_cast<double>(trial.rows_scanned));
-    sim_secs.add(sim_seconds(trial));
-  }
-};
-
-TrialStats point_stats(const PointRecord& record) {
-  TrialStats stats;
-  for (const TrialRow& trial : record.trials) stats.add(trial);
-  return stats;
-}
-
-}  // namespace
 
 std::string sweep_csv(const SweepResult& result) {
   std::vector<std::string> headers{"point"};
   for (const Axis& axis : result.spec.axes) headers.push_back(axis.key);
-  for (const char* column :
-       {"trial", "template_found", "rows_scanned", "flips_found", "steered",
-        "fault_injected", "fault_as_predicted", "key_recovered",
-        "ciphertexts_used", "residual_search", "success", "failure_stage",
-        "sim_seconds"})
-    headers.emplace_back(column);
+  headers.emplace_back("trial");
+  TrialRow::append_csv_headers(headers);
 
   Table t(headers);
   for (const PointRecord& record : result.records) {
     const SweepPoint& point = result.points[record.index];
     for (std::size_t trial = 0; trial < record.trials.size(); ++trial) {
-      const TrialRow& r = record.trials[trial];
       std::vector<std::string> cells{Table::to_cell(record.index)};
       for (const auto& [key, value] : point.coords) cells.push_back(value);
-      for (const std::string& cell :
-           {Table::to_cell(trial), Table::to_cell(r.template_found),
-            Table::to_cell(r.rows_scanned), Table::to_cell(r.flips_found),
-            Table::to_cell(r.steered), Table::to_cell(r.fault_injected),
-            Table::to_cell(r.fault_as_predicted),
-            Table::to_cell(r.key_recovered),
-            Table::to_cell(r.ciphertexts_used),
-            Table::to_cell(r.residual_search), Table::to_cell(r.success),
-            r.failure_stage, Table::to_cell(sim_seconds(r))})
-        cells.push_back(cell);
+      cells.push_back(Table::to_cell(trial));
+      record.trials[trial].append_csv_cells(cells);
       t.add_row(std::move(cells));
     }
   }
@@ -106,14 +57,14 @@ std::string sweep_markdown(const SweepResult& result) {
   Table grid(headers);
   for (const PointRecord& record : result.records) {
     const SweepPoint& point = result.points[record.index];
-    const TrialStats stats = point_stats(record);
+    const attack::TrialTally stats = attack::TrialTally::of(record.trials);
     std::vector<std::string> cells{Table::to_cell(record.index)};
     for (const auto& [key, value] : point.coords) cells.push_back(value);
-    cells.push_back(std::to_string(stats.successes) + "/" +
+    cells.push_back(std::to_string(stats.succeeded) + "/" +
                     std::to_string(stats.trials));
     cells.push_back(samples_cell(stats.ciphertexts_used));
     cells.push_back(samples_cell(stats.rows_scanned));
-    cells.push_back(samples_cell(stats.sim_secs));
+    cells.push_back(samples_cell(stats.sim_seconds));
     grid.add_row(std::move(cells));
   }
   out += grid.render(TableFormat::kMarkdown);
@@ -126,7 +77,7 @@ std::string sweep_markdown(const SweepResult& result) {
     Table marginal({axis.key, "points", "trials", "success",
                     "ciphertexts to key", "rows templated"});
     for (const std::string& value : axis.values) {
-      TrialStats stats;
+      attack::TrialTally stats;
       std::size_t points = 0;
       for (const PointRecord& record : result.records) {
         if (result.points[record.index].coords[a].second != value) continue;
@@ -134,7 +85,7 @@ std::string sweep_markdown(const SweepResult& result) {
         for (const TrialRow& trial : record.trials) stats.add(trial);
       }
       marginal.row(value, points, stats.trials,
-                   rate_cell(stats.successes, stats.trials),
+                   rate_cell(stats.succeeded, stats.trials),
                    samples_cell(stats.ciphertexts_used),
                    samples_cell(stats.rows_scanned));
     }
@@ -153,18 +104,16 @@ std::string sweep_markdown(const SweepResult& result) {
     for (const std::string& row_value : rows.values) {
       std::vector<std::string> cells{row_value};
       for (const std::string& col_value : cols.values) {
-        std::uint32_t successes = 0;
-        std::uint32_t trials = 0;
+        attack::TrialTally stats;
         for (const PointRecord& record : result.records) {
           const SweepPoint& point = result.points[record.index];
           if (point.coords[0].second != row_value ||
               point.coords[1].second != col_value)
             continue;
-          trials += static_cast<std::uint32_t>(record.trials.size());
-          successes += record.successes();
+          for (const TrialRow& trial : record.trials) stats.add(trial);
         }
-        cells.push_back(std::to_string(successes) + "/" +
-                        std::to_string(trials));
+        cells.push_back(std::to_string(stats.succeeded) + "/" +
+                        std::to_string(stats.trials));
       }
       pivot.add_row(std::move(cells));
     }
@@ -197,15 +146,12 @@ std::string sweeps_index(const std::vector<SweepResult>& results) {
       axes += "`" + axis.key + "` (" + std::to_string(axis.values.size()) +
               ")";
     }
-    std::uint32_t trials = 0;
-    std::uint32_t successes = 0;
-    for (const PointRecord& record : r.records) {
-      trials += static_cast<std::uint32_t>(record.trials.size());
-      successes += record.successes();
-    }
+    attack::TrialTally stats;
+    for (const PointRecord& record : r.records)
+      for (const TrialRow& trial : record.trials) stats.add(trial);
     t.row("`" + r.spec.name + "`", r.spec.title, "`" + r.spec.base + "`",
-          axes, r.points.size(), trials,
-          std::to_string(successes) + "/" + std::to_string(trials),
+          axes, r.points.size(), stats.trials,
+          std::to_string(stats.succeeded) + "/" + std::to_string(stats.trials),
           "[md](" + r.spec.name + ".md), [csv](" + r.spec.name + ".csv)");
   }
   out += t.render(TableFormat::kMarkdown);

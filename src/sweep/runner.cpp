@@ -7,6 +7,9 @@
 #include <mutex>
 #include <sstream>
 #include <thread>
+#include <tuple>
+#include <type_traits>
+#include <unordered_map>
 
 #include "support/check.hpp"
 #include "support/text.hpp"
@@ -17,80 +20,46 @@ namespace {
 
 constexpr char kCheckpointMagic[] = "explsim-sweep-checkpoint v1";
 
-std::optional<bool> parse_bool_field(const std::string& text) {
-  if (text == "1") return true;
-  if (text == "0") return false;
-  return std::nullopt;
-}
-
-std::vector<std::string> split(const std::string& text, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = text.find(sep, start);
-    if (pos == std::string::npos) {
-      out.push_back(text.substr(start));
-      return out;
-    }
-    out.push_back(text.substr(start, pos - start));
-    start = pos + 1;
-  }
-}
-
+// A trial is its columns' fields, comma-joined: bools as 1/0, counts and
+// total_time as decimal integers, failure_stage verbatim (never empty).
 std::optional<TrialRow> parse_trial(const std::string& text) {
   const auto fields = split(text, ',');
-  if (fields.size() != 12) return std::nullopt;
-  TrialRow row;
-  const auto tf = parse_bool_field(fields[0]);
-  const auto rows = parse_u64(fields[1]);
-  const auto flips = parse_u64(fields[2]);
-  const auto steered = parse_bool_field(fields[3]);
-  const auto injected = parse_bool_field(fields[4]);
-  const auto predicted = parse_bool_field(fields[5]);
-  const auto recovered = parse_bool_field(fields[6]);
-  const auto cts = parse_u64(fields[7]);
-  const auto residual = parse_u64(fields[8]);
-  const auto success = parse_bool_field(fields[9]);
-  const auto time = parse_u64(fields[11]);
-  if (!tf || !rows || !flips || !steered || !injected || !predicted ||
-      !recovered || !cts || !residual || !success || !time ||
-      fields[10].empty() ||
-      *cts > std::numeric_limits<std::uint32_t>::max() ||
-      *residual > std::numeric_limits<std::uint32_t>::max())
+  if (fields.size() != std::tuple_size_v<decltype(attack::kTrialColumns)>)
     return std::nullopt;
-  row.template_found = *tf;
-  row.rows_scanned = *rows;
-  row.flips_found = *flips;
-  row.steered = *steered;
-  row.fault_injected = *injected;
-  row.fault_as_predicted = *predicted;
-  row.key_recovered = *recovered;
-  row.ciphertexts_used = static_cast<std::uint32_t>(*cts);
-  row.residual_search = static_cast<std::uint32_t>(*residual);
-  row.success = *success;
-  row.failure_stage = fields[10];
-  row.total_time = *time;
+  TrialRow row;
+  auto next = fields.begin();
+  bool ok = true;
+  attack::for_each_column(row, [&](const auto&, auto& value) {
+    using T = std::decay_t<decltype(value)>;
+    const std::string& field = *next++;
+    if constexpr (std::is_same_v<T, bool>) {
+      ok = ok && (field == "1" || field == "0");
+      value = field == "1";
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      ok = ok && !field.empty();
+      value = field;
+    } else {
+      const auto number = parse_u64(field);
+      ok = ok && number && *number <= std::numeric_limits<T>::max();
+      value = static_cast<T>(number.value_or(0));
+    }
+  });
+  if (!ok) return std::nullopt;
   return row;
 }
 
 std::string serialize_trial(const TrialRow& row) {
   std::string out;
-  const auto field = [&out](const std::string& text) {
+  attack::for_each_column(row, [&](const auto&, const auto& value) {
+    using T = std::decay_t<decltype(value)>;
     if (!out.empty()) out += ',';
-    out += text;
-  };
-  field(row.template_found ? "1" : "0");
-  field(std::to_string(row.rows_scanned));
-  field(std::to_string(row.flips_found));
-  field(row.steered ? "1" : "0");
-  field(row.fault_injected ? "1" : "0");
-  field(row.fault_as_predicted ? "1" : "0");
-  field(row.key_recovered ? "1" : "0");
-  field(std::to_string(row.ciphertexts_used));
-  field(std::to_string(row.residual_search));
-  field(row.success ? "1" : "0");
-  field(row.failure_stage);
-  field(std::to_string(row.total_time));
+    if constexpr (std::is_same_v<T, bool>)
+      out += value ? '1' : '0';
+    else if constexpr (std::is_same_v<T, std::string>)
+      out += value;
+    else
+      out += std::to_string(value);
+  });
   return out;
 }
 
@@ -213,24 +182,28 @@ class CheckpointWriter {
   std::string header_;  ///< The full header line, built once in open().
 };
 
-}  // namespace
-
-TrialRow TrialRow::from_report(const attack::CampaignReport& report) {
-  TrialRow row;
-  row.template_found = report.template_found;
-  row.rows_scanned = report.rows_scanned;
-  row.flips_found = report.flips_found;
-  row.steered = report.steered;
-  row.fault_injected = report.fault_injected;
-  row.fault_as_predicted = report.fault_as_predicted;
-  row.key_recovered = report.key_recovered;
-  row.ciphertexts_used = report.ciphertexts_used;
-  row.residual_search = report.residual_search;
-  row.success = report.success;
-  row.failure_stage = report.failure_stage();
-  row.total_time = report.total_time;
-  return row;
+/// load_checkpoint, then require every record to be one of `points`: an
+/// in-range index whose id and trial count match the expanded grid.
+std::optional<std::vector<PointRecord>> load_grid_records(
+    const std::string& path, const SweepSpec& spec, std::uint64_t spec_hash,
+    const std::vector<SweepPoint>& points, std::string* error,
+    io::FileSystem& fs) {
+  auto records = load_checkpoint(path, spec.name, spec_hash, error, &fs);
+  if (!records) return std::nullopt;
+  for (const PointRecord& record : *records) {
+    if (record.index >= points.size() ||
+        record.id != points[record.index].id ||
+        record.trials.size() != points[record.index].scenario.trials) {
+      set_error(error, path + ": record for point " +
+                           std::to_string(record.index) +
+                           " does not match the expanded grid");
+      return std::nullopt;
+    }
+  }
+  return records;
 }
+
+}  // namespace
 
 std::string PointRecord::serialize() const {
   std::string out = "point " + std::to_string(index) + " " + id + " ";
@@ -264,13 +237,6 @@ std::optional<PointRecord> PointRecord::parse(const std::string& line,
     record.trials.push_back(*trial);
   }
   return record;
-}
-
-std::uint32_t PointRecord::successes() const noexcept {
-  std::uint32_t n = 0;
-  for (const TrialRow& trial : trials)
-    if (trial.success) ++n;
-  return n;
 }
 
 std::optional<std::vector<PointRecord>> load_checkpoint(
@@ -314,6 +280,7 @@ std::optional<std::vector<PointRecord>> load_checkpoint(
         "Delete the file to start over.");
   }
 
+  std::unordered_map<std::size_t, std::size_t> position;  // index -> slot
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
@@ -323,18 +290,14 @@ std::optional<std::vector<PointRecord>> load_checkpoint(
     // A point logged twice with the same outcome deduplicates (a requeued
     // job may re-log work it had already made durable); two *different*
     // outcomes for one point mean the file mixes incompatible runs.
-    bool duplicate = false;
-    for (const PointRecord& seen : records) {
-      if (seen.index != record->index) continue;
-      if (seen == *record) {
-        duplicate = true;
-        break;
-      }
+    const auto [seen, fresh] = position.emplace(record->index, records.size());
+    if (fresh) {
+      records.push_back(*record);
+    } else if (records[seen->second] != *record) {
       return fail("conflicting duplicate records for point " +
                   std::to_string(record->index) +
                   " (same index, different results)");
     }
-    if (!duplicate) records.push_back(*record);
   }
   return records;
 }
@@ -403,16 +366,10 @@ std::optional<SweepResult> run_sweep(const SweepSpec& spec,
   std::vector<std::optional<PointRecord>> slots(points->size());
   std::size_t resumed = 0;
   if (!options.checkpoint_path.empty() && options.resume) {
-    const auto loaded =
-        load_checkpoint(options.checkpoint_path, spec.name, hash, error, &fs);
+    const auto loaded = load_grid_records(options.checkpoint_path, spec,
+                                          hash, *points, error, fs);
     if (!loaded) return std::nullopt;
     for (const PointRecord& record : *loaded) {
-      if (record.index >= points->size() ||
-          record.id != (*points)[record.index].id ||
-          record.trials.size() != (*points)[record.index].scenario.trials)
-        return fail(options.checkpoint_path + ": record for point " +
-                    std::to_string(record.index) +
-                    " does not match the expanded grid");
       if (!owns(record.index))
         return fail(options.checkpoint_path + ": record for point " +
                     std::to_string(record.index) + " belongs to another " +
@@ -606,15 +563,10 @@ std::optional<SweepResult> merge_checkpoints(
     // missing-points error far from its cause.
     if (!fs.exists(path))
       return fail("cannot read checkpoint '" + path + "'");
-    const auto records = load_checkpoint(path, spec.name, hash, error, &fs);
+    const auto records =
+        load_grid_records(path, spec, hash, *points, error, fs);
     if (!records) return std::nullopt;
     for (const PointRecord& record : *records) {
-      if (record.index >= points->size() ||
-          record.id != (*points)[record.index].id ||
-          record.trials.size() != (*points)[record.index].scenario.trials)
-        return fail(path + ": record for point " +
-                    std::to_string(record.index) +
-                    " does not match the expanded grid");
       auto& slot = slots[record.index];
       if (!slot) {
         slot = record;

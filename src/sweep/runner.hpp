@@ -54,30 +54,8 @@
 
 namespace explframe::sweep {
 
-/// The per-trial outcome fields the sweep emitters publish — the sweep-side
-/// mirror of attack::CampaignReport restricted to the long-form CSV columns,
-/// and the unit of checkpoint serialization (everything here round-trips
-/// losslessly as text, so a resumed point emits the same bytes as a fresh
-/// one).
-struct TrialRow {
-  bool template_found = false;
-  std::uint64_t rows_scanned = 0;
-  std::uint64_t flips_found = 0;
-  bool steered = false;
-  bool fault_injected = false;
-  bool fault_as_predicted = false;
-  bool key_recovered = false;
-  std::uint32_t ciphertexts_used = 0;
-  std::uint32_t residual_search = 0;
-  bool success = false;
-  std::string failure_stage;  ///< CampaignReport::failure_stage() string.
-  SimTime total_time = 0;     ///< Simulated nanoseconds (exact integer).
-
-  /// Project a campaign report onto the published columns.
-  static TrialRow from_report(const attack::CampaignReport& report);
-
-  bool operator==(const TrialRow&) const = default;
-};
+/// The published per-trial record, declared in attack/ with its columns.
+using TrialRow = attack::TrialRow;
 
 /// One completed grid point: its position plus every trial's outcome. One
 /// PointRecord is one checkpoint line.
@@ -87,13 +65,13 @@ struct PointRecord {
   std::vector<TrialRow> trials;
 
   /// The checkpoint line (no trailing newline): space-separated header
-  /// fields, then one comma-joined field list per trial, ';'-joined.
+  /// fields, then one comma-joined field list per trial, ';'-joined. A
+  /// trial's fields follow attack::kTrialColumns: bools as 1/0, total_time
+  /// in integer nanoseconds.
   std::string serialize() const;
   /// Inverse of serialize(). Nullopt + `error` on any malformed field.
   static std::optional<PointRecord> parse(const std::string& line,
                                           std::string* error = nullptr);
-
-  std::uint32_t successes() const noexcept;
 
   bool operator==(const PointRecord&) const = default;
 };

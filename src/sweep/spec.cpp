@@ -121,11 +121,8 @@ std::optional<std::vector<std::string>> expand_axis_values(
 
   // Comma-list syntax.
   std::vector<std::string> values;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    std::size_t comma = text.find(',', start);
-    if (comma == std::string::npos) comma = text.size();
-    const std::string value = trim_copy(text.substr(start, comma - start));
+  for (const std::string& piece : split(text, ',')) {
+    const std::string value = trim_copy(piece);
     if (value.empty())
       return fail("empty axis value in '" + text + "'");
     if (has_whitespace(value))
@@ -137,8 +134,6 @@ std::optional<std::vector<std::string>> expand_axis_values(
     if (values.size() > kMaxAxisValues)
       return fail("axis expands to more than " +
                   std::to_string(kMaxAxisValues) + " values");
-    start = comma + 1;
-    if (comma == text.size()) break;
   }
   if (values.empty()) return fail("axis has no values");
   return values;

@@ -60,12 +60,17 @@ bool PageTable::prepare(VirtAddr vaddr) {
 bool PageTable::map(VirtAddr vaddr, mm::Pfn pfn) {
   EXPLFRAME_CHECK_MSG((vaddr & (kPageSize - 1)) == 0, "unaligned map");
   EXPLFRAME_CHECK_MSG(pfn != mm::kInvalidPfn, "map of kInvalidPfn");
-  if (!prepare(vaddr)) return false;
-  Node& leaf = state_.nodes.at(key_of(vaddr, 0));
-  Pte& pte = leaf.ptes[leaf_slot(vaddr)];
+  // A demand fault has prepared the path already (before allocating its
+  // page), so one leaf lookup serves it; prepare only a missing leaf.
+  auto leaf = state_.nodes.find(key_of(vaddr, 0));
+  if (leaf == state_.nodes.end()) {
+    if (!prepare(vaddr)) return false;
+    leaf = state_.nodes.find(key_of(vaddr, 0));
+  }
+  Pte& pte = leaf->second.ptes[leaf_slot(vaddr)];
   EXPLFRAME_CHECK_MSG(pte.pfn == mm::kInvalidPfn, "double map");
   pte.pfn = pfn;
-  ++leaf.used;
+  ++leaf->second.used;
   ++state_.mapped;
   return true;
 }

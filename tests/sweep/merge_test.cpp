@@ -145,6 +145,36 @@ TEST(MergeFaults, ConflictingDuplicateWithinOneFileIsAHardError) {
   EXPECT_NE(error.find("conflicting"), std::string::npos) << error;
 }
 
+// Resume and merge share one grid-fit check: a record whose id, index or
+// trial count disagrees with the expanded grid is refused by both.
+TEST(MergeFaults, RecordsOffTheGridAreRefusedByMergeAndResume) {
+  const SweepSpec spec = tiny_spec();
+  const auto& records = fresh().records;
+  PointRecord wrong_id = records[1];
+  wrong_id.id = records[2].id;
+  PointRecord short_trials = records[1];
+  short_trials.trials.pop_back();
+  PointRecord past_end = records[1];
+  past_end.index = records.size();
+  for (const PointRecord& bad : {wrong_id, short_trials, past_end}) {
+    const std::string path =
+        write_checkpoint("off-grid.ckpt", spec, {records[0], bad});
+    std::string error;
+    EXPECT_FALSE(merge_checkpoints(spec, scenarios(), {path}, &error));
+    EXPECT_NE(error.find("does not match the expanded grid"),
+              std::string::npos)
+        << error;
+    SweepRunOptions options;
+    options.checkpoint_path = path;
+    options.resume = true;
+    error.clear();
+    EXPECT_FALSE(run_sweep(spec, scenarios(), options, &error));
+    EXPECT_NE(error.find("does not match the expanded grid"),
+              std::string::npos)
+        << error;
+  }
+}
+
 TEST(MergeFaults, ForeignSpecHashIsRefused) {
   const SweepSpec spec = tiny_spec();
   const auto& records = fresh().records;

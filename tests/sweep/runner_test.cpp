@@ -91,6 +91,46 @@ TEST(PointRecord, ParseRejectsMalformedLines) {
   EXPECT_FALSE(
       PointRecord::parse("point 0 id 1,2,3,4,5,6,7,8,9,10,stage,x", &error)
           .has_value());
+  // Per-kind field rules: bools are 0/1, the two u32 counts reject values
+  // past 2^32 - 1, and failure_stage is never empty.
+  for (const char* line :
+       {"point 0 id 2,321,4,1,1,0,1,1700,0,1,none,9",
+        "point 0 id 1,321,4,1,1,0,1,4294967296,0,1,none,9",
+        "point 0 id 1,321,4,1,1,0,1,1700,4294967296,1,none,9",
+        "point 0 id 1,321,4,1,1,0,1,1700,0,1,,9"})
+    EXPECT_FALSE(PointRecord::parse(line, &error).has_value()) << line;
+  // The limits themselves parse.
+  EXPECT_TRUE(
+      PointRecord::parse("point 0 id 0,0,0,0,0,0,0,4294967295,4294967295,0,x,0")
+          .has_value());
+}
+
+// The on-disk format: a checkpoint line written by an earlier build must
+// parse to the same rows and re-serialize to the same bytes, or an old
+// checkpoint could not resume.
+TEST(PointRecord, ParsesAndReproducesPinnedCheckpointLine) {
+  const std::string line =
+      "point 7 defence=trr,weak_cells=dense "
+      "1,321,4,1,1,0,1,1700,0,1,none,123456789;"
+      "1,321,4,1,1,0,1,1700,0,1,none,123456789";
+  std::string error;
+  const auto record = PointRecord::parse(line, &error);
+  ASSERT_TRUE(record.has_value()) << error;
+  TrialRow row;
+  row.template_found = true;
+  row.rows_scanned = 321;
+  row.flips_found = 4;
+  row.steered = true;
+  row.fault_injected = true;
+  row.key_recovered = true;
+  row.ciphertexts_used = 1700;
+  row.success = true;
+  row.failure_stage = "none";
+  row.total_time = 123456789;
+  EXPECT_EQ(record->index, 7u);
+  EXPECT_EQ(record->id, "defence=trr,weak_cells=dense");
+  EXPECT_EQ(record->trials, (std::vector<TrialRow>{row, row}));
+  EXPECT_EQ(record->serialize(), line);
 }
 
 TEST(SweepRunner, WritesAndRemovesCheckpoint) {

@@ -12,6 +12,11 @@
 #   src/sweep/registry.cpp     (SweepSpec literals, `name = <name>`)
 #   src/exp/experiment.cpp     (Experiment entries, `{.name = "<name>",`)
 #
+# The per-trial CSV/checkpoint columns come from their one declaration,
+# attack::kTrialColumns in src/attack/campaign_runner.hpp
+# (`TrialColumn<...>{"<name>", ...}`), and must each appear backquoted in
+# the handbook's section 6, which interprets the reports.
+#
 # The time-travel debugger (`explsim debug`) is covered the same way:
 # every REPL command must be documented (backquoted) in the handbook.
 set -u
@@ -24,9 +29,22 @@ sweeps=$(sed -n 's/^name = \([A-Za-z0-9_.-]*\)$/\1/p' src/sweep/registry.cpp)
 experiments=$(sed -n 's/^[[:space:]]*{\.name = "\([A-Za-z0-9_.-]*\)",$/\1/p' \
     src/exp/experiment.cpp)
 
-if [ -z "$scenarios" ] || [ -z "$sweeps" ] || [ -z "$experiments" ]; then
+columns=$(sed -n 's/^[[:space:]]*TrialColumn<[^>]*>{"\([a-z_]*\)",.*$/\1/p' \
+    src/attack/campaign_runner.hpp)
+
+if [ -z "$scenarios" ] || [ -z "$sweeps" ] || [ -z "$experiments" ] ||
+   [ -z "$columns" ]; then
   echo "check_handbook: failed to extract registered names (did the" >&2
   echo "registration syntax change? update this script's patterns)" >&2
+  exit 2
+fi
+# Every column names its member as `&TrialRow::<member>`; a column whose
+# line the pattern above missed must not drop out of the check silently.
+if [ "$(echo "$columns" | wc -l)" -ne \
+     "$(grep -c '&TrialRow::' src/attack/campaign_runner.hpp)" ]; then
+  echo "check_handbook: extracted $(echo "$columns" | wc -l) trial" \
+       "column(s) but src/attack/campaign_runner.hpp declares" \
+       "$(grep -c '&TrialRow::' src/attack/campaign_runner.hpp)" >&2
   exit 2
 fi
 
@@ -35,6 +53,17 @@ for name in $scenarios $sweeps $experiments; do
   if ! grep -q "\`$name\`" docs/HANDBOOK.md; then
     echo "docs/HANDBOOK.md: error: registered entry '$name' is missing" \
          "from the handbook tables" >&2
+    status=1
+  fi
+done
+
+# Trial-column coverage: each published column has a glossary line in
+# section 6 ("Interpreting the generated reports").
+reports_section=$(sed -n '/^## 6\./,/^## 7\./p' docs/HANDBOOK.md)
+for column in $columns; do
+  if ! printf '%s\n' "$reports_section" | grep -q "\`$column\`"; then
+    echo "docs/HANDBOOK.md: error: trial column '$column' is missing from" \
+         "section 6 (Interpreting the generated reports)" >&2
     status=1
   fi
 done
@@ -68,6 +97,7 @@ else
   echo "handbook lint: OK ($(echo "$scenarios" | wc -l) scenarios," \
        "$(echo "$sweeps" | wc -l) sweeps," \
        "$(echo "$experiments" | wc -l) experiments," \
+       "$(echo "$columns" | wc -l) trial columns," \
        "$(echo "$debug_cmds" | wc -w) debugger commands," \
        "$(echo "$shard_cmds" | wc -w) shard/daemon commands covered)"
 fi

@@ -441,7 +441,8 @@ std::optional<sweep::SweepResult> run_one_sweep(
   options.on_point = [&](const sweep::SweepPoint& point,
                          const sweep::PointRecord& record, bool resumed) {
     std::cout << "  [" << point.index + 1 << "/" << total << "] " << point.id
-              << ": " << record.successes() << "/" << record.trials.size()
+              << ": " << attack::TrialTally::of(record.trials).succeeded << "/"
+              << record.trials.size()
               << (resumed ? " (resumed from checkpoint)" : "") << "\n";
   };
   std::string error;
